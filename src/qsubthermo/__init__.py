@@ -32,17 +32,14 @@ from .fock import (
     EntropyProduction,
     FockConfig,
     HamiltonianParts,
-    ModeOperators,
     TrueHeatReport,
     bare_amplitudes,
     build_hamiltonian,
-    build_operators,
     classical_average,
     destroy,
     diagonal_split,
     effective_hamiltonian,
     entropy_production,
-    evolve,
     heat_changes_numeric,
     heat_series_numeric,
     jarzynski_identity,
@@ -99,16 +96,13 @@ __all__ = [
     "adaptive_simpson",
     # fock
     "FockConfig",
-    "ModeOperators",
     "HamiltonianParts",
     "BareBasisAmplitudes",
     "EntropyProduction",
     "TrueHeatReport",
     "destroy",
-    "build_operators",
     "build_hamiltonian",
     "thermal_state",
-    "evolve",
     "heat_changes_numeric",
     "heat_series_numeric",
     "bare_amplitudes",

@@ -112,10 +112,25 @@ class HeatReport:
     ds0: float
     csl_ok: bool
 
+    @classmethod
+    def from_heats(
+        cls, t: float, dq_a: float, dq_b: float, prep: ThermalPreparation, sys: OscillatorSystem
+    ) -> "HeatReport":
+        """Transfer, free entropy change and Clausius verdict from the two heats."""
+        dq_ab = dq_b - dq_a
+        return cls(
+            t=t,
+            dq_a=dq_a,
+            dq_b=dq_b,
+            dq_ab=dq_ab,
+            ds0=free_entropy_change(dq_a, dq_b, prep),
+            csl_ok=csl_compliant(dq_ab, prep, omega=max(sys.omega_a, sys.omega_b)),
+        )
+
 
 def _check_time(t: float) -> None:
-    if t < 0.0:
-        raise ModelError("time must be non-negative")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ModelError(f"time must be finite and non-negative, got {t}")
 
 
 def rwa_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
@@ -252,15 +267,7 @@ def heat_changes(
         + abs(coeffs.q_a) ** 2
         + abs(coeffs.q_b) ** 2
     )
-    dq_ab = dq_b - dq_a
-    return HeatReport(
-        t=coeffs.t,
-        dq_a=dq_a,
-        dq_b=dq_b,
-        dq_ab=dq_ab,
-        ds0=free_entropy_change(dq_a, dq_b, prep),
-        csl_ok=csl_compliant(dq_ab, prep, omega=max(sys.omega_a, sys.omega_b)),
-    )
+    return HeatReport.from_heats(coeffs.t, dq_a, dq_b, prep, sys)
 
 
 def heat_transfer(t: float, sys: OscillatorSystem, prep: ThermalPreparation) -> HeatReport:
@@ -280,8 +287,8 @@ def time_averaged_heat(
     Ill-defined at g = omega/2 (the static-mode singularity propagates from
     the coefficients).
     """
-    if tau <= 0.0:
-        raise ModelError("averaging window tau must be positive")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ModelError("averaging window tau must be positive and finite")
     if sys.kind is InteractionKind.LINEAR and 2.0 * sys.g == sys.require_resonant():
         raise SingularCouplingError("time-averaged transfer is ill-defined at g = omega/2")
 

@@ -9,9 +9,7 @@ parameters or infeasible truncation, 3 singular coupling (g = omega/2),
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -310,22 +308,18 @@ def run_sweep(args: argparse.Namespace) -> int:
     quad_tol = args.quad_tol if args.quad_tol is not None else 1e-8
     g_grid = _parse_grid(args.g_grid, [0.1 * omega, 0.3 * omega, 0.49 * omega, 0.5 * omega, 0.51 * omega])
     dbeta_grid = _parse_grid(args.dbeta_grid, [0.005, 0.01])
-    cells = [(g, dbeta) for g in g_grid for dbeta in dbeta_grid]
-
-    def run_cell(cell):
-        g, dbeta = cell
-        if g == 0.5 * omega:
-            return (g, dbeta, "", "gap")
-        sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
-        prep = ThermalPreparation(base_beta, base_beta + dbeta)
-        profile = scan_violations(
-            sys_, prep, t_max, samples, tau_threshold=args.tau_threshold, quad_tol=quad_tol
-        )
-        return (g, dbeta, len(profile.violations), profile.classification.value)
-
-    workers = int(os.environ.get("QSUB_THERMO_THREADS", "0")) or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run_cell, cells))
+    rows = []
+    for g in g_grid:
+        for dbeta in dbeta_grid:
+            if g == 0.5 * omega:
+                rows.append((g, dbeta, "", "gap"))
+                continue
+            sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
+            prep = ThermalPreparation(base_beta, base_beta + dbeta)
+            profile = scan_violations(
+                sys_, prep, t_max, samples, tau_threshold=args.tau_threshold, quad_tol=quad_tol
+            )
+            rows.append((g, dbeta, len(profile.violations), profile.classification.value))
     write_csv(args.out, ["g", "dbeta", "violations", "classification"], rows)
     return EXIT_OK
 

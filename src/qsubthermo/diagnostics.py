@@ -11,6 +11,7 @@ sign rule can break, and the scan classifies the breakage as transient
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,8 @@ def scan_violations(
     tau_threshold (default 3/omega) and the 50/omega horizon yields a
     compliant time-averaged transfer, persistent when some window does not.
     """
-    if t_max <= 0.0:
-        raise ModelError("t_max must be positive")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ModelError("t_max must be positive and finite")
     if n_samples < 16:
         raise ModelError("need at least 16 samples")
     omega = max(sys.omega_a, sys.omega_b)
@@ -165,13 +166,14 @@ def decomposition_audit(
     condition for the Clausius sign rule.
     """
     parts = build_hamiltonian(sys, cfg)
-
-    def comm_norm(x, y) -> float:
-        return float(np.linalg.norm(x @ y - y @ x))
-
-    norm_h0v = comm_norm(parts.h0, parts.v)
-    norm_hv = comm_norm(parts.h, parts.v)
-    norm_h0h = comm_norm(parts.h0, parts.h)
+    # H0 is diagonal, so [H0, X]_ij = (d_i - d_j) X_ij needs no product.  H and
+    # V are Hermitian, so V H = (H V)^dag and [H, V] takes one dense product.
+    d = parts.h0.diagonal().real
+    gaps = d[:, None] - d[None, :]
+    hv = parts.h @ parts.v
+    norm_h0v = float(np.linalg.norm(gaps * parts.v))
+    norm_hv = float(np.linalg.norm(hv - hv.conj().T))
+    norm_h0h = float(np.linalg.norm(gaps * parts.h))
     return DecompositionAudit(
         norm_h0v=norm_h0v,
         norm_hv=norm_hv,

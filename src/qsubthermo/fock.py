@@ -1,12 +1,14 @@
 """Truncated-Fock-space oracle: dense matrices, exact evolution, first-principles heat.
 
-Everything here is computed from the composite-space matrices with no input
+Everything here is computed from truncated number-basis matrices with no input
 from the closed forms in ``analytic``, so the two routes cross-validate each
 other.  Composite indexing is a-major: basis state |i_a, i_b> sits at row
 i_a * n_b + i_b, i.e. operators extend to the composite space as
-numpy.kron(op_a, identity_b) and numpy.kron(identity_a, op_b).  Time evolution
-uses the Hermitian eigendecomposition of H (reused across times), never a
-generic matrix exponential.
+numpy.kron(op_a, identity_b) and numpy.kron(identity_a, op_b).  The bare
+energies H_a, H_b are diagonal in this basis, and every other term of H is a
+kron of two single-mode matrices, so H is assembled without any
+composite-space product.  Time evolution uses the Hermitian eigendecomposition
+of H (reused across times), never a generic matrix exponential.
 """
 
 from __future__ import annotations
@@ -28,23 +30,18 @@ from .model import (
     PositivityError,
     ThermalPreparation,
     TruncationError,
-    csl_compliant,
-    free_entropy_change,
 )
 
 __all__ = [
     "FockConfig",
-    "ModeOperators",
     "HamiltonianParts",
     "BareBasisAmplitudes",
     "EntropyProduction",
     "TrueHeatReport",
     "destroy",
-    "build_operators",
     "build_hamiltonian",
     "thermal_state",
     "thermal_weights",
-    "evolve",
     "unitary_at",
     "heat_changes_numeric",
     "heat_series_numeric",
@@ -69,21 +66,24 @@ Matrix = NDArray[np.complex128]
 _TAIL_TOL_DEFAULT = 1e-12
 _DIM_CAP = 64
 
+# Times evaluated per GEMM in a heat series: bounds the (block x dim) phase
+# matrix while keeping each product large enough for BLAS.
+_SERIES_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Per-mode truncation dimensions and numerical tolerances for the oracle."""
+    """Per-mode truncation dimensions and the thermal tail tolerance for the oracle."""
 
     n_a: int
     n_b: int
     tail_tol: float = _TAIL_TOL_DEFAULT
-    evol_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.n_a < 2 or self.n_b < 2:
             raise ModelError("each mode needs at least two Fock levels")
-        if not (self.tail_tol > 0.0 and self.evol_tol > 0.0):
-            raise ModelError("tolerances must be positive")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
+            raise ModelError("tail_tol must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -95,69 +95,42 @@ class FockConfig:
         sys: OscillatorSystem,
         prep: ThermalPreparation,
         tail_tol: float = _TAIL_TOL_DEFAULT,
-        cap: int = _DIM_CAP,
     ) -> "FockConfig":
-        """Smallest per-mode cutoffs whose initial thermal tails stay below tail_tol."""
-        n_a = _min_dimension(prep.beta_a, sys.omega_a, tail_tol, cap)
-        n_b = _min_dimension(prep.beta_b, sys.omega_b, tail_tol, cap)
-        return cls(n_a=n_a, n_b=n_b, tail_tol=tail_tol)
+        """Smallest common cutoff whose initial thermal tails stay below tail_tol.
+
+        Both modes get the larger of the two per-mode cutoffs: the coupling
+        moves the hotter mode's population into the colder mode's space.
+        """
+        n = max(
+            _min_dimension(prep.beta_a, sys.omega_a, tail_tol),
+            _min_dimension(prep.beta_b, sys.omega_b, tail_tol),
+        )
+        return cls(n_a=n, n_b=n, tail_tol=tail_tol)
 
 
-def _min_dimension(beta: float, omega: float, tail_tol: float, cap: int) -> int:
+def _min_dimension(beta: float, omega: float, tail_tol: float) -> int:
     # Geometric thermal tail above level n is exactly exp(-beta*omega*n).
     n = max(2, math.ceil(math.log(1.0 / tail_tol) / (beta * omega)))
-    if n > cap:
-        feasible = math.log(1.0 / tail_tol) / cap
+    if n > _DIM_CAP:
+        feasible = math.log(1.0 / tail_tol) / _DIM_CAP
         raise TruncationError(
             f"beta*omega = {beta * omega:.4g} needs {n} levels for tail {tail_tol:g}; "
-            f"cap is {cap} (minimal feasible beta*omega is {feasible:.4g})"
+            f"cap is {_DIM_CAP} (minimal feasible beta*omega is {feasible:.4g})"
         )
     return n
 
 
 def destroy(n: int) -> Matrix:
     """Single-mode annihilation operator on n levels: sqrt(k) on the superdiagonal."""
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for k in range(1, n):
-        mat[k - 1, k] = math.sqrt(k)
-    return mat
+    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(np.complex128)
 
 
-@dataclass(frozen=True)
-class ModeOperators:
-    """Mode and quadrature operators extended to the composite space."""
-
-    a: Matrix
-    adag: Matrix
-    b: Matrix
-    bdag: Matrix
-    x_a: Matrix
-    p_a: Matrix
-    x_b: Matrix
-    p_b: Matrix
-
-
-def build_operators(cfg: FockConfig, sys: OscillatorSystem | None = None) -> ModeOperators:
-    """Ladder and quadrature operators, with x_c = sqrt(1/2 m omega_c)(c^dag + c)
-    and p_c = i sqrt(m omega_c / 2)(c^dag - c); m defaults to 1."""
-    m = sys.mass() if sys is not None else 1.0
-    omega_a = sys.omega_a if sys is not None else 1.0
-    omega_b = sys.omega_b if sys is not None else 1.0
-    eye_a = np.eye(cfg.n_a, dtype=np.complex128)
-    eye_b = np.eye(cfg.n_b, dtype=np.complex128)
-    a = np.kron(destroy(cfg.n_a), eye_b)
-    b = np.kron(eye_a, destroy(cfg.n_b))
-    adag = a.conj().T
-    bdag = b.conj().T
-
-    def quadratures(c: Matrix, cdag: Matrix, omega: float) -> tuple[Matrix, Matrix]:
-        x = math.sqrt(1.0 / (2.0 * m * omega)) * (cdag + c)
-        p = 1j * math.sqrt(m * omega / 2.0) * (cdag - c)
-        return x, p
-
-    x_a, p_a = quadratures(a, adag, omega_a)
-    x_b, p_b = quadratures(b, bdag, omega_b)
-    return ModeOperators(a=a, adag=adag, b=b, bdag=bdag, x_a=x_a, p_a=p_a, x_b=x_b, p_b=p_b)
+def _quadratures(n: int, omega: float, m: float) -> tuple[Matrix, Matrix]:
+    """Single-mode x = sqrt(1/2 m omega)(a^dag + a) and p = i sqrt(m omega / 2)(a^dag - a)."""
+    a = destroy(n)
+    x = math.sqrt(1.0 / (2.0 * m * omega)) * (a.conj().T + a)
+    p = 1j * math.sqrt(m * omega / 2.0) * (a.conj().T - a)
+    return x, p
 
 
 @dataclass(frozen=True)
@@ -171,42 +144,52 @@ class HamiltonianParts:
     h_b: Matrix
 
 
+def _bare_levels(sys: OscillatorSystem, cfg: FockConfig):
+    """Diagonals of H_a = omega_a a^dag a and H_b = omega_b b^dag b on the composite space."""
+    d_a = np.repeat(sys.omega_a * np.arange(cfg.n_a), cfg.n_b)
+    d_b = np.tile(sys.omega_b * np.arange(cfg.n_b), cfg.n_a)
+    return d_a, d_b
+
+
 def build_hamiltonian(sys: OscillatorSystem, cfg: FockConfig) -> HamiltonianParts:
-    """Assemble H = H0 + V for the system's interaction kind.
+    """Assemble H = H0 + V for the system's interaction kind from single-mode blocks.
 
     The minimal-coupling kinds are built from the full quadratic forms
     (including the q^2 x^2 / 2m self-energy and zero-point offsets), with V
     defined as H - H0.
     """
-    ops = build_operators(cfg, sys)
-    h_a = sys.omega_a * (ops.adag @ ops.a)
-    h_b = sys.omega_b * (ops.bdag @ ops.b)
-    h0 = h_a + h_b
+    d_a, d_b = _bare_levels(sys, cfg)
+    h_a = np.diag(d_a.astype(np.complex128))
+    h_b = np.diag(d_b.astype(np.complex128))
+    h0 = np.diag((d_a + d_b).astype(np.complex128))
     kind = sys.kind
-    if kind is InteractionKind.NONE:
-        v = np.zeros_like(h0)
-        h = h0
-    elif kind is InteractionKind.RWA:
-        v = 1j * sys.g * (ops.a @ ops.bdag - ops.adag @ ops.b)
-        h = h0 + v
-    elif kind is InteractionKind.LINEAR:
-        v = 1j * sys.g * ((ops.adag + ops.a) @ (ops.bdag - ops.b))
-        h = h0 + v
-    elif kind in MINIMAL_KINDS:
+    if kind in MINIMAL_KINDS:
         m, q = sys.mass(), float(sys.q or 0.0)
+        x_a, p_a = _quadratures(cfg.n_a, sys.omega_a, m)
+        x_b, p_b = _quadratures(cfg.n_b, sys.omega_b, m)
+        mode_a = p_a @ p_a / (2.0 * m) + 0.5 * m * sys.omega_a**2 * (x_a @ x_a)
+        mode_b = p_b @ p_b / (2.0 * m) + 0.5 * m * sys.omega_b**2 * (x_b @ x_b)
+        # The modes commute, so (p_a - q x_b)^2 = p_a^2 - 2q p_a x_b + q^2 x_b^2
+        # and (p_b + q x_a)^2 = p_b^2 + 2q x_a p_b + q^2 x_a^2.
         if kind is InteractionKind.MINIMAL_A:
-            shifted = ops.p_a - q * ops.x_b
-            kinetic = shifted @ shifted / (2.0 * m) + ops.p_b @ ops.p_b / (2.0 * m)
+            mode_b = mode_b + q * q / (2.0 * m) * (x_b @ x_b)
+            cross = -(q / m) * np.kron(p_a, x_b)
         else:
-            shifted = ops.p_b + q * ops.x_a
-            kinetic = shifted @ shifted / (2.0 * m) + ops.p_a @ ops.p_a / (2.0 * m)
-        potential = 0.5 * m * (
-            sys.omega_a**2 * (ops.x_a @ ops.x_a) + sys.omega_b**2 * (ops.x_b @ ops.x_b)
-        )
-        h = kinetic + potential
+            mode_a = mode_a + q * q / (2.0 * m) * (x_a @ x_a)
+            cross = (q / m) * np.kron(x_a, p_b)
+        h = np.kron(mode_a, np.eye(cfg.n_b)) + np.kron(np.eye(cfg.n_a), mode_b) + cross
         v = h - h0
-    else:  # pragma: no cover - enum is closed
-        raise ModelError(f"unknown interaction kind {kind!r}")
+    else:
+        a, b = destroy(cfg.n_a), destroy(cfg.n_b)
+        if kind is InteractionKind.NONE:
+            v = np.zeros_like(h0)
+        elif kind is InteractionKind.RWA:
+            v = 1j * sys.g * (np.kron(a, b.conj().T) - np.kron(a.conj().T, b))
+        elif kind is InteractionKind.LINEAR:
+            v = 1j * sys.g * np.kron(a.conj().T + a, b.conj().T - b)
+        else:  # pragma: no cover - enum is closed
+            raise ModelError(f"unknown interaction kind {kind!r}")
+        h = h0 + v
     return HamiltonianParts(h=h, h0=h0, v=v, h_a=h_a, h_b=h_b)
 
 
@@ -231,7 +214,11 @@ def thermal_state(beta: float, omega: float, n: int, tail_tol: float | None = No
 
 
 def thermal_product_state(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
-    """Diagonal weights of rho_a_th (x) rho_b_th on the composite space."""
+    """Diagonal weights of rho_a_th (x) rho_b_th on the composite space.
+
+    This is also the truncation check, so every caller takes the weights
+    before it pays for an eigendecomposition.
+    """
     w_a = thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol)
     w_b = thermal_weights(prep.beta_b, sys.omega_b, cfg.n_b, cfg.tail_tol)
     return np.kron(w_a, w_b)
@@ -255,73 +242,70 @@ def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
     return parts, energies, vectors
 
 
-def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
-    """U(t) = exp(-i H t) from the cached eigendecomposition."""
-    _, energies, vectors = eigensystem(sys, cfg)
+def _unitary(energies, vectors, t: float) -> Matrix:
+    """U(t) = exp(-i H t) from the eigendecomposition of H."""
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
 
 
-def evolve(H: Matrix, rho0: Matrix, t: float, cfg: FockConfig) -> Matrix:
-    """U rho0 U^dag with U = exp(-i H t) by spectral decomposition of H."""
-    _require_hermitian(H, "Hamiltonian")
-    _require_hermitian(rho0, "density matrix")
-    energies, vectors = np.linalg.eigh(H)
-    u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
-    rho_t = u @ rho0 @ u.conj().T
-    drift = abs(np.trace(rho_t).real - np.trace(rho0).real)
-    if drift > cfg.evol_tol:
-        raise ModelError(f"trace drifted by {drift:.3g} during evolution")
-    return rho_t
+def _evolved(energies, vectors, t: float, w) -> Matrix:
+    """rho(t) = U(t) diag(w) U(t)^dag for a state diagonal in the number basis."""
+    u = _unitary(energies, vectors, t)
+    return (u * w) @ u.conj().T
+
+
+def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
+    """U(t) = exp(-i H t) from the cached eigendecomposition."""
+    _, energies, vectors = eigensystem(sys, cfg)
+    return _unitary(energies, vectors, t)
 
 
 def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> Matrix:
     w = thermal_product_state(sys, prep, cfg)
-    u = unitary_at(t, sys, cfg)
-    return (u * w) @ u.conj().T
+    _, energies, vectors = eigensystem(sys, cfg)
+    return _evolved(energies, vectors, t, w)
+
+
+def _in_eigenbasis(vectors, diag) -> Matrix:
+    """S^dag diag(d) S for the eigenvector matrix S and an operator diagonal in
+    the number basis: one product, not two."""
+    return vectors.conj().T @ (diag[:, None] * vectors)
 
 
 @functools.lru_cache(maxsize=4)
 def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
-    """Products that make tr(H_c rho(t)) an O(dim^2) evaluation per time."""
-    parts, energies, vectors = eigensystem(sys, cfg)
+    """Products that make tr(H_c rho(t)) an O(dim^2) evaluation per time.
+
+    With rho and X in the eigenbasis of H, tr(X rho(t)) is
+    sum_jk e^{-i E_j t} K_jk e^{i E_k t} for the kernel K = X^T * rho (elementwise).
+    Returns (energies, K_a, K_b, tr(H_a rho(0)), tr(H_b rho(0))).
+    """
     w = thermal_product_state(sys, prep, cfg)
-    rho_eig = (vectors.conj().T * w) @ vectors
-    kernels = []
-    for h_c in (parts.h_a, parts.h_b):
-        h_eig = vectors.conj().T @ h_c @ vectors
-        kernels.append(h_eig.T * rho_eig)
-    q_a0 = float(np.real(np.diag(parts.h_a)) @ w)
-    q_b0 = float(np.real(np.diag(parts.h_b)) @ w)
-    for k in kernels:
-        k.setflags(write=False)
-    return energies, kernels[0], kernels[1], q_a0, q_b0
+    _, energies, vectors = eigensystem(sys, cfg)
+    d_a, d_b = _bare_levels(sys, cfg)
+    rho_eig = _in_eigenbasis(vectors, w)
+    k_a = _in_eigenbasis(vectors, d_a).T * rho_eig
+    k_b = _in_eigenbasis(vectors, d_b).T * rho_eig
+    for arr in (k_a, k_b):
+        arr.setflags(write=False)
+    return energies, k_a, k_b, float(d_a @ w), float(d_b @ w)
 
 
-def _expect_pair(energies, kernel_a, kernel_b, t: float) -> tuple[float, float]:
-    phases = np.exp(-1j * energies * t)
-    conj = phases.conj()
-    return (
-        float(np.real(phases @ kernel_a @ conj)),
-        float(np.real(phases @ kernel_b @ conj)),
-    )
+def _expectations(energies, kernels, times) -> list[NDArray[np.float64]]:
+    """tr(X rho(t)) for each kernel over every time, one GEMM per kernel and block of times."""
+    out = [np.empty(len(times)) for _ in kernels]
+    for start in range(0, len(times), _SERIES_BLOCK):
+        block = slice(start, start + _SERIES_BLOCK)
+        phases = np.exp(-1j * np.outer(times[block], energies))
+        for values, kernel in zip(out, kernels):
+            values[block] = np.einsum("tj,tj->t", phases @ kernel, phases.conj()).real
+    return out
 
 
 def heat_changes_numeric(
     sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig, t: float
 ) -> HeatReport:
     """dQ_c = tr(H_c rho(t)) - tr(H_c rho(0)) straight from the dense evolution."""
-    energies, k_a, k_b, q_a0, q_b0 = _heat_kernel(sys, prep, cfg)
-    e_a, e_b = _expect_pair(energies, k_a, k_b, t)
-    dq_a, dq_b = e_a - q_a0, e_b - q_b0
-    dq_ab = dq_b - dq_a
-    return HeatReport(
-        t=t,
-        dq_a=dq_a,
-        dq_b=dq_b,
-        dq_ab=dq_ab,
-        ds0=free_entropy_change(dq_a, dq_b, prep),
-        csl_ok=csl_compliant(dq_ab, prep, omega=max(sys.omega_a, sys.omega_b)),
-    )
+    return heat_series_numeric(sys, prep, cfg, [t])[0]
 
 
 def heat_series_numeric(
@@ -330,8 +314,20 @@ def heat_series_numeric(
     cfg: FockConfig,
     times: Sequence[float],
 ) -> list[HeatReport]:
-    """heat_changes_numeric over a time grid, reusing the cached kernel."""
-    return [heat_changes_numeric(sys, prep, cfg, float(t)) for t in times]
+    """Heat reports over a time grid from the cached kernel, in blocks of times."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ModelError("evaluation times must be a one-dimensional sequence")
+    if not np.isfinite(times).all():
+        raise ModelError("evaluation times must be finite")
+    if times.size == 0:
+        return []
+    energies, k_a, k_b, q_a0, q_b0 = _heat_kernel(sys, prep, cfg)
+    e_a, e_b = _expectations(energies, (k_a, k_b), times)
+    return [
+        HeatReport.from_heats(t, dq_a, dq_b, prep, sys)
+        for t, dq_a, dq_b in zip(times.tolist(), (e_a - q_a0).tolist(), (e_b - q_b0).tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -368,9 +364,9 @@ def classical_average(
     final a-energy, final b-energy) of the bare levels n*omega and must return
     an array of the broadcast shape (p, q, n, m).
     """
-    probs = np.abs(bare_amplitudes(t, sys, cfg).amplitudes) ** 2
     w_a = thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol)
     w_b = thermal_weights(prep.beta_b, sys.omega_b, cfg.n_b, cfg.tail_tol)
+    probs = np.abs(bare_amplitudes(t, sys, cfg).amplitudes) ** 2
     e_a = sys.omega_a * np.arange(cfg.n_a)
     e_b = sys.omega_b * np.arange(cfg.n_b)
     values = f(
@@ -391,16 +387,12 @@ def jarzynski_identity(
     The thermal weights are folded into the exponent before exponentiating, so
     deep-cold preparations cannot overflow.
     """
-    probs = np.abs(bare_amplitudes(t, sys, cfg).amplitudes) ** 2
     w_a = thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol)
     w_b = thermal_weights(prep.beta_b, sys.omega_b, cfg.n_b, cfg.tail_tol)
-    # weight * exp(f) = exp(-beta_a w'_a) / Z_a * exp(-beta_b w'_b) / Z_b, which
-    # depends only on the final level (p, q).
-    log_za = -prep.beta_a * sys.omega_a * np.arange(cfg.n_a)
-    log_zb = -prep.beta_b * sys.omega_b * np.arange(cfg.n_b)
-    final_a = np.exp(log_za) / np.exp(log_za).sum()
-    final_b = np.exp(log_zb) / np.exp(log_zb).sum()
-    return float(np.einsum("pqnm,p,q->", probs, final_a, final_b))
+    probs = np.abs(bare_amplitudes(t, sys, cfg).amplitudes) ** 2
+    # weight * exp(f) = exp(-beta_a w'_a) / Z_a * exp(-beta_b w'_b) / Z_b: the
+    # thermal weights of the final level (p, q).
+    return float(np.einsum("pqnm,p,q->", probs, w_a, w_b))
 
 
 def jensen_bound(
@@ -528,22 +520,21 @@ def true_heat_transfer_identity(
     t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig
 ) -> TrueHeatReport:
     """dQ_ab from H_c_true = H - H_other equals the bare-energy dQ_ab: the two
-    interaction contributions cancel in the difference."""
-    parts, energies, vectors = eigensystem(sys, cfg)
-    w = thermal_product_state(sys, prep, cfg)
-    rho_eig = (vectors.conj().T * w) @ vectors
-    h_true_a, h_true_b = parts.h - parts.h_b, parts.h - parts.h_a
+    interaction contributions cancel in the difference.
 
-    def delta(op: Matrix) -> float:
-        op_eig = vectors.conj().T @ op @ vectors
-        kernel = op_eig.T * rho_eig
-        phases = np.exp(-1j * energies * t)
-        now = float(np.real(phases @ kernel @ phases.conj()))
-        start = float(np.real(np.diag(op)) @ w)
-        return now - start
-
-    dq_true_a, dq_true_b = delta(h_true_a), delta(h_true_b)
+    The true heats are traced against the dense rho(t), a route independent of
+    the spectral kernel behind the bare-energy report.
+    """
     report = heat_changes_numeric(sys, prep, cfg, t)
+    w = thermal_product_state(sys, prep, cfg)
+    rho_t = _state_at(t, sys, prep, cfg)
+    parts = eigensystem(sys, cfg)[0]
+
+    def delta(h_true: Matrix) -> float:
+        # tr(X rho) = vdot(X, rho) for Hermitian X, and rho(0) = diag(w).
+        return float(np.vdot(h_true, rho_t).real - np.diag(h_true).real @ w)
+
+    dq_true_a, dq_true_b = delta(parts.h - parts.h_b), delta(parts.h - parts.h_a)
     return TrueHeatReport(
         t=t,
         dq_ab_true=dq_true_b - dq_true_a,
@@ -565,22 +556,18 @@ def effective_hamiltonian(
     ``interaction`` overrides the system's own V (the state still evolves
     under H0 + interaction), which is how non-linear couplings are probed.
     """
+    w = thermal_product_state(sys, prep, cfg)
     if interaction is None:
-        u = unitary_at(t, sys, cfg)
-        v = eigensystem(sys, cfg)[0].v
+        parts, energies, vectors = eigensystem(sys, cfg)
+        v = parts.v
     else:
         _require_hermitian(interaction, "interaction override")
-        parts = build_hamiltonian(
-            OscillatorSystem(sys.omega_a, sys.omega_b, InteractionKind.NONE), cfg
-        )
+        d_a, d_b = _bare_levels(sys, cfg)
         v = interaction
-        energies, vectors = np.linalg.eigh(parts.h0 + v)
-        u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
-    w = thermal_product_state(sys, prep, cfg)
-    rho_t = (u * w) @ u.conj().T
-    rho_b_t = partial_trace_a(rho_t, cfg.n_a, cfg.n_b)
-    eye_a = np.eye(cfg.n_a, dtype=np.complex128)
-    return partial_trace_b(v @ np.kron(eye_a, rho_b_t), cfg.n_a, cfg.n_b)
+        energies, vectors = np.linalg.eigh(np.diag(d_a + d_b) + v)
+    rho_b_t = partial_trace_a(_evolved(energies, vectors, t, w), cfg.n_a, cfg.n_b)
+    # tr_b[V (I (x) rho_b)]_ij = sum_kl V_(ik),(jl) (rho_b)_lk
+    return np.einsum("ikjl,lk->ij", v.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b_t)
 
 
 def diagonal_split(h_eff: Matrix) -> tuple[Matrix, Matrix]:

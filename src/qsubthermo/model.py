@@ -65,6 +65,10 @@ class OscillatorSystem:
     q: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("omega_a", "omega_b", "g", "m", "q"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value}")
         if not (self.omega_a > 0.0 and self.omega_b > 0.0):
             raise ModelError("oscillator frequencies must be positive")
         if self.kind in MINIMAL_KINDS:
@@ -108,7 +112,7 @@ class ThermalPreparation:
     beta_b: float
 
     def __post_init__(self) -> None:
-        if not (self.beta_a > 0.0 and self.beta_b > 0.0):
+        if not all(math.isfinite(b) and b > 0.0 for b in (self.beta_a, self.beta_b)):
             raise ModelError("inverse temperatures must be positive and finite")
 
     @classmethod

@@ -128,6 +128,14 @@ def test_commutator_preservation_across_grid(kind, g):
         assert max(defects) < 1e-10, (kind, g, t, defects)
 
 
+@pytest.mark.parametrize("kind", [InteractionKind.RWA, InteractionKind.LINEAR, InteractionKind.NONE])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_time_rejected(kind, t):
+    sys_ = OscillatorSystem(1.0, 1.0, kind, g=0.0 if kind is InteractionKind.NONE else 0.3)
+    with pytest.raises(ModelError, match="finite"):
+        heat_transfer(t, sys_, PREP)
+
+
 class TestHeatChanges:
     def test_rwa_closed_form(self):
         # dQ_ab = 2 w (X_a - X_b) sin^2(gt)
@@ -209,6 +217,11 @@ class TestTimeAveragedHeat:
     def test_requires_positive_window(self):
         with pytest.raises(ModelError):
             time_averaged_heat(linear_system(), PREP, 0.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_rejects_non_finite_window(self, tau):
+        with pytest.raises(ModelError):
+            time_averaged_heat(linear_system(), PREP, tau)
 
     def test_matches_dense_trapezoid(self):
         sys_ = linear_system(g=0.45)

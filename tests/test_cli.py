@@ -142,6 +142,14 @@ class TestCompareCommand:
         assert code == EXIT_VALIDATION
         assert "minimal feasible" in capsys.readouterr().err
 
+    def test_automatic_cutoffs_meet_the_default_gate(self, tmp_path):
+        # the colder mode needs the hotter mode's cutoff once the coupling has
+        # moved population across; per-mode cutoffs (28 x 14) breached 1e-6
+        out = tmp_path / "auto.csv"
+        code = main(["--out", str(out), "--kind", "rwa", "--beta-a", "1", "--beta-b", "2", "compare"])
+        assert code == 0
+        assert float(read_footer(out)[0].split(",")[1]) < 1e-9
+
     def test_singular_coupling_exit_code(self, tmp_path):
         code = main(
             [
@@ -187,19 +195,6 @@ class TestSweepCommand:
         assert by_g[0.49][3] in {"transient", "persistent"}
         assert len(rows) == 2  # the gap row is recorded, not dropped
 
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QSUB_THERMO_THREADS", "1")
-        out = tmp_path / "sweep1.csv"
-        code = main(
-            [
-                "--out", str(out), "--t-max", "20", "--samples", "64",
-                "sweep", "--g-grid", "0.1", "--dbeta-grid", "0.01",
-            ]
-        )
-        assert code == 0
-        _, rows = read_csv(out)
-        assert len(rows) == 1
-
 
 class TestConfigFile:
     def test_config_file_with_cli_override(self, tmp_path, capsys):
@@ -219,6 +214,14 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frequency = 2\n", encoding="utf-8")
         assert main(["--config", str(cfg), "audit"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag,value", [("--g", "nan"), ("--g", "inf"), ("--omega", "inf"),
+                                            ("--beta-a", "nan"), ("--beta-b", "inf")])
+    def test_non_finite_parameter_exit_code(self, flag, value, capsys):
+        argv = ["--kind", "linear", "--beta-a", "0.5", "--beta-b", "1", "--fock-n", "12",
+                "--tail-tol", "1e-2", flag, value, "audit"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
 
     def test_bad_parameter_exit_code(self):
         assert main(["--beta-a", "-1", "--beta-b", "1", "--kind", "rwa", "--fock-n", "12",

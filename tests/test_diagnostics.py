@@ -5,6 +5,7 @@ from conftest import linear_system, rwa_system
 from qsubthermo import (
     Classification,
     FockConfig,
+    build_hamiltonian,
     InteractionKind,
     ModelError,
     OscillatorSystem,
@@ -72,6 +73,8 @@ class TestScanViolations:
             scan_violations(rwa_system(), HOT_A, t_max=0.0, n_samples=64)
         with pytest.raises(ModelError):
             scan_violations(rwa_system(), HOT_A, t_max=10.0, n_samples=8)
+        with pytest.raises(ModelError):
+            scan_violations(rwa_system(), HOT_A, t_max=float("nan"), n_samples=64)
 
     def test_singular_coupling_propagates(self):
         with pytest.raises(SingularCouplingError):
@@ -95,6 +98,30 @@ class TestDecompositionAudit:
         audit = decomposition_audit(OscillatorSystem(1.0, 1.0, InteractionKind.NONE), cfg_small)
         assert audit.csl_safe
         assert audit.norm_h0v == 0.0
+
+
+    @pytest.mark.parametrize("sys_", [
+        rwa_system(g=0.3),
+        linear_system(g=0.3),
+        OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.3, q=0.37),
+        OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_B, m=0.6, q=0.2),
+    ])
+    def test_norms_match_dense_commutators(self, sys_, cfg_small):
+        parts = build_hamiltonian(sys_, cfg_small)
+
+        def dense(x, y):
+            return float(np.linalg.norm(x @ y - y @ x))
+
+        audit = decomposition_audit(sys_, cfg_small)
+        for got, (x, y) in zip(
+            (audit.norm_h0v, audit.norm_hv, audit.norm_h0h),
+            ((parts.h0, parts.v), (parts.h, parts.v), (parts.h0, parts.h)),
+        ):
+            assert got == pytest.approx(dense(x, y), rel=1e-12, abs=1e-10)
+
+    def test_rwa_bare_commutators_vanish_exactly(self, cfg_small):
+        audit = decomposition_audit(rwa_system(g=0.3), cfg_small)
+        assert audit.norm_h0v == 0.0 and audit.norm_h0h == 0.0
 
 
 def test_safe_decomposition_implies_compliance(cfg_small):

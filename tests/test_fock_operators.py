@@ -12,17 +12,24 @@ from qsubthermo import (
     ThermalPreparation,
     TruncationError,
     build_hamiltonian,
-    build_operators,
     destroy,
-    evolve,
+    effective_hamiltonian,
     thermal_occupation,
     thermal_state,
 )
-from qsubthermo.fock import thermal_product_state
+from qsubthermo.fock import _quadratures, _state_at, thermal_product_state, unitary_at
 
 
 def commutator(x, y):
     return x @ y - y @ x
+
+
+def composite_quadratures(n_a, n_b, m=1.0, omega=1.0):
+    """x_a, p_a, x_b, p_b on the composite space from the oracle's single-mode quadratures."""
+    eye_a, eye_b = np.eye(n_a), np.eye(n_b)
+    x_a, p_a = _quadratures(n_a, omega, m)
+    x_b, p_b = _quadratures(n_b, omega, m)
+    return np.kron(x_a, eye_b), np.kron(p_a, eye_b), np.kron(eye_a, x_b), np.kron(eye_a, p_b)
 
 
 class TestFockConfig:
@@ -30,12 +37,20 @@ class TestFockConfig:
         with pytest.raises(ModelError):
             FockConfig(1, 8)
 
+    @pytest.mark.parametrize("tail_tol", [0.0, math.nan, math.inf])
+    def test_rejects_bad_tail_tolerance(self, tail_tol):
+        with pytest.raises(ModelError, match="tail_tol"):
+            FockConfig(8, 8, tail_tol=tail_tol)
+
     def test_auto_selection_tracks_tail(self):
+        # the hotter mode's geometric tail exp(-beta*omega*n) must fall below
+        # tail_tol, minimally; the coupling carries that population into the
+        # colder mode, so both modes get the same cutoff
         sys_ = linear_system()
-        cfg = FockConfig.auto(sys_, ThermalPreparation(0.5, 1.0), tail_tol=1e-12)
-        # geometric tail exp(-beta*omega*n) must fall below tail_tol, minimally
-        assert math.exp(-0.5 * cfg.n_a) < 1e-12 <= math.exp(-0.5 * (cfg.n_a - 1))
-        assert math.exp(-1.0 * cfg.n_b) < 1e-12 <= math.exp(-1.0 * (cfg.n_b - 1))
+        for prep in (ThermalPreparation(0.5, 1.0), ThermalPreparation(1.0, 0.5)):
+            cfg = FockConfig.auto(sys_, prep, tail_tol=1e-12)
+            assert cfg.n_a == cfg.n_b
+            assert math.exp(-0.5 * cfg.n_a) < 1e-12 <= math.exp(-0.5 * (cfg.n_a - 1))
 
     def test_auto_selection_rejects_infeasible_temperatures(self):
         sys_ = linear_system()
@@ -57,16 +72,17 @@ class TestOperators:
         assert np.abs(comm - expected).max() < 1e-14
 
     def test_modes_commute_exactly(self, cfg_small):
-        ops = build_operators(cfg_small)
-        assert np.abs(commutator(ops.a, ops.b)).max() == 0.0
-        assert np.abs(commutator(ops.a, ops.bdag)).max() == 0.0
+        a = np.kron(destroy(cfg_small.n_a), np.eye(cfg_small.n_b))
+        b = np.kron(np.eye(cfg_small.n_a), destroy(cfg_small.n_b))
+        assert np.abs(commutator(a, b)).max() == 0.0
+        assert np.abs(commutator(a, b.conj().T)).max() == 0.0
 
     def test_quadratures_are_hermitian_and_canonical(self, cfg_small):
-        ops = build_operators(cfg_small)
-        for mat in (ops.x_a, ops.p_a, ops.x_b, ops.p_b):
+        x_a, p_a, x_b, p_b = composite_quadratures(cfg_small.n_a, cfg_small.n_b)
+        for mat in (x_a, p_a, x_b, p_b):
             assert np.abs(mat - mat.conj().T).max() < 1e-14
         # [x, p] = i away from the truncation corner
-        comm = commutator(ops.x_a, ops.p_a)
+        comm = commutator(x_a, p_a)
         interior = comm[: -cfg_small.n_b, : -cfg_small.n_b]
         assert np.abs(interior - 1j * np.eye(interior.shape[0])).max() < 1e-13
 
@@ -104,9 +120,9 @@ class TestHamiltonians:
         m, q, omega = 1.0, 0.2, 1.0
         sys_ = OscillatorSystem(omega, omega, InteractionKind.MINIMAL_A, m=m, q=q)
         parts = build_hamiltonian(sys_, cfg_small)
-        ops = build_operators(cfg_small, sys_)
-        velocity = (ops.p_a - q * ops.x_b) / m
-        mechanical = 0.5 * m * (velocity @ velocity + omega**2 * (ops.x_a @ ops.x_a))
+        x_a, p_a, x_b, _ = composite_quadratures(cfg_small.n_a, cfg_small.n_b, m, omega)
+        velocity = (p_a - q * x_b) / m
+        mechanical = 0.5 * m * (velocity @ velocity + omega**2 * (x_a @ x_a))
         shift = 0.5 * omega * np.eye(cfg_small.dim)
         diff = (parts.h - parts.h_b) - (mechanical + shift)
         n_a, n_b = cfg_small.n_a, cfg_small.n_b
@@ -144,39 +160,40 @@ class TestThermalState:
 
 
 class TestEvolve:
+    """Evolution through the cached eigendecomposition that every oracle quantity uses."""
+
     def test_zero_time_is_identity(self, cfg_small):
-        parts = build_hamiltonian(linear_system(), cfg_small)
-        rho0 = np.diag(thermal_product_state(linear_system(), ThermalPreparation(1.0, 1.0), cfg_small)).astype(complex)
-        assert np.abs(evolve(parts.h, rho0, 0.0, cfg_small) - rho0).max() < 1e-14
+        sys_, prep = linear_system(), ThermalPreparation(1.0, 1.0)
+        assert np.abs(unitary_at(0.0, sys_, cfg_small) - np.eye(cfg_small.dim)).max() < 1e-14
+        rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
+        assert np.abs(_state_at(0.0, sys_, prep, cfg_small) - rho0).max() < 1e-14
 
     def test_thermal_product_stationary_under_bare_hamiltonian(self, cfg_small):
-        sys_ = OscillatorSystem(1.0, 1.3, InteractionKind.NONE)
-        parts = build_hamiltonian(sys_, cfg_small)
-        rho0 = np.diag(thermal_product_state(sys_, ThermalPreparation(1.0, 0.8), cfg_small)).astype(complex)
-        assert np.abs(evolve(parts.h0, rho0, 2.7, cfg_small) - rho0).max() < 1e-13
+        sys_, prep = OscillatorSystem(1.0, 1.3, InteractionKind.NONE), ThermalPreparation(1.0, 0.8)
+        rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
+        assert np.abs(_state_at(2.7, sys_, prep, cfg_small) - rho0).max() < 1e-13
 
     def test_energy_conserved(self, cfg_small):
-        sys_ = linear_system()
+        sys_, prep = linear_system(), ThermalPreparation(1.0, 1.5)
         parts = build_hamiltonian(sys_, cfg_small)
-        rho0 = np.diag(thermal_product_state(sys_, ThermalPreparation(1.0, 1.5), cfg_small)).astype(complex)
-        rho_t = evolve(parts.h, rho0, 2.0, cfg_small)
+        rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
+        rho_t = _state_at(2.0, sys_, prep, cfg_small)
         e0 = np.trace(parts.h @ rho0).real
         et = np.trace(parts.h @ rho_t).real
         assert et == pytest.approx(e0, rel=1e-10)
 
     def test_unitarity_preserves_trace_and_purity(self, cfg_small):
-        sys_ = linear_system(g=0.4)
-        parts = build_hamiltonian(sys_, cfg_small)
-        rho0 = np.diag(thermal_product_state(sys_, ThermalPreparation(0.9, 1.4), cfg_small)).astype(complex)
+        sys_, prep = linear_system(g=0.4), ThermalPreparation(0.9, 1.4)
+        rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
         purity0 = np.trace(rho0 @ rho0).real
         for t in (0.5, 2.0, 9.0):
-            rho_t = evolve(parts.h, rho0, t, cfg_small)
+            rho_t = _state_at(t, sys_, prep, cfg_small)
             assert np.trace(rho_t).real == pytest.approx(1.0, abs=1e-10)
             assert np.trace(rho_t @ rho_t).real == pytest.approx(purity0, abs=1e-10)
 
     def test_rejects_non_hermitian_hamiltonian(self, cfg_small):
         bad = np.zeros((cfg_small.dim, cfg_small.dim), dtype=complex)
         bad[0, 1] = 1.0
-        rho0 = np.eye(cfg_small.dim, dtype=complex) / cfg_small.dim
-        with pytest.raises(ModelError):
-            evolve(bad, rho0, 1.0, cfg_small)
+        sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
+        with pytest.raises(ModelError, match="Hermitian"):
+            effective_hamiltonian(1.0, sys_, ThermalPreparation(1.0, 1.0), cfg_small, interaction=bad)

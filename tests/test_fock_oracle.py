@@ -22,6 +22,7 @@ from qsubthermo import (
     effective_hamiltonian,
     entropy_production,
     heat_changes_numeric,
+    heat_series_numeric,
     heat_transfer,
     jarzynski_identity,
     jensen_bound,
@@ -37,7 +38,7 @@ from qsubthermo import (
     true_heat_transfer_identity,
     von_neumann_entropy,
 )
-from qsubthermo.fock import eigensystem, thermal_product_state, unitary_at
+from qsubthermo.fock import _heat_kernel, eigensystem, thermal_product_state, unitary_at
 
 PREP = ThermalPreparation(0.5, 1.0)
 CFG24 = FockConfig(24, 24, tail_tol=1e-4)
@@ -101,6 +102,43 @@ class TestHeatNumeric:
             expected = 2.0 * (x_a - x_b) * math.sin(0.1 * t) ** 2
             assert report.dq_ab == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
+    def test_series_blocks_match_pointwise_loop(self):
+        # the blocked series against the one-time-at-a-time contraction of the
+        # same kernels, across several blocks and a ragged last block
+        sys_ = linear_system(g=0.3)
+        times = np.linspace(0.0, 12.0, 301)
+        energies, k_a, k_b, q_a0, q_b0 = _heat_kernel(sys_, PREP, CFG24)
+        for report, t in zip(heat_series_numeric(sys_, PREP, CFG24, times), times):
+            phases = np.exp(-1j * energies * t)
+            dq_a = float(np.real(phases @ k_a @ phases.conj())) - q_a0
+            dq_b = float(np.real(phases @ k_b @ phases.conj())) - q_b0
+            assert report.t == t
+            assert report.dq_a == pytest.approx(dq_a, rel=1e-12, abs=1e-12)
+            assert report.dq_b == pytest.approx(dq_b, rel=1e-12, abs=1e-12)
+            assert report.dq_ab == report.dq_b - report.dq_a
+
+    def test_single_time_matches_series(self):
+        sys_ = linear_system(g=0.3)
+        series = heat_series_numeric(sys_, PREP, CFG24, [0.5, 2.0, 7.5])
+        for report in series:
+            single = heat_changes_numeric(sys_, PREP, CFG24, report.t)
+            assert single.dq_a == pytest.approx(report.dq_a, rel=1e-12, abs=1e-12)
+            assert single.dq_b == pytest.approx(report.dq_b, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ModelError, match="finite"):
+            heat_series_numeric(linear_system(), PREP, CFG24, [1.0, t])
+
+    def test_empty_series_skips_the_eigensystem(self):
+        eigensystem.cache_clear()
+        assert heat_series_numeric(linear_system(), PREP, CFG24, []) == []
+        assert eigensystem.cache_info().misses == 0
+
+    def test_multidimensional_times_rejected(self):
+        with pytest.raises(ModelError, match="one-dimensional"):
+            heat_series_numeric(linear_system(), PREP, CFG24, [[0.5, 1.0], [1.5, 2.0]])
+
     def test_counter_rotating_terms_heat_both_oscillators(self):
         # outside the RWA the bare energy is produced: at early times oscillator
         # a absorbs heat whichever way the temperature gradient points, and
@@ -143,9 +181,29 @@ def test_oracle_matches_analytic_heats(kind, n, g, times):
     finally:
         # dim-2304 eigensystems are ~0.5 GB apiece; keep the peak bounded
         eigensystem.cache_clear()
-        from qsubthermo.fock import _heat_kernel
-
         _heat_kernel.cache_clear()
+
+
+def test_infeasible_cutoff_fails_before_eigh():
+    # the thermal tail check comes before any assembly or eigendecomposition,
+    # so an infeasible cutoff costs nothing
+    sys_, prep = linear_system(g=0.2), ThermalPreparation(0.5, 0.5)
+    cfg = FockConfig(24, 24, tail_tol=1e-12)
+    calls = [
+        lambda: heat_changes_numeric(sys_, prep, cfg, 1.0),
+        lambda: heat_series_numeric(sys_, prep, cfg, [0.0, 1.0]),
+        lambda: true_heat_transfer_identity(1.0, sys_, prep, cfg),
+        lambda: jarzynski_identity(1.0, sys_, prep, cfg),
+        lambda: jensen_bound(1.0, sys_, prep, cfg),
+        lambda: entropy_production(1.0, sys_, prep, cfg),
+        lambda: effective_hamiltonian(1.0, sys_, prep, cfg),
+    ]
+    eigensystem.cache_clear()
+    _heat_kernel.cache_clear()
+    for call in calls:
+        with pytest.raises(TruncationError):
+            call()
+    assert eigensystem.cache_info().misses == 0
 
 
 def test_truncation_monotonicity():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qsubthermo import (
@@ -37,6 +39,27 @@ def test_preparation_requires_finite_positive_temperatures():
         ThermalPreparation(0.0, 1.0)
     with pytest.raises(ModelError):
         ThermalPreparation(1.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_system_rejects_non_finite_parameters(bad):
+    for kwargs in (
+        dict(omega_a=bad, omega_b=1.0),
+        dict(omega_a=1.0, omega_b=bad),
+        dict(omega_a=1.0, omega_b=1.0, kind=InteractionKind.LINEAR, g=bad),
+        dict(omega_a=1.0, omega_b=1.0, kind=InteractionKind.MINIMAL_A, m=bad, q=0.2),
+        dict(omega_a=1.0, omega_b=1.0, kind=InteractionKind.MINIMAL_B, m=1.0, q=bad),
+    ):
+        with pytest.raises(ModelError, match="finite"):
+            OscillatorSystem(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_preparation_rejects_non_finite_betas(bad):
+    with pytest.raises(ModelError):
+        ThermalPreparation(bad, 1.0)
+    with pytest.raises(ModelError):
+        ThermalPreparation(1.0, bad)
 
 
 def test_temperature_constructor_and_swap():
