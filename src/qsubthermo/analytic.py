@@ -1,4 +1,4 @@
-"""Closed-form Heisenberg dynamics and heat bookkeeping on resonance.
+"""Closed-form Heisenberg dynamics on resonance, as exact exponential sums.
 
 For quadratic interactions the mode operators at time t are linear
 combinations of the t=0 operators,
@@ -6,29 +6,36 @@ combinations of the t=0 operators,
     a(t) = f_a a + g_a a^dag + f_b b + g_b b^dag
     b(t) = p_a a + q_a a^dag + p_b b + q_b b^dag
 
-and every heat quantity follows from the eight coefficients plus the Bose
-occupations X_c = 1/(exp(beta_c omega_c) - 1):
+and each coefficient is a finite exponential sum c_i(t) = sum_k A_ik exp(mu_k t):
+every kind is one exponent vector mu and one 8 x K amplitude table A.  RWA,
+i g (a b^dag - a^dag b), swaps excitations: mu = -i(omega -/+ g).  LINEAR,
+i g (a^dag + a)(b^dag - b), splits into squeezed hybrid modes (a + i b)/sqrt(2)
+and (b + i a)/sqrt(2) at nu_soft/stiff = sqrt(omega^2 -/+ 2 omega g):
+mu = +/- i nu_soft, +/- i nu_stiff, with nu_soft a complex square root, so past
+g = omega/2 the same table grows hyperbolically.  NONE rotates each mode:
+mu = -i omega_a, -i omega_b.
+
+With the Bose occupations X_c = 1/(exp(beta_c omega_c) - 1), the heats are
+linear in the |c_i|^2,
 
     dQ_a = omega_a [ (|f_a|^2 + |g_a|^2 - 1) X_a + (|f_b|^2 + |g_b|^2) X_b
                      + |g_a|^2 + |g_b|^2 ]
 
-(and symmetrically for dQ_b), with dQ_ab = dQ_b - dQ_a and the free entropy
-change dS0 = beta_a dQ_a + beta_b dQ_b.
-
-The RWA coupling i g (a b^dag - a^dag b) gives the excitation-swap solution
-a(t) = exp(-i omega t)(a cos gt - b sin gt).  The full linear coupling
-i g (a^dag + a)(b^dag - b) decouples into hybrid modes (a + i b)/sqrt(2) and
-(b + i a)/sqrt(2) with frequencies sqrt(omega^2 -/+ 2 omega g): the first
-softens with g and goes unstable past g = omega/2, where its frequency is
-computed as a complex number so the trigonometric solution continues into
-hyperbolic growth with no separate branch.
+(and symmetrically for dQ_b), dQ_ab = dQ_b - dQ_a and dS0 = beta_a dQ_a +
+beta_b dQ_b.  A window average over [0, tau] is the same bookkeeping applied
+to <c_i conj(c_j)>_tau = sum_kl A_ik phi((mu_k + conj(mu_l)) tau) conj(A_jl),
+phi(z) = expm1(z)/z and phi(0) = 1: exact, with no quadrature.  Times and
+windows may be scalars, which give Python numbers, or 1-D arrays, which give
+arrays.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     InteractionKind,
@@ -39,7 +46,6 @@ from .model import (
     csl_compliant,
     free_entropy_change,
 )
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "PropagatorCoefficients",
@@ -54,6 +60,8 @@ __all__ = [
     "time_averaged_heat",
 ]
 
+_FIELDS = ("f_a", "g_a", "f_b", "g_b", "p_a", "q_a", "p_b", "q_b")
+
 
 def thermal_occupation(beta: float, omega: float) -> float:
     """Mean excitation number 1/(exp(beta*omega) - 1) of a thermal oscillator."""
@@ -64,7 +72,8 @@ def thermal_occupation(beta: float, omega: float) -> float:
 
 @dataclass(frozen=True)
 class PropagatorCoefficients:
-    """The eight linear-response amplitudes of a(t) and b(t) at one time.
+    """The eight linear-response amplitudes of a(t) and b(t) at one time, or
+    eight arrays over an array of times.
 
     Unitarity of the underlying evolution shows up as four preserved
     commutators; ``commutator_defects`` reports how far the coefficients are
@@ -103,7 +112,8 @@ class PropagatorCoefficients:
 
 @dataclass(frozen=True)
 class HeatReport:
-    """Subsystem heat changes and the second-law verdicts at one time."""
+    """Subsystem heat changes and the second-law verdicts at one time, or
+    arrays of them over an array of times."""
 
     t: float
     dq_a: float
@@ -114,10 +124,12 @@ class HeatReport:
 
     @classmethod
     def from_heats(
-        cls, t: float, dq_a: float, dq_b: float, prep: ThermalPreparation, sys: OscillatorSystem
+        cls, t: float, dq_a: float, dq_b: float, prep: ThermalPreparation, sys: OscillatorSystem,
+        dq_ab: float | None = None,
     ) -> "HeatReport":
-        """Transfer, free entropy change and Clausius verdict from the two heats."""
-        dq_ab = dq_b - dq_a
+        """Transfer, free entropy change and Clausius verdict from the two heats;
+        a caller with the transfer free of the cancellation in dq_b - dq_a passes dq_ab."""
+        dq_ab = dq_b - dq_a if dq_ab is None else dq_ab
         return cls(
             t=t,
             dq_a=dq_a,
@@ -128,9 +140,106 @@ class HeatReport:
         )
 
 
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ModelError(f"time must be finite and non-negative, got {t}")
+def _checked(values, what: str, positive: bool = False):
+    """A scalar or 1-D array of finite times (windows: positive ones) as floats."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise ModelError(f"{what} must be a scalar or a one-dimensional array")
+    lowest = arr.min(initial=np.inf)  # NaN propagates and fails both tests below
+    if not ((lowest > 0.0 if positive else lowest >= 0.0) and arr.max(initial=0.0) < np.inf):
+        bound = "positive" if positive else "non-negative"
+        raise ModelError(f"{what} must be finite and {bound}, got {values}")
+    return arr
+
+
+def _finite(values, what: str):
+    if not np.isfinite(values).all():
+        raise ModelError(f"the closed form overflows for this {what}")
+    return values
+
+
+def _rwa_terms(sys: OscillatorSystem):
+    omega = sys.require_resonant()
+    mu = -1j * np.array([omega - sys.g, omega + sys.g])
+    # exp(-i omega t) cos gt and exp(-i omega t) sin gt against exp(mu t)
+    cos, sin, zero = [0.5, 0.5], [-0.5j, 0.5j], [0.0, 0.0]
+    return mu, np.array([cos, zero, np.negative(sin), zero, sin, zero, cos, zero])
+
+
+def _linear_terms(sys: OscillatorSystem):
+    omega = sys.require_resonant()
+    g = sys.g
+    if 2.0 * g == omega:
+        raise SingularCouplingError("g = omega/2 makes the soft mode static; perturb g to either side")
+    # Each hybrid mode c = u (soft, w = omega - g) or v (stiff, w = omega + g) has
+    # h = w c^dag c - (g/2)(c^2 + c^dag^2), so c(t) = A c + B c^dag with
+    # A = cos(nu t) - i (w/nu) sin(nu t) and B = i (g/nu) sin(nu t).  Against
+    # (exp(i nu t), exp(-i nu t)) that is A = ((1 - w/nu)/2, (1 + w/nu)/2) and
+    # B = (g/2nu)(1, -1), where 1 - w/nu = -g^2/(nu (nu + w)) avoids cancellation.
+    w = np.array([omega - g, omega + g])
+    nu = np.sqrt(np.array([omega * omega - 2.0 * omega * g, omega * omega + 2.0 * omega * g], dtype=complex))
+    mu = 1j * np.array([nu[0], -nu[0], nu[1], -nu[1]])
+    a_uv = np.stack([-g * g / (nu * (nu + w)), (nu + w) / nu], axis=1) / 2.0
+    b_uv = np.stack([g / nu, -g / nu], axis=1) / 2.0
+    # u and v take separate columns; a = (u - i v)/sqrt(2), b = (v - i u)/sqrt(2).
+    (a_u, a_v), (b_u, b_v) = ((np.eye(2)[:, :, None] * x[:, None, :]).reshape(2, 4) for x in (a_uv, b_uv))
+    f_a, g_a = 0.5 * (a_u + a_v), 0.5 * (b_u - b_v)
+    f_b, g_b = 0.5j * (a_u - a_v), -0.5j * (b_u + b_v)
+    return mu, np.array([f_a, g_a, f_b, g_b, -f_b, g_b, f_a, -g_a])
+
+
+def _free_terms(sys: OscillatorSystem):
+    mu = -1j * np.array([sys.omega_a, sys.omega_b])
+    amp = np.zeros((8, 2), dtype=complex)
+    amp[0, 0] = amp[6, 1] = 1.0
+    return mu, amp
+
+
+_TERMS = {
+    InteractionKind.RWA: _rwa_terms,
+    InteractionKind.LINEAR: _linear_terms,
+    InteractionKind.NONE: _free_terms,
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _table(sys: OscillatorSystem):
+    """(mu, A, G), read-only: nine K x K forms G_p with
+    Re sum_jk G_pjk exp((mu_j + conj(mu_k)) t) equal to the eight |c_i|^2 in
+    ``_FIELDS`` order and K - 1 = (|g_b|^2 - |g_a|^2) - (|f_a|^2 - |f_b|^2).
+    K - 1 is built from the products (g_b - i g_a) conj(g_b + i g_a) and
+    (f_a - i f_b) conj(f_a + i f_b); on the table, where the hybrid-mode
+    columns separate exactly, it carries none of the cancellation of the
+    |c_i|^2 differences.
+    """
+    try:
+        build = _TERMS[sys.kind]
+    except KeyError:
+        raise ModelError(
+            f"no closed-form propagator for kind={sys.kind.value}; use the Fock oracle"
+        ) from None
+    mu, amp = build(sys)
+    f_a, g_a, f_b, g_b = amp[:4]
+    squares = np.einsum("ij,ik->ijk", amp, amp.conj())
+    cross_f, cross_g = (np.outer(x - 1j * y, (x + 1j * y).conj()) for x, y in ((f_a, f_b), (g_b, g_a)))
+    forms = np.concatenate([squares, (cross_g - cross_f)[None]])
+    for arr in (mu, amp, forms):
+        arr.setflags(write=False)
+    return mu, amp, forms
+
+
+def _evaluate(mu, amp, t) -> PropagatorCoefficients:
+    """c_i(t) = sum_k A_ik exp(mu_k t) for a scalar time or a 1-D array of times."""
+    times = _checked(t, "time")
+    values = _finite(np.einsum("...k,ik->...i", np.exp(np.multiply.outer(times, mu)), amp), "time")
+    if times.ndim == 0:
+        return PropagatorCoefficients(t, *values.tolist())
+    return PropagatorCoefficients(times, *values.T)
+
+
+def _require_kind(sys: OscillatorSystem, kind: InteractionKind, who: str) -> None:
+    if sys.kind is not kind:
+        raise ModelError(f"{who} needs kind={kind.value}, got {sys.kind.value}")
 
 
 def rwa_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
@@ -139,108 +248,56 @@ def rwa_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
     a(t) = exp(-i omega t)(a cos gt - b sin gt), b(t) likewise with the roles
     exchanged; no conjugate (squeezing) amplitudes appear.
     """
-    if sys.kind is not InteractionKind.RWA:
-        raise ModelError(f"rwa_coefficients needs kind=rwa, got {sys.kind.value}")
-    omega = sys.require_resonant()
-    _check_time(t)
-    phase = cmath.exp(-1j * omega * t)
-    c, s = math.cos(sys.g * t), math.sin(sys.g * t)
-    return PropagatorCoefficients(
-        t=t,
-        f_a=phase * c,
-        g_a=0.0,
-        f_b=-phase * s,
-        g_b=0.0,
-        p_a=phase * s,
-        q_a=0.0,
-        p_b=phase * c,
-        q_b=0.0,
-    )
-
-
-def _single_mode_amplitudes(omega_eff: float, squeeze: float, nu: complex, t: float):
-    """Amplitudes (A, B) of c(t) = A c + B c^dag for h = omega_eff c^dag c
-    + (squeeze/2)(c^2 + c^dag^2), with nu^2 = omega_eff^2 - squeeze^2."""
-    A = cmath.cos(nu * t) - 1j * (omega_eff / nu) * cmath.sin(nu * t)
-    B = -1j * (squeeze / nu) * cmath.sin(nu * t)
-    return A, B
+    _require_kind(sys, InteractionKind.RWA, "rwa_coefficients")
+    return propagator_coefficients(sys, t)
 
 
 def linear_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
     """Propagator for the full linear coupling i g (a^dag + a)(b^dag - b), on resonance.
 
-    Solved through the hybrid modes u = (a + i b)/sqrt(2) and
-    v = (b + i a)/sqrt(2), each a squeezed single mode:
-
-        u evolves at nu_soft  = sqrt(omega^2 - 2 omega g)
-        v evolves at nu_stiff = sqrt(omega^2 + 2 omega g)
-
-    with a = (u - i v)/sqrt(2) and b = (v - i u)/sqrt(2) recovering the lab
-    modes.  nu_soft is evaluated as a complex square root so g > omega/2 flows
-    through the same expressions as hyperbolic growth.
+    Solved through the hybrid modes u = (a + i b)/sqrt(2) at
+    nu_soft = sqrt(omega^2 - 2 omega g) and v = (b + i a)/sqrt(2) at
+    nu_stiff = sqrt(omega^2 + 2 omega g); g = omega/2 is singular.
     """
-    if sys.kind is not InteractionKind.LINEAR:
-        raise ModelError(f"linear_coefficients needs kind=linear, got {sys.kind.value}")
-    omega = sys.require_resonant()
-    _check_time(t)
-    g = sys.g
-    if 2.0 * g == omega:
-        raise SingularCouplingError(
-            "g = omega/2 makes the soft mode static; perturb g to either side"
-        )
-    nu_soft = cmath.sqrt(complex(omega * omega - 2.0 * omega * g))
-    nu_stiff = cmath.sqrt(complex(omega * omega + 2.0 * omega * g))
-    A_u, B_u = _single_mode_amplitudes(omega - g, -g, nu_soft, t)
-    A_v, B_v = _single_mode_amplitudes(omega + g, -g, nu_stiff, t)
-    f_a = 0.5 * (A_u + A_v)
-    g_a = 0.5 * (B_u - B_v)
-    f_b = 0.5j * (A_u - A_v)
-    g_b = -0.5j * (B_u + B_v)
-    return PropagatorCoefficients(
-        t=t,
-        f_a=f_a,
-        g_a=g_a,
-        f_b=f_b,
-        g_b=g_b,
-        p_a=-f_b,
-        q_a=g_b,
-        p_b=f_a,
-        q_b=-g_a,
-    )
+    _require_kind(sys, InteractionKind.LINEAR, "linear_coefficients")
+    return propagator_coefficients(sys, t)
 
 
 def free_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
     """Uncoupled evolution: each mode just rotates at its own frequency."""
-    _check_time(t)
-    return PropagatorCoefficients(
-        t=t,
-        f_a=cmath.exp(-1j * sys.omega_a * t),
-        g_a=0.0,
-        f_b=0.0,
-        g_b=0.0,
-        p_a=0.0,
-        q_a=0.0,
-        p_b=cmath.exp(-1j * sys.omega_b * t),
-        q_b=0.0,
-    )
-
-
-_COEFFICIENT_BUILDERS = {
-    InteractionKind.RWA: rwa_coefficients,
-    InteractionKind.LINEAR: linear_coefficients,
-    InteractionKind.NONE: free_coefficients,
-}
+    return _evaluate(*_free_terms(sys), t)
 
 
 def propagator_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
-    """Dispatch to the closed form for this interaction kind."""
-    try:
-        builder = _COEFFICIENT_BUILDERS[sys.kind]
-    except KeyError:
-        raise ModelError(
-            f"no closed-form propagator for kind={sys.kind.value}; use the Fock oracle"
-        ) from None
-    return builder(sys, t)
+    """The closed form for this interaction kind."""
+    mu, amp, _ = _table(sys)
+    return _evaluate(mu, amp, t)
+
+
+def _report(t, squares, prep: ThermalPreparation, sys: OscillatorSystem, k=None) -> HeatReport:
+    """Heat report from the eight |c_i|^2 in ``_FIELDS`` order, pointwise or window means.
+
+    Without k, dQ_ab = dQ_b - dQ_a.  With k = K = 1 + |f_b|^2 + |g_b|^2 -
+    |f_a|^2 - |g_a|^2 from ``_table``, dQ_ab = omega_a (X_a - X_b) K, which holds
+    for every kind with a table (on resonance the couplings are mode-symmetric;
+    free evolution has K = 0) and avoids the cancellation of dQ_b - dQ_a where
+    the heats grow.
+    """
+    f_a, g_a, f_b, g_b, p_a, q_a, p_b, q_b = _finite(squares, "time or window")
+    x_a = thermal_occupation(prep.beta_a, sys.omega_a)
+    x_b = thermal_occupation(prep.beta_b, sys.omega_b)
+    dq_a = sys.omega_a * ((f_a + g_a - 1.0) * x_a + (f_b + g_b) * x_b + g_a + g_b)
+    dq_b = sys.omega_b * ((p_b + q_b - 1.0) * x_b + (p_a + q_a) * x_a + q_a + q_b)
+    dq_ab = None if k is None else sys.omega_a * (x_a - x_b) * k
+    if np.ndim(t) == 0:
+        dq_a, dq_b = float(dq_a), float(dq_b)
+        dq_ab = None if dq_ab is None else float(dq_ab)
+    return HeatReport.from_heats(t, dq_a, dq_b, prep, sys, dq_ab=dq_ab)
+
+
+def _table_report(t, products, prep: ThermalPreparation, sys: OscillatorSystem) -> HeatReport:
+    """Heat report from the nine ``_table`` forms evaluated (pointwise or window means)."""
+    return _report(t, products[:8], prep, sys, k=1.0 + products[8])
 
 
 def heat_changes(
@@ -253,46 +310,30 @@ def heat_changes(
     Callers are expected to pass coefficients that satisfy the commutator
     invariants (any output of the builders above does).
     """
-    x_a = thermal_occupation(prep.beta_a, sys.omega_a)
-    x_b = thermal_occupation(prep.beta_b, sys.omega_b)
-    dq_a = sys.omega_a * (
-        (abs(coeffs.f_a) ** 2 + abs(coeffs.g_a) ** 2 - 1.0) * x_a
-        + (abs(coeffs.f_b) ** 2 + abs(coeffs.g_b) ** 2) * x_b
-        + abs(coeffs.g_a) ** 2
-        + abs(coeffs.g_b) ** 2
-    )
-    dq_b = sys.omega_b * (
-        (abs(coeffs.p_b) ** 2 + abs(coeffs.q_b) ** 2 - 1.0) * x_b
-        + (abs(coeffs.p_a) ** 2 + abs(coeffs.q_a) ** 2) * x_a
-        + abs(coeffs.q_a) ** 2
-        + abs(coeffs.q_b) ** 2
-    )
-    return HeatReport.from_heats(coeffs.t, dq_a, dq_b, prep, sys)
+    squares = [abs(getattr(coeffs, name)) ** 2 for name in _FIELDS]
+    return _report(coeffs.t, np.array(squares), prep, sys)
 
 
 def heat_transfer(t: float, sys: OscillatorSystem, prep: ThermalPreparation) -> HeatReport:
-    """Convenience: closed-form coefficients at t, then the heat report."""
-    return heat_changes(propagator_coefficients(sys, t), prep, sys)
+    """Closed-form heat report at t, or one of arrays over a 1-D array of times."""
+    mu, _, forms = _table(sys)
+    times = _checked(t, "time")
+    e = np.exp(np.multiply.outer(times, mu))
+    products = np.einsum("...j,pjk,...k->p...", e, forms, e.conj()).real
+    return _table_report(t if times.ndim == 0 else times, products, prep, sys)
 
 
-def time_averaged_heat(
-    sys: OscillatorSystem,
-    prep: ThermalPreparation,
-    tau: float,
-    quad_tol: float = 1e-8,
-    max_depth: int = 40,
-) -> float:
-    """(1/tau) * integral of dQ_ab(t) over [0, tau], by adaptive Simpson.
+def time_averaged_heat(sys: OscillatorSystem, prep: ThermalPreparation, tau: float) -> float:
+    """(1/tau) * integral of dQ_ab(t) over [0, tau], exactly, for one window or
+    a 1-D array of windows.
 
     Ill-defined at g = omega/2 (the static-mode singularity propagates from
     the coefficients).
     """
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ModelError("averaging window tau must be positive and finite")
-    if sys.kind is InteractionKind.LINEAR and 2.0 * sys.g == sys.require_resonant():
-        raise SingularCouplingError("time-averaged transfer is ill-defined at g = omega/2")
-
-    def integrand(t: float) -> float:
-        return heat_transfer(t, sys, prep).dq_ab
-
-    return adaptive_simpson(integrand, 0.0, tau, rel_tol=quad_tol, max_depth=max_depth) / tau
+    taus = _checked(tau, "averaging window tau", positive=True)
+    mu, _, forms = _table(sys)
+    z = np.multiply.outer(taus, mu[:, None] + mu.conj())
+    phi = np.ones_like(z)
+    np.divide(np.expm1(z), z, out=phi, where=z != 0)
+    products = np.einsum("pjk,...jk->p...", forms, phi).real
+    return _table_report(tau if taus.ndim == 0 else taus, products, prep, sys).dq_ab

@@ -9,6 +9,8 @@ parameters or infeasible truncation, 3 singular coupling (g = omega/2),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import sys as _sys
 from pathlib import Path
 
@@ -36,6 +38,10 @@ EXIT_TOLERANCE = 4
 TEMP_HOT = 100.0
 TEMP_COLD = 50.0
 
+# Levels per mode of ``audit`` without --fock-n.  The commutator norms do not
+# depend on the temperatures, so the cutoff is not sized from a thermal tail.
+AUDIT_LEVELS = 24
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -46,15 +52,11 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path | None, header: list[str], rows, footer: str | None = None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    if footer is not None:
-        lines.append(footer)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        _sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
+    """Stream the lines out, so a long curve is never held as one text."""
+    body = (",".join(_fmt(v) for v in row) for row in rows)
+    lines = itertools.chain([",".join(header)], body, [] if footer is None else [footer])
+    with open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext(_sys.stdout) as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -97,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tau-threshold", type=float, help="transient/persistent window split")
     parser.add_argument("--fock-n", type=int, help="Fock levels per mode (default: automatic)")
     parser.add_argument("--tail-tol", type=float, help="thermal tail tolerance (default 1e-12)")
-    parser.add_argument("--quad-tol", type=float, help="quadrature tolerance (default 1e-8)")
     parser.add_argument("--out", type=Path, help="output path (default stdout)")
 
     commands = parser.add_subparsers(dest="command", required=True)
@@ -127,7 +128,6 @@ _CONFIG_KEYS = {
     "tau_threshold": float,
     "fock_n": int,
     "tail_tol": float,
-    "quad_tol": float,
     "g_grid": str,
     "dbeta_grid": str,
 }
@@ -192,64 +192,37 @@ def _figure_presets(args: argparse.Namespace):
 
 def run_figure(args: argparse.Namespace) -> int:
     omega, t_max, samples, hot_a, hot_b = _figure_presets(args)
-    quad_tol = args.quad_tol if args.quad_tol is not None else 1e-8
     number = args.number
     times = np.linspace(0.0, t_max, samples)
     if number == 1:
         sys_ = OscillatorSystem(omega, omega, InteractionKind.RWA, g=0.1 * omega)
-        rows = [
-            (t, heat_transfer(t, sys_, hot_a).dq_ab, heat_transfer(t, sys_, hot_b).dq_ab)
-            for t in map(float, times)
-        ]
-        write_csv(args.out, ["t", "dQ_ab_hot_a", "dQ_ab_hot_b"], rows)
+        header = ["t", "dQ_ab_hot_a", "dQ_ab_hot_b"]
+        columns = [times] + [heat_transfer(times, sys_, prep).dq_ab for prep in (hot_a, hot_b)]
     elif number == 2:
         linear = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.1 * omega)
         rwa = OscillatorSystem(omega, omega, InteractionKind.RWA, g=0.1 * omega)
-        rows = [
-            (
-                t,
-                heat_transfer(t, linear, hot_a).dq_a,
-                heat_transfer(t, linear, hot_b).dq_a,
-                heat_transfer(t, rwa, hot_a).dq_a,
-                heat_transfer(t, rwa, hot_b).dq_a,
-            )
-            for t in map(float, times)
+        header = ["t", "dQ_a_linear_hot_a", "dQ_a_linear_hot_b", "dQ_a_rwa_hot_a", "dQ_a_rwa_hot_b"]
+        columns = [times] + [
+            heat_transfer(times, sys_, prep).dq_a for sys_ in (linear, rwa) for prep in (hot_a, hot_b)
         ]
-        write_csv(
-            args.out,
-            ["t", "dQ_a_linear_hot_a", "dQ_a_linear_hot_b", "dQ_a_rwa_hot_a", "dQ_a_rwa_hot_b"],
-            rows,
-        )
     elif number == 3:
         sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.49 * omega)
-        rows = []
-        for t in map(float, times):
-            rep = heat_transfer(t, sys_, hot_a)
-            rows.append((rep.t, rep.dq_a, rep.dq_b, rep.dq_ab, rep.ds0, rep.csl_ok))
-        write_csv(args.out, ["t", "dQ_a", "dQ_b", "dQ_ab", "dS0", "csl_ok"], rows)
+        rep = heat_transfer(times, sys_, hot_a)
+        header = ["t", "dQ_a", "dQ_b", "dQ_ab", "dS0", "csl_ok"]
+        columns = [rep.t, rep.dq_a, rep.dq_b, rep.dq_ab, rep.ds0, rep.csl_ok]
     else:
         g = 0.49 * omega if number == 4 else 0.51 * omega
         linear = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
         if args.samples is None:
-            samples = 200  # one adaptive quadrature per window sample
+            samples = 200
         taus = np.arange(1, samples + 1) * (t_max / samples)
+        header = ["tau", "avg_dQ_ab"]
+        columns = [taus, time_averaged_heat(linear, hot_a, taus)]
         if number == 4:
             rwa = OscillatorSystem(omega, omega, InteractionKind.RWA, g=g)
-            rows = [
-                (
-                    tau,
-                    time_averaged_heat(linear, hot_a, tau, quad_tol=quad_tol),
-                    time_averaged_heat(rwa, hot_a, tau, quad_tol=quad_tol),
-                )
-                for tau in map(float, taus)
-            ]
-            write_csv(args.out, ["tau", "avg_dQ_ab_linear", "avg_dQ_ab_rwa"], rows)
-        else:
-            rows = [
-                (tau, time_averaged_heat(linear, hot_a, tau, quad_tol=quad_tol))
-                for tau in map(float, taus)
-            ]
-            write_csv(args.out, ["tau", "avg_dQ_ab"], rows)
+            header = ["tau", "avg_dQ_ab_linear", "avg_dQ_ab_rwa"]
+            columns.append(time_averaged_heat(rwa, hot_a, taus))
+    write_csv(args.out, header, zip(*(column.tolist() for column in columns)))
     return EXIT_OK
 
 
@@ -259,21 +232,15 @@ def run_compare(args: argparse.Namespace) -> int:
     cfg = _fock_config(args, sys_, prep)
     t_max = args.t_max if args.t_max is not None else 20.0
     samples = args.samples if args.samples is not None else 81
-    times = [float(t) for t in np.linspace(0.0, t_max, samples)]
-    analytic = [heat_transfer(t, sys_, prep) for t in times]
+    times = np.linspace(0.0, t_max, samples)
+    analytic = heat_transfer(times, sys_, prep)
     oracle = heat_series_numeric(sys_, prep, cfg, times)
-    worst = 0.0
-    rows = []
-    for ana, orc in zip(analytic, oracle):
-        for x, y in ((ana.dq_a, orc.dq_a), (ana.dq_b, orc.dq_b), (ana.ds0, orc.ds0)):
-            worst = max(worst, abs(x - y) / max(1.0, abs(x)))
-        rows.append(
-            (ana.t, ana.dq_a, orc.dq_a, ana.dq_b, orc.dq_b, ana.ds0, orc.ds0)
-        )
+    pairs = [(getattr(analytic, k), np.array([getattr(r, k) for r in oracle])) for k in ("dq_a", "dq_b", "ds0")]
+    worst = max(float((abs(x - y) / np.maximum(1.0, abs(x))).max(initial=0.0)) for x, y in pairs)
     write_csv(
         args.out,
         ["t", "dQ_a_analytic", "dQ_a_oracle", "dQ_b_analytic", "dQ_b_oracle", "dS0_analytic", "dS0_oracle"],
-        rows,
+        zip(times.tolist(), *(column.tolist() for pair in pairs for column in pair)),
         footer=f"# max_relative_deviation,{_fmt(worst)}",
     )
     if worst > args.tol:
@@ -284,9 +251,10 @@ def run_compare(args: argparse.Namespace) -> int:
 
 def run_audit(args: argparse.Namespace) -> int:
     sys_ = _system(args)
-    prep = _preparation(args)
-    cfg = _fock_config(args, sys_, prep)
-    audit = decomposition_audit(sys_, cfg)
+    prep = _preparation(args)  # the norms ignore it, but bad temperature flags still fail
+    if args.fock_n is None:
+        args.fock_n = AUDIT_LEVELS
+    audit = decomposition_audit(sys_, _fock_config(args, sys_, prep))
     print(f"norm_H0V={audit.norm_h0v:.6e}")
     print(f"norm_HV={audit.norm_hv:.6e}")
     print(f"norm_H0H={audit.norm_h0h:.6e}")
@@ -305,7 +273,6 @@ def run_sweep(args: argparse.Namespace) -> int:
     base_beta = args.beta_a if args.beta_a is not None else 1.0 / TEMP_HOT
     t_max = args.t_max if args.t_max is not None else 50.0 / omega
     samples = args.samples if args.samples is not None else 512
-    quad_tol = args.quad_tol if args.quad_tol is not None else 1e-8
     g_grid = _parse_grid(args.g_grid, [0.1 * omega, 0.3 * omega, 0.49 * omega, 0.5 * omega, 0.51 * omega])
     dbeta_grid = _parse_grid(args.dbeta_grid, [0.005, 0.01])
     rows = []
@@ -316,9 +283,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                 continue
             sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
             prep = ThermalPreparation(base_beta, base_beta + dbeta)
-            profile = scan_violations(
-                sys_, prep, t_max, samples, tau_threshold=args.tau_threshold, quad_tol=quad_tol
-            )
+            profile = scan_violations(sys_, prep, t_max, samples, tau_threshold=args.tau_threshold)
             rows.append((g, dbeta, len(profile.violations), profile.classification.value))
     write_csv(args.out, ["g", "dbeta", "violations", "classification"], rows)
     return EXIT_OK

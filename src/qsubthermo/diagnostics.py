@@ -23,7 +23,6 @@ from .model import (
     OscillatorSystem,
     ThermalPreparation,
     csl_compliant,
-    _sign,
 )
 
 __all__ = [
@@ -70,7 +69,7 @@ def csl_check(
 ) -> CslVerdict:
     """Clausius verdict for a single transfer value."""
     tol = VIOLATION_TOL_SCALE * omega
-    direction = _sign(prep.beta_b - prep.beta_a)
+    direction = float(np.sign(prep.beta_b - prep.beta_a))
     compliant = csl_compliant(dq_ab, prep, omega=omega, tol_scale=VIOLATION_TOL_SCALE)
     anomaly = direction == 0.0 and abs(dq_ab) > tol
     return CslVerdict(
@@ -105,7 +104,6 @@ def scan_violations(
     n_samples: int,
     tau_threshold: float | None = None,
     n_tau: int = 32,
-    quad_tol: float = 1e-8,
 ) -> ViolationProfile:
     """Evaluate dQ_ab on a uniform grid and classify any sign violations.
 
@@ -121,25 +119,20 @@ def scan_violations(
     if tau_threshold is None:
         tau_threshold = 3.0 / omega
     grid = np.linspace(0.0, t_max, n_samples)
-    violations = tuple(
-        float(t)
-        for t in grid
-        if not csl_check(heat_transfer(float(t), sys, prep).dq_ab, prep, t=float(t), omega=omega).compliant
+    compliant = csl_compliant(
+        heat_transfer(grid, sys, prep).dq_ab, prep, omega=omega, tol_scale=VIOLATION_TOL_SCALE
     )
+    violations = tuple(grid[~compliant].tolist())
     if not violations:
         classification = Classification.NONE
     else:
-        direction = _sign(prep.beta_b - prep.beta_a)
+        direction = np.sign(prep.beta_b - prep.beta_a)
         taus = np.linspace(tau_threshold, TAU_HORIZON_CYCLES / omega, n_tau)
-        persistent = False
-        for tau in taus:
-            avg = time_averaged_heat(sys, prep, float(tau), quad_tol=quad_tol)
-            if abs(avg) > AVERAGE_TOL and _sign(avg) != direction:
-                persistent = True
-                break
+        averages = time_averaged_heat(sys, prep, taus)
+        persistent = np.any((np.abs(averages) > AVERAGE_TOL) & (np.sign(averages) != direction))
         classification = Classification.PERSISTENT if persistent else Classification.TRANSIENT
     return ViolationProfile(
-        grid=tuple(float(t) for t in grid),
+        grid=tuple(grid.tolist()),
         violations=violations,
         classification=classification,
         tau_threshold=tau_threshold,

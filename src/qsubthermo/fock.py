@@ -493,7 +493,10 @@ def entropy_production(
     log_w_b -= math.log(np.exp(log_w_b).sum())
     rho_b_t_diag = np.real(np.diag(partial_trace_a(rho_t, cfg.n_a, cfg.n_b)))
     tr_rho_ln_sigma = -s_a_t + float(log_w_b @ rho_b_t_diag)
-    ds_i_a = -von_neumann_entropy(rho_t) - tr_rho_ln_sigma
+    # Unitary evolution keeps the spectrum: S(rho(t)) = S(rho(0)) = -sum w ln w.
+    w = thermal_product_state(sys, prep, cfg)
+    w = w[w > 0.0]
+    ds_i_a = float(w @ np.log(w)) - tr_rho_ln_sigma
     ds_e_a = -prep.beta_b * heat_changes_numeric(sys, prep, cfg, t).dq_b
     return EntropyProduction(ds_a=ds_a, ds_i_a=ds_i_a, ds_e_a=ds_e_a)
 

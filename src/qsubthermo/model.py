@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class ModelError(ValueError):
     """Invalid physical parameters or an unsupported configuration."""
@@ -140,15 +142,7 @@ def csl_compliant(
 
     Zero transfer (within tol_scale*omega, to absorb exact sin^2-type zeros) is
     compliant: the law forbids wrong-sign transfer, not the absence of transfer.
+    An array of transfers gives an array of verdicts.
     """
-    if abs(dq_ab) <= tol_scale * omega:
-        return True
-    return math.copysign(1.0, dq_ab) == _sign(prep.beta_b - prep.beta_a)
-
-
-def _sign(x: float) -> float:
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
+    ok = (np.abs(dq_ab) <= tol_scale * omega) | (np.sign(dq_ab) == np.sign(prep.beta_b - prep.beta_a))
+    return ok if np.ndim(ok) else bool(ok)

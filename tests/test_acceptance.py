@@ -108,7 +108,7 @@ def test_criterion_04a_transient_violation_below_threshold():
     # Implemented as stated; red by model structure (see module docstring).
     sys_ = linear(0.49)
     taus = np.arange(0.25, 3.0, 0.25)
-    averages = [time_averaged_heat(sys_, PREP_FIG, float(tau), quad_tol=1e-8) for tau in taus]
+    averages = [time_averaged_heat(sys_, PREP_FIG, float(tau)) for tau in taus]
     check(
         min(averages) < -1e-9,
         f"4a. averaged transfer dips negative before 3/omega (min {min(averages):.3g})",
@@ -118,14 +118,14 @@ def test_criterion_04a_transient_violation_below_threshold():
 def test_criterion_04b_averages_compliant_beyond_threshold():
     sys_ = linear(0.49)
     taus = np.linspace(3.0, 50.0, 48)
-    least = min(time_averaged_heat(sys_, PREP_FIG, float(tau), quad_tol=1e-8) for tau in taus)
+    least = min(time_averaged_heat(sys_, PREP_FIG, float(tau)) for tau in taus)
     check(least >= -1e-9, f"4b. averaged transfer compliant on [3, 50]/omega (min {least:.3g})")
 
 
 def test_criterion_05_persistent_violation_in_strong_coupling():
     sys_ = linear(0.51)
     taus = np.linspace(3.0, 50.0, 48)
-    least = min(time_averaged_heat(sys_, PREP_FIG, float(tau), quad_tol=1e-8) for tau in taus)
+    least = min(time_averaged_heat(sys_, PREP_FIG, float(tau)) for tau in taus)
     check(least < -1e-6, f"5. strong coupling keeps averaged violations alive ({least:.3g})")
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -136,6 +137,23 @@ def test_non_finite_time_rejected(kind, t):
         heat_transfer(t, sys_, PREP)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, p: heat_transfer(1e4, s, p),
+        lambda s, p: heat_transfer(np.array([1.0, 1e4]), s, p),
+        lambda s, p: propagator_coefficients(s, 1e4),
+        lambda s, p: time_averaged_heat(s, p, 1e4),
+    ],
+    ids=["scalar", "array", "coefficients", "window"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_is_a_model_error(call):
+    # Past g = omega/2 the soft mode grows like exp(kappa t); inf must not leak out as a heat.
+    with pytest.raises(ModelError, match="overflows"):
+        call(linear_system(g=0.9), PREP)
+
+
 class TestHeatChanges:
     def test_rwa_closed_form(self):
         # dQ_ab = 2 w (X_a - X_b) sin^2(gt)
@@ -157,11 +175,22 @@ class TestHeatChanges:
             assert report.csl_ok
 
     def test_report_wiring(self):
-        report = heat_transfer(2.0, linear_system(), PREP)
+        sys_ = linear_system()
+        report = heat_changes(linear_coefficients(sys_, 2.0), PREP, sys_)
         assert report.dq_ab == report.dq_b - report.dq_a
         assert report.ds0 == pytest.approx(
             PREP.beta_a * report.dq_a + PREP.beta_b * report.dq_b, abs=1e-15
         )
+
+    @pytest.mark.parametrize("g", [0.1, 0.3, 0.49, 0.51])
+    @pytest.mark.parametrize("kind", [InteractionKind.RWA, InteractionKind.LINEAR])
+    def test_table_transfer_matches_heat_difference(self, kind, g):
+        # heat_transfer takes dq_ab from its own cancellation-free sum, so it
+        # matches dq_b - dq_a to rounding rather than bit for bit.
+        sys_ = OscillatorSystem(1.0, 1.0, kind, g=g)
+        for t in (0.5, 2.0, 10.0):
+            report = heat_transfer(t, sys_, PREP)
+            assert report.dq_ab == pytest.approx(report.dq_b - report.dq_a, rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("g", COUPLING_GRID)
     @pytest.mark.parametrize("kind", [InteractionKind.RWA, InteractionKind.LINEAR])
@@ -230,3 +259,124 @@ class TestTimeAveragedHeat:
         values = [heat_transfer(float(t), sys_, PREP).dq_ab for t in grid]
         reference = np.trapezoid(values, grid) / tau
         assert time_averaged_heat(sys_, PREP, tau) == pytest.approx(reference, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Accuracy against the paper's formulas in multi-precision arithmetic.
+
+PREP_FIG = ThermalPreparation.from_temperatures(100.0, 50.0)
+ALL_KINDS = [InteractionKind.RWA, InteractionKind.LINEAR, InteractionKind.NONE]
+
+
+def _mp_heats(kind, g, t, prep, omega=1.0):
+    """(dQ_a, dQ_b, dQ_ab) from the trigonometric closed forms at the working precision."""
+    w, g, t = mpmath.mpf(omega), mpmath.mpf(g), mpmath.mpf(t)
+    if kind is InteractionKind.RWA:
+        phase, c, s = mpmath.exp(-1j * w * t), mpmath.cos(g * t), mpmath.sin(g * t)
+        f_a, g_a, f_b, g_b = phase * c, 0, -phase * s, 0
+    elif kind is InteractionKind.LINEAR:
+        def mode(w_eff, nu):  # c(t) = A c + B c^dag for w_eff c^dag c - (g/2)(c^2 + c^dag^2)
+            return (mpmath.cos(nu * t) - 1j * (w_eff / nu) * mpmath.sin(nu * t),
+                    1j * (g / nu) * mpmath.sin(nu * t))
+
+        a_u, b_u = mode(w - g, mpmath.sqrt(mpmath.mpc(w * w - 2 * w * g)))
+        a_v, b_v = mode(w + g, mpmath.sqrt(mpmath.mpc(w * w + 2 * w * g)))
+        f_a, g_a = (a_u + a_v) / 2, (b_u - b_v) / 2
+        f_b, g_b = 1j * (a_u - a_v) / 2, -1j * (b_u + b_v) / 2
+    else:
+        f_a, g_a, f_b, g_b = mpmath.exp(-1j * w * t), 0, 0, 0
+    p_a, q_a, p_b, q_b = -f_b, g_b, f_a, -g_a
+    x_a = 1 / mpmath.expm1(mpmath.mpf(prep.beta_a) * w)
+    x_b = 1 / mpmath.expm1(mpmath.mpf(prep.beta_b) * w)
+    sq = [abs(z) ** 2 for z in (f_a, g_a, f_b, g_b, p_a, q_a, p_b, q_b)]
+    dq_a = w * ((sq[0] + sq[1] - 1) * x_a + (sq[2] + sq[3]) * x_b + sq[1] + sq[3])
+    dq_b = w * ((sq[6] + sq[7] - 1) * x_b + (sq[4] + sq[5]) * x_a + sq[5] + sq[7])
+    return dq_a, dq_b, dq_b - dq_a
+
+
+def _close(got, want, rtol=1e-12):
+    return abs(got - float(want)) <= rtol * max(1.0, abs(float(want)))
+
+
+@pytest.mark.parametrize("g", [0.1, 0.3, 0.49, 0.51])
+@pytest.mark.parametrize("kind", [InteractionKind.RWA, InteractionKind.LINEAR])
+def test_pointwise_heats_match_multiprecision(kind, g):
+    sys_ = OscillatorSystem(1.0, 1.0, kind, g=g)
+    with mpmath.workdps(50):
+        for prep in (PREP, PREP_FIG):
+            for t in np.linspace(0.0, 50.0, 101).tolist():
+                report = heat_transfer(t, sys_, prep)
+                want = _mp_heats(kind, g, t, prep)
+                for got, value in zip((report.dq_a, report.dq_b, report.dq_ab), want):
+                    assert _close(got, value), (prep, t, got, float(value))
+
+
+def test_transfer_survives_hyperbolic_growth():
+    # At g = 0.9, t = 100 the heats reach 1.9e77 and dQ_b - dQ_a reads 0.0; the
+    # reference loses 39 digits to the same cancellation, hence 100 digits.
+    sys_ = linear_system(g=0.9)
+    report = heat_transfer(100.0, sys_, PREP)
+    with mpmath.workdps(100):
+        want = _mp_heats(InteractionKind.LINEAR, 0.9, 100.0, PREP)
+    for got, value in zip((report.dq_a, report.dq_b, report.dq_ab), want):
+        assert got == pytest.approx(float(value), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind,g,taus",
+    [
+        (InteractionKind.RWA, 0.3, [0.5, 7.3, 50.0]),
+        (InteractionKind.LINEAR, 0.1, [0.5, 7.3, 50.0]),
+        # Adaptive Simpson returned 0.0096 for this window instead of 49.93.
+        (InteractionKind.LINEAR, 0.3, [float(np.linspace(0.25, 50.0, 40)[31])]),
+        (InteractionKind.LINEAR, 0.49, [0.5, 7.3, 50.0]),
+        (InteractionKind.LINEAR, 0.51, [0.5, 7.3, 50.0]),
+        (InteractionKind.NONE, 0.0, [0.5, 50.0]),
+    ],
+)
+def test_window_average_matches_multiprecision_quadrature(kind, g, taus):
+    sys_ = OscillatorSystem(1.0, 1.0, kind, g=g)
+    x_a = thermal_occupation(PREP_FIG.beta_a, 1.0)
+    x_b = thermal_occupation(PREP_FIG.beta_b, 1.0)
+    with mpmath.workdps(30):
+        for tau in taus:
+            if kind is InteractionKind.RWA:
+                # mean of 2 w (X_a - X_b) sin^2(gt) over [0, tau]
+                z = 2 * mpmath.mpf(g) * tau
+                want = (x_a - x_b) * (1 - mpmath.sin(z) / z)
+            else:
+                nodes = mpmath.linspace(0, tau, int(tau) + 2)
+                integral = mpmath.quad(lambda t: _mp_heats(kind, g, t, PREP_FIG)[2], nodes,
+                                       method="gauss-legendre")
+                want = integral / tau
+            got = time_averaged_heat(sys_, PREP_FIG, tau)
+            assert _close(got, want), (tau, got, float(want))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_array_calls_equal_scalar_calls(kind):
+    sys_ = OscillatorSystem(1.0, 1.0, kind, g=0.0 if kind is InteractionKind.NONE else 0.51)
+    times = np.linspace(0.0, 30.0, 97)
+    reports = heat_transfer(times, sys_, PREP_FIG)
+    coeffs = propagator_coefficients(sys_, times)
+    for i, t in enumerate(times.tolist()):
+        one = heat_transfer(t, sys_, PREP_FIG)
+        assert isinstance(one.dq_ab, float) and isinstance(one.csl_ok, bool)
+        for name in ("dq_a", "dq_b", "dq_ab", "ds0", "csl_ok"):
+            assert getattr(reports, name)[i] == getattr(one, name)
+        c = propagator_coefficients(sys_, t)
+        for name in ("f_a", "g_a", "f_b", "g_b", "p_a", "q_a", "p_b", "q_b"):
+            assert getattr(coeffs, name)[i] == getattr(c, name)
+    taus = times[1:]
+    averages = time_averaged_heat(sys_, PREP_FIG, taus)
+    for tau, avg in zip(taus.tolist(), averages.tolist()):
+        one = time_averaged_heat(sys_, PREP_FIG, tau)
+        assert isinstance(one, float) and one == avg
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_tiny_window_has_no_zero_over_zero(kind):
+    sys_ = OscillatorSystem(1.0, 1.0, kind, g=0.0 if kind is InteractionKind.NONE else 0.49)
+    avg = time_averaged_heat(sys_, PREP_FIG, 1e-12)
+    assert math.isfinite(avg)
+    assert abs(avg) <= 1e-12 * thermal_occupation(PREP_FIG.beta_a, 1.0)

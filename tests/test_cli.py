@@ -169,6 +169,12 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert "csl_safe=true" in out
 
+    def test_bare_audit_runs_at_the_fixed_cutoff(self, capsys):
+        # The default linear coupling under the default T = 100/50 preparation:
+        # no cutoff can hold that thermal tail, but the norms ignore temperature.
+        assert main(["audit"]) == 0
+        assert "csl_safe=false" in capsys.readouterr().out
+
     def test_linear_audit_reports_unsafe(self, capsys):
         code = main(["--kind", "linear", "--g", "0.1", "--beta-a", "0.5", "--beta-b", "1.0",
                      "--fock-n", "12", "--tail-tol", "1e-2", "audit"])
@@ -209,6 +215,16 @@ class TestConfigFile:
         # flag overrides the file
         assert main(["--config", str(cfg), "--kind", "linear", "audit"]) == 0
         assert "csl_safe=false" in capsys.readouterr().out
+
+    def test_quad_tol_key_rejected(self, tmp_path):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("quad_tol = 1e-8\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "figure", "4"]) == EXIT_VALIDATION
+
+    def test_quad_tol_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quad-tol", "1e-8", "figure", "4"])
+        assert exc.value.code == 2
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

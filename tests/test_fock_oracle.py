@@ -38,7 +38,14 @@ from qsubthermo import (
     true_heat_transfer_identity,
     von_neumann_entropy,
 )
-from qsubthermo.fock import _heat_kernel, eigensystem, thermal_product_state, unitary_at
+from qsubthermo.fock import (
+    _heat_kernel,
+    _state_at,
+    eigensystem,
+    thermal_product_state,
+    thermal_weights,
+    unitary_at,
+)
 
 PREP = ThermalPreparation(0.5, 1.0)
 CFG24 = FockConfig(24, 24, tail_tol=1e-4)
@@ -327,6 +334,26 @@ class TestEntropyProduction:
         result = entropy_production(t, linear_system(g=0.3), PREP, CFG24)
         assert result.ds_i_a >= -1e-10
         assert result.ds_a == pytest.approx(result.ds_i_a + result.ds_e_a, abs=1e-8)
+
+
+    @pytest.mark.parametrize(
+        "sys_",
+        [linear_system(g=0.3), OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.0, q=0.3)],
+        ids=["linear", "minimal-a"],
+    )
+    def test_production_matches_dense_state_entropy(self, sys_):
+        # S(rho(t) || rho_a(t) (x) rho_b(0)) with S(rho(t)) from the dense rho(t)
+        # instead of the conserved initial spectrum.
+        t = 1.7
+        rho_t = _state_at(t, sys_, PREP, CFG24)
+        log_w_b = np.log(thermal_weights(PREP.beta_b, sys_.omega_b, CFG24.n_b))
+        rho_b_diag = np.diag(partial_trace_a(rho_t, CFG24.n_a, CFG24.n_b)).real
+        expected = (
+            -von_neumann_entropy(rho_t)
+            + von_neumann_entropy(partial_trace_b(rho_t, CFG24.n_a, CFG24.n_b))
+            - rho_b_diag @ log_w_b
+        )
+        assert entropy_production(t, sys_, PREP, CFG24).ds_i_a == pytest.approx(expected, abs=1e-10)
 
 
 class TestTrueHeat:
