@@ -231,7 +231,9 @@ def _table(sys: OscillatorSystem):
 def _evaluate(mu, amp, t) -> PropagatorCoefficients:
     """c_i(t) = sum_k A_ik exp(mu_k t) for a scalar time or a 1-D array of times."""
     times = _checked(t, "time")
-    values = _finite(np.einsum("...k,ik->...i", np.exp(np.multiply.outer(times, mu)), amp), "time")
+    with np.errstate(over="ignore"):  # _finite reports overflow as a ModelError
+        values = np.einsum("...k,ik->...i", np.exp(np.multiply.outer(times, mu)), amp)
+    values = _finite(values, "time")
     if times.ndim == 0:
         return PropagatorCoefficients(t, *values.tolist())
     return PropagatorCoefficients(times, *values.T)
@@ -318,7 +320,8 @@ def heat_transfer(t: float, sys: OscillatorSystem, prep: ThermalPreparation) -> 
     """Closed-form heat report at t, or one of arrays over a 1-D array of times."""
     mu, _, forms = _table(sys)
     times = _checked(t, "time")
-    e = np.exp(np.multiply.outer(times, mu))
+    with np.errstate(over="ignore"):  # _report's _finite raises ModelError instead
+        e = np.exp(np.multiply.outer(times, mu))
     products = np.einsum("...j,pjk,...k->p...", e, forms, e.conj()).real
     return _table_report(t if times.ndim == 0 else times, products, prep, sys)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import heat_transfer, time_averaged_heat
-from .fock import FockConfig, build_hamiltonian
+from .fock import FockConfig, build_hamiltonian, sectors
 from .model import (
     ModelError,
     OscillatorSystem,
@@ -160,13 +160,18 @@ def decomposition_audit(
     """
     parts = build_hamiltonian(sys, cfg)
     # H0 is diagonal, so [H0, X]_ij = (d_i - d_j) X_ij needs no product.  H and
-    # V are Hermitian, so V H = (H V)^dag and [H, V] takes one dense product.
-    d = parts.h0.diagonal().real
+    # V are Hermitian, so V H = (H V)^dag, and both vanish between the sectors
+    # of their joint pattern, so [H, V] takes one product per sector.
+    d = parts.d_a + parts.d_b
     gaps = d[:, None] - d[None, :]
-    hv = parts.h @ parts.v
     norm_h0v = float(np.linalg.norm(gaps * parts.v))
-    norm_hv = float(np.linalg.norm(hv - hv.conj().T))
     norm_h0h = float(np.linalg.norm(gaps * parts.h))
+    sector_norms = []
+    for index in sectors(parts.h, parts.v):
+        block = np.ix_(index, index)
+        hv = parts.h[block] @ parts.v[block]
+        sector_norms.append(np.linalg.norm(hv - hv.conj().T))
+    norm_hv = math.hypot(*sector_norms)
     return DecompositionAudit(
         norm_h0v=norm_h0v,
         norm_hv=norm_hv,

@@ -1,4 +1,4 @@
-"""Truncated-Fock-space oracle: dense matrices, exact evolution, first-principles heat.
+"""Truncated-Fock-space oracle: exact evolution and first-principles heat, sector by sector.
 
 Everything here is computed from truncated number-basis matrices with no input
 from the closed forms in ``analytic``, so the two routes cross-validate each
@@ -7,8 +7,15 @@ i_a * n_b + i_b, i.e. operators extend to the composite space as
 numpy.kron(op_a, identity_b) and numpy.kron(identity_a, op_b).  The bare
 energies H_a, H_b are diagonal in this basis, and every other term of H is a
 kron of two single-mode matrices, so H is assembled without any
-composite-space product.  Time evolution uses the Hermitian eigendecomposition
-of H (reused across times), never a generic matrix exponential.
+composite-space product.
+
+H is block-diagonal: ``sectors`` reads its conserved sectors from the exactly
+nonzero entries of the matrix itself (never from the interaction kind), so
+N_a + N_b shows up for the exchange coupling, (N_a + N_b) mod 2 for the linear
+and minimal couplings, and single levels when uncoupled.  Time evolution uses
+the Hermitian eigendecomposition of H in each sector (reused across times),
+never a generic matrix exponential; dense U(t) and rho(t) are scattered
+together from the sector blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ __all__ = [
     "TrueHeatReport",
     "destroy",
     "build_hamiltonian",
+    "sectors",
     "thermal_state",
     "thermal_weights",
     "unitary_at",
@@ -66,8 +74,8 @@ Matrix = NDArray[np.complex128]
 _TAIL_TOL_DEFAULT = 1e-12
 _DIM_CAP = 64
 
-# Times evaluated per GEMM in a heat series: bounds the (block x dim) phase
-# matrix while keeping each product large enough for BLAS.
+# Times evaluated per GEMM in a heat series: bounds the (block x sector size)
+# phase matrix while keeping each product large enough for BLAS.
 _SERIES_BLOCK = 128
 
 
@@ -135,13 +143,28 @@ def _quadratures(n: int, omega: float, m: float) -> tuple[Matrix, Matrix]:
 
 @dataclass(frozen=True)
 class HamiltonianParts:
-    """Total, bare and interaction Hamiltonians on the composite space."""
+    """Total and interaction Hamiltonians on the composite space, and the bare
+    energies H_a, H_b as their number-basis diagonals d_a, d_b.
+
+    The dense H_a, H_b and H0 = H_a + H_b are built only when asked for.
+    """
 
     h: Matrix
-    h0: Matrix
     v: Matrix
-    h_a: Matrix
-    h_b: Matrix
+    d_a: NDArray[np.float64]
+    d_b: NDArray[np.float64]
+
+    @property
+    def h_a(self) -> Matrix:
+        return np.diag(self.d_a.astype(np.complex128))
+
+    @property
+    def h_b(self) -> Matrix:
+        return np.diag(self.d_b.astype(np.complex128))
+
+    @property
+    def h0(self) -> Matrix:
+        return np.diag((self.d_a + self.d_b).astype(np.complex128))
 
 
 def _bare_levels(sys: OscillatorSystem, cfg: FockConfig):
@@ -159,9 +182,6 @@ def build_hamiltonian(sys: OscillatorSystem, cfg: FockConfig) -> HamiltonianPart
     defined as H - H0.
     """
     d_a, d_b = _bare_levels(sys, cfg)
-    h_a = np.diag(d_a.astype(np.complex128))
-    h_b = np.diag(d_b.astype(np.complex128))
-    h0 = np.diag((d_a + d_b).astype(np.complex128))
     kind = sys.kind
     if kind in MINIMAL_KINDS:
         m, q = sys.mass(), float(sys.q or 0.0)
@@ -178,19 +198,59 @@ def build_hamiltonian(sys: OscillatorSystem, cfg: FockConfig) -> HamiltonianPart
             mode_a = mode_a + q * q / (2.0 * m) * (x_a @ x_a)
             cross = (q / m) * np.kron(x_a, p_b)
         h = np.kron(mode_a, np.eye(cfg.n_b)) + np.kron(np.eye(cfg.n_a), mode_b) + cross
-        v = h - h0
+        v = _plus_diagonal(h, -(d_a + d_b))
     else:
         a, b = destroy(cfg.n_a), destroy(cfg.n_b)
         if kind is InteractionKind.NONE:
-            v = np.zeros_like(h0)
+            v = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
         elif kind is InteractionKind.RWA:
             v = 1j * sys.g * (np.kron(a, b.conj().T) - np.kron(a.conj().T, b))
         elif kind is InteractionKind.LINEAR:
             v = 1j * sys.g * np.kron(a.conj().T + a, b.conj().T - b)
         else:  # pragma: no cover - enum is closed
             raise ModelError(f"unknown interaction kind {kind!r}")
-        h = h0 + v
-    return HamiltonianParts(h=h, h0=h0, v=v, h_a=h_a, h_b=h_b)
+        h = _plus_diagonal(v, d_a + d_b)
+    return HamiltonianParts(h=h, v=v, d_a=d_a, d_b=d_b)
+
+
+def _plus_diagonal(mat: Matrix, diag) -> Matrix:
+    """mat + diag(diag) without forming the dense diagonal matrix."""
+    out = mat.copy()
+    out.flat[:: out.shape[0] + 1] += diag
+    return out
+
+
+def sectors(*matrices: Matrix) -> list[NDArray[np.intp]]:
+    """Connected components of the graph whose edges are the exactly nonzero
+    entries of the given square matrices (their joint pattern).
+
+    There is no tolerance: a rounding-level entry joins two sectors instead of
+    being dropped, so every matrix is exactly zero between the sectors
+    returned.  Each sector is an ascending index array; sectors are ordered by
+    their smallest index.
+    """
+    pattern = np.zeros(matrices[0].shape, dtype=bool)
+    for mat in matrices:
+        pattern |= mat != 0
+    rows, cols = np.nonzero(pattern | pattern.T)
+    label = np.arange(pattern.shape[0])
+    # Each index takes the smallest label among its neighbours and then its
+    # label's label; labels only fall, and stop once every edge joins equal
+    # labels, each the smallest index of its component.
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _eigh_sectors(h: Matrix):
+    """(index, energies, vectors) of h restricted to each of its sectors."""
+    return tuple((index, *np.linalg.eigh(h[np.ix_(index, index)])) for index in sectors(h))
 
 
 def thermal_weights(beta: float, omega: float, n: int, tail_tol: float | None = None):
@@ -230,39 +290,57 @@ def _require_hermitian(mat: Matrix, what: str, atol: float = 1e-12) -> None:
         raise ModelError(f"{what} must be Hermitian")
 
 
-# Cache entries hold O(dim^2) arrays, so the capacities are deliberately small;
-# callers that sweep many systems should finish one system before the next.
+# Cache entries hold O(dim^2) arrays at worst, so the capacities are
+# deliberately small; callers that sweep many systems should finish one system
+# before the next.
 @functools.lru_cache(maxsize=3)
 def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
-    """Cached Hermitian eigendecomposition of H, shared read-only by the ops below."""
-    parts = build_hamiltonian(sys, cfg)
-    energies, vectors = np.linalg.eigh(parts.h)
-    energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return parts, energies, vectors
+    """Cached Hermitian eigendecomposition of H, one sector at a time, shared
+    read-only by the ops below: a tuple of (index, energies, vectors) with
+    H[index][:, index] = vectors diag(energies) vectors^dag."""
+    blocks = _eigh_sectors(build_hamiltonian(sys, cfg).h)
+    for block in blocks:
+        for arr in block:
+            arr.setflags(write=False)
+    return blocks
 
 
-def _unitary(energies, vectors, t: float) -> Matrix:
-    """U(t) = exp(-i H t) from the eigendecomposition of H."""
+def _sector_unitary(energies, vectors, t: float) -> Matrix:
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
 
 
-def _evolved(energies, vectors, t: float, w) -> Matrix:
+def _scatter(blocks, dim: int, sector_matrix) -> Matrix:
+    """Dense matrix equal to sector_matrix(index, energies, vectors) on each
+    sector and zero between sectors."""
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for index, energies, vectors in blocks:
+        out[np.ix_(index, index)] = sector_matrix(index, energies, vectors)
+    return out
+
+
+def _unitary(blocks, dim: int, t: float) -> Matrix:
+    """U(t) = exp(-i H t) from the sector eigendecompositions of H."""
+    return _scatter(blocks, dim, lambda index, energies, vectors: _sector_unitary(energies, vectors, t))
+
+
+def _evolved(blocks, t: float, w) -> Matrix:
     """rho(t) = U(t) diag(w) U(t)^dag for a state diagonal in the number basis."""
-    u = _unitary(energies, vectors, t)
-    return (u * w) @ u.conj().T
+
+    def sector_state(index, energies, vectors):
+        u = _sector_unitary(energies, vectors, t)
+        return (u * w[index]) @ u.conj().T
+
+    return _scatter(blocks, len(w), sector_state)
 
 
 def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
     """U(t) = exp(-i H t) from the cached eigendecomposition."""
-    _, energies, vectors = eigensystem(sys, cfg)
-    return _unitary(energies, vectors, t)
+    return _unitary(eigensystem(sys, cfg), cfg.dim, t)
 
 
 def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> Matrix:
     w = thermal_product_state(sys, prep, cfg)
-    _, energies, vectors = eigensystem(sys, cfg)
-    return _evolved(energies, vectors, t, w)
+    return _evolved(eigensystem(sys, cfg), t, w)
 
 
 def _in_eigenbasis(vectors, diag) -> Matrix:
@@ -273,38 +351,44 @@ def _in_eigenbasis(vectors, diag) -> Matrix:
 
 @functools.lru_cache(maxsize=4)
 def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
-    """Products that make tr(H_c rho(t)) an O(dim^2) evaluation per time.
+    """Products that make tr(H_c rho(t)) an O(sum of sector sizes^2) evaluation per time.
 
-    With rho and X in the eigenbasis of H, tr(X rho(t)) is
+    rho(0) and H_c are diagonal and H is block-diagonal, so tr(X rho(t)) is a
+    sum over sectors.  With rho and X in a sector's eigenbasis, its term is
     sum_jk e^{-i E_j t} K_jk e^{i E_k t} for the kernel K = X^T * rho (elementwise).
-    Returns (energies, K_a, K_b, tr(H_a rho(0)), tr(H_b rho(0))).
+    Returns (kernels, tr(H_a rho(0)), tr(H_b rho(0))) with kernels a tuple of
+    (energies, K_a, K_b), one per sector.
     """
     w = thermal_product_state(sys, prep, cfg)
-    _, energies, vectors = eigensystem(sys, cfg)
     d_a, d_b = _bare_levels(sys, cfg)
-    rho_eig = _in_eigenbasis(vectors, w)
-    k_a = _in_eigenbasis(vectors, d_a).T * rho_eig
-    k_b = _in_eigenbasis(vectors, d_b).T * rho_eig
-    for arr in (k_a, k_b):
-        arr.setflags(write=False)
-    return energies, k_a, k_b, float(d_a @ w), float(d_b @ w)
+    kernels = []
+    for index, energies, vectors in eigensystem(sys, cfg):
+        rho_eig = _in_eigenbasis(vectors, w[index])
+        k_a = _in_eigenbasis(vectors, d_a[index]).T * rho_eig
+        k_b = _in_eigenbasis(vectors, d_b[index]).T * rho_eig
+        for arr in (k_a, k_b):
+            arr.setflags(write=False)
+        kernels.append((energies, k_a, k_b))
+    return tuple(kernels), float(d_a @ w), float(d_b @ w)
 
 
-def _expectations(energies, kernels, times) -> list[NDArray[np.float64]]:
-    """tr(X rho(t)) for each kernel over every time, one GEMM per kernel and block of times."""
-    out = [np.empty(len(times)) for _ in kernels]
+def _expectations(kernels, times) -> NDArray[np.float64]:
+    """tr(H_a rho(t)) and tr(H_b rho(t)) over every time: per block of times,
+    one GEMM per sector and kernel, summed over sectors."""
+    out = np.zeros((2, len(times)))
     for start in range(0, len(times), _SERIES_BLOCK):
         block = slice(start, start + _SERIES_BLOCK)
-        phases = np.exp(-1j * np.outer(times[block], energies))
-        for values, kernel in zip(out, kernels):
-            values[block] = np.einsum("tj,tj->t", phases @ kernel, phases.conj()).real
+        for energies, *sector_kernels in kernels:
+            phases = np.exp(-1j * np.outer(times[block], energies))
+            for values, kernel in zip(out, sector_kernels):
+                values[block] += np.einsum("tj,tj->t", phases @ kernel, phases.conj()).real
     return out
 
 
 def heat_changes_numeric(
     sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig, t: float
 ) -> HeatReport:
-    """dQ_c = tr(H_c rho(t)) - tr(H_c rho(0)) straight from the dense evolution."""
+    """dQ_c = tr(H_c rho(t)) - tr(H_c rho(0)) from the cached sector kernels."""
     return heat_series_numeric(sys, prep, cfg, [t])[0]
 
 
@@ -322,8 +406,8 @@ def heat_series_numeric(
         raise ModelError("evaluation times must be finite")
     if times.size == 0:
         return []
-    energies, k_a, k_b, q_a0, q_b0 = _heat_kernel(sys, prep, cfg)
-    e_a, e_b = _expectations(energies, (k_a, k_b), times)
+    kernels, q_a0, q_b0 = _heat_kernel(sys, prep, cfg)
+    e_a, e_b = _expectations(kernels, times)
     return [
         HeatReport.from_heats(t, dq_a, dq_b, prep, sys)
         for t, dq_a, dq_b in zip(times.tolist(), (e_a - q_a0).tolist(), (e_b - q_b0).tolist())
@@ -504,7 +588,7 @@ def entropy_production(
 def true_energies(sys: OscillatorSystem, cfg: FockConfig) -> tuple[Matrix, Matrix]:
     """Subsystem energies that absorb the interaction: (H - H_b, H - H_a)."""
     parts = build_hamiltonian(sys, cfg)
-    return parts.h - parts.h_b, parts.h - parts.h_a
+    return _plus_diagonal(parts.h, -parts.d_b), _plus_diagonal(parts.h, -parts.d_a)
 
 
 @dataclass(frozen=True)
@@ -531,13 +615,12 @@ def true_heat_transfer_identity(
     report = heat_changes_numeric(sys, prep, cfg, t)
     w = thermal_product_state(sys, prep, cfg)
     rho_t = _state_at(t, sys, prep, cfg)
-    parts = eigensystem(sys, cfg)[0]
 
     def delta(h_true: Matrix) -> float:
         # tr(X rho) = vdot(X, rho) for Hermitian X, and rho(0) = diag(w).
         return float(np.vdot(h_true, rho_t).real - np.diag(h_true).real @ w)
 
-    dq_true_a, dq_true_b = delta(parts.h - parts.h_b), delta(parts.h - parts.h_a)
+    dq_true_a, dq_true_b = (delta(h_true) for h_true in true_energies(sys, cfg))
     return TrueHeatReport(
         t=t,
         dq_ab_true=dq_true_b - dq_true_a,
@@ -561,14 +644,14 @@ def effective_hamiltonian(
     """
     w = thermal_product_state(sys, prep, cfg)
     if interaction is None:
-        parts, energies, vectors = eigensystem(sys, cfg)
-        v = parts.v
+        v = build_hamiltonian(sys, cfg).v
+        blocks = eigensystem(sys, cfg)
     else:
         _require_hermitian(interaction, "interaction override")
         d_a, d_b = _bare_levels(sys, cfg)
         v = interaction
-        energies, vectors = np.linalg.eigh(np.diag(d_a + d_b) + v)
-    rho_b_t = partial_trace_a(_evolved(energies, vectors, t, w), cfg.n_a, cfg.n_b)
+        blocks = _eigh_sectors(_plus_diagonal(v, d_a + d_b))
+    rho_b_t = partial_trace_a(_evolved(blocks, t, w), cfg.n_a, cfg.n_b)
     # tr_b[V (I (x) rho_b)]_ij = sum_kl V_(ik),(jl) (rho_b)_lk
     return np.einsum("ikjl,lk->ij", v.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b_t)
 
@@ -597,6 +680,11 @@ def spectrum_match(
         raise TruncationError(
             f"k={k} reaches into the truncation-contaminated band (limit {cfg.dim // 4})"
         )
-    levels_a = np.linalg.eigvalsh(build_hamiltonian(sys_a, cfg).h)[:k]
-    levels_b = np.linalg.eigvalsh(build_hamiltonian(sys_b, cfg).h)[:k]
+    levels_a, levels_b = (_lowest_levels(build_hamiltonian(s, cfg).h, k) for s in (sys_a, sys_b))
     return float(np.abs(levels_a - levels_b).max())
+
+
+def _lowest_levels(h: Matrix, k: int) -> NDArray[np.float64]:
+    """The k lowest eigenvalues of h, merged from its sectors."""
+    levels = [np.linalg.eigvalsh(h[np.ix_(index, index)]) for index in sectors(h)]
+    return np.sort(np.concatenate(levels))[:k]

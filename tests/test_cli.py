@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsubthermo
 from qsubthermo import InteractionKind, OscillatorSystem, ThermalPreparation, heat_transfer
 from qsubthermo.cli import EXIT_SINGULAR, EXIT_TOLERANCE, EXIT_VALIDATION, main
 
@@ -149,6 +154,26 @@ class TestCompareCommand:
         code = main(["--out", str(out), "--kind", "rwa", "--beta-a", "1", "--beta-b", "2", "compare"])
         assert code == 0
         assert float(read_footer(out)[0].split(",")[1]) < 1e-9
+
+    def test_automatic_cutoffs_at_the_hotter_preparation(self, tmp_path):
+        # beta_a = 0.5 needs 56 levels per mode (dim 3136); the exchange
+        # coupling splits that into sectors of at most 56 states
+        out = tmp_path / "auto56.csv"
+        code = main(["--out", str(out), "--kind", "rwa", "--beta-a", "0.5", "--beta-b", "1", "compare"])
+        assert code == 0
+        assert float(read_footer(out)[0].split(",")[1]) < 1e-9
+
+    def test_closed_form_overflow_is_one_error_line(self, tmp_path):
+        # a fresh interpreter, so stderr is exactly what a user sees: the
+        # error line and no numpy overflow warning before it
+        argv = ["--out", str(tmp_path / "x.csv"), "--kind", "linear", "--g", "0.9", "--t-max", "10000",
+                "--fock-n", "12", "--tail-tol", "1e-2", "--beta-a", "1", "--beta-b", "2", "compare"]
+        src = str(Path(qsubthermo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "qsubthermo.cli", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_VALIDATION
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid configuration:"), proc.stderr
 
     def test_singular_coupling_exit_code(self, tmp_path):
         code = main(

@@ -66,7 +66,7 @@ class TestPropagatorAgainstHeisenbergOracle:
     def test_all_eight_coefficients(self, kind, g, t):
         sys_ = OscillatorSystem(1.0, 1.0, kind, g=g)
         cfg = CFG24
-        parts = eigensystem(sys_, cfg)[0]
+        parts = build_hamiltonian(sys_, cfg)
         a_t = heisenberg_matrix(
             np.kron(np.diag(np.sqrt(np.arange(1, cfg.n_a)), 1), np.eye(cfg.n_b)), t, sys_, cfg
         )
@@ -114,11 +114,19 @@ class TestHeatNumeric:
         # same kernels, across several blocks and a ragged last block
         sys_ = linear_system(g=0.3)
         times = np.linspace(0.0, 12.0, 301)
-        energies, k_a, k_b, q_a0, q_b0 = _heat_kernel(sys_, PREP, CFG24)
+        kernels, q_a0, q_b0 = _heat_kernel(sys_, PREP, CFG24)
+
+        def contract(t, which):
+            # the sector kernels one time at a time, summed over sectors
+            total = 0.0
+            for energies, *sector_kernels in kernels:
+                phases = np.exp(-1j * energies * t)
+                total += float(np.real(phases @ sector_kernels[which] @ phases.conj()))
+            return total
+
         for report, t in zip(heat_series_numeric(sys_, PREP, CFG24, times), times):
-            phases = np.exp(-1j * energies * t)
-            dq_a = float(np.real(phases @ k_a @ phases.conj())) - q_a0
-            dq_b = float(np.real(phases @ k_b @ phases.conj())) - q_b0
+            dq_a = contract(t, 0) - q_a0
+            dq_b = contract(t, 1) - q_b0
             assert report.t == t
             assert report.dq_a == pytest.approx(dq_a, rel=1e-12, abs=1e-12)
             assert report.dq_b == pytest.approx(dq_b, rel=1e-12, abs=1e-12)
@@ -186,7 +194,8 @@ def test_oracle_matches_analytic_heats(kind, n, g, times):
             for got, want in ((oracle.dq_a, analytic.dq_a), (oracle.dq_b, analytic.dq_b)):
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (kind, g, t)
     finally:
-        # dim-2304 eigensystems are ~0.5 GB apiece; keep the peak bounded
+        # a dim-2304 linear eigensystem holds two 1152 x 1152 sector bases
+        # (about 40 MB), and its heat kernel twice that; keep the peak bounded
         eigensystem.cache_clear()
         _heat_kernel.cache_clear()
 
@@ -239,7 +248,7 @@ class TestClassicalAverage:
     def test_initial_projections_recover_starting_energies(self):
         sys_ = linear_system()
         w = thermal_product_state(sys_, PREP, CFG24)
-        parts = eigensystem(sys_, CFG24)[0]
+        parts = build_hamiltonian(sys_, CFG24)
         expected_a = float(np.real(np.diag(parts.h_a)) @ w)
         expected_b = float(np.real(np.diag(parts.h_b)) @ w)
         got_a = classical_average(lambda ea0, eb0, ea1, eb1: ea0 + 0 * (eb0 + ea1 + eb1), 2.0, sys_, PREP, CFG24)
@@ -252,7 +261,7 @@ class TestClassicalAverage:
         t = 2.0
         report = heat_changes_numeric(sys_, PREP, CFG24, t)
         w = thermal_product_state(sys_, PREP, CFG24)
-        parts = eigensystem(sys_, CFG24)[0]
+        parts = build_hamiltonian(sys_, CFG24)
         start_a = float(np.real(np.diag(parts.h_a)) @ w)
         got = classical_average(lambda ea0, eb0, ea1, eb1: ea1 + 0 * (ea0 + eb0 + eb1), t, sys_, PREP, CFG24)
         assert got == pytest.approx(start_a + report.dq_a, abs=1e-10)
