@@ -9,12 +9,8 @@ free-entropy forms of the second law.
 from .analytic import (
     HeatReport,
     PropagatorCoefficients,
-    free_coefficients,
-    heat_changes,
     heat_transfer,
-    linear_coefficients,
     propagator_coefficients,
-    rwa_coefficients,
     thermal_occupation,
     time_averaged_heat,
 )
@@ -86,11 +82,7 @@ __all__ = [
     "PropagatorCoefficients",
     "HeatReport",
     "thermal_occupation",
-    "rwa_coefficients",
-    "linear_coefficients",
-    "free_coefficients",
     "propagator_coefficients",
-    "heat_changes",
     "heat_transfer",
     "time_averaged_heat",
     "adaptive_simpson",

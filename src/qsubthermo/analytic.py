@@ -21,12 +21,13 @@ linear in the |c_i|^2,
     dQ_a = omega_a [ (|f_a|^2 + |g_a|^2 - 1) X_a + (|f_b|^2 + |g_b|^2) X_b
                      + |g_a|^2 + |g_b|^2 ]
 
-(and symmetrically for dQ_b), dQ_ab = dQ_b - dQ_a and dS0 = beta_a dQ_a +
-beta_b dQ_b.  A window average over [0, tau] is the same bookkeeping applied
-to <c_i conj(c_j)>_tau = sum_kl A_ik phi((mu_k + conj(mu_l)) tau) conj(A_jl),
-phi(z) = expm1(z)/z and phi(0) = 1: exact, with no quadrature.  Times and
-windows may be scalars, which give Python numbers, or 1-D arrays, which give
-arrays.
+(and symmetrically for dQ_b), dQ_ab = dQ_b - dQ_a (evaluated as
+omega_a (X_a - X_b) K, free of that difference's cancellation; see ``_report``)
+and dS0 = beta_a dQ_a + beta_b dQ_b.  A window average over [0, tau] is the
+same bookkeeping applied to <c_i conj(c_j)>_tau = sum_kl A_ik phi((mu_k +
+conj(mu_l)) tau) conj(A_jl), phi(z) = expm1(z)/z and phi(0) = 1: exact, with
+no quadrature.  Times and windows may be scalars, which give Python numbers,
+or 1-D arrays, which give arrays.
 """
 
 from __future__ import annotations
@@ -51,16 +52,10 @@ __all__ = [
     "PropagatorCoefficients",
     "HeatReport",
     "thermal_occupation",
-    "rwa_coefficients",
-    "linear_coefficients",
-    "free_coefficients",
     "propagator_coefficients",
-    "heat_changes",
     "heat_transfer",
     "time_averaged_heat",
 ]
-
-_FIELDS = ("f_a", "g_a", "f_b", "g_b", "p_a", "q_a", "p_b", "q_b")
 
 
 def thermal_occupation(beta: float, omega: float) -> float:
@@ -206,7 +201,8 @@ _TERMS = {
 def _table(sys: OscillatorSystem):
     """(mu, A, G), read-only: nine K x K forms G_p with
     Re sum_jk G_pjk exp((mu_j + conj(mu_k)) t) equal to the eight |c_i|^2 in
-    ``_FIELDS`` order and K - 1 = (|g_b|^2 - |g_a|^2) - (|f_a|^2 - |f_b|^2).
+    ``PropagatorCoefficients`` field order and
+    K - 1 = (|g_b|^2 - |g_a|^2) - (|f_a|^2 - |f_b|^2).
     K - 1 is built from the products (g_b - i g_a) conj(g_b + i g_a) and
     (f_a - i f_b) conj(f_a + i f_b); on the table, where the hybrid-mode
     columns separate exactly, it carries none of the cancellation of the
@@ -228,8 +224,10 @@ def _table(sys: OscillatorSystem):
     return mu, amp, forms
 
 
-def _evaluate(mu, amp, t) -> PropagatorCoefficients:
-    """c_i(t) = sum_k A_ik exp(mu_k t) for a scalar time or a 1-D array of times."""
+def propagator_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
+    """The eight coefficients c_i(t) = sum_k A_ik exp(mu_k t) of this kind's
+    table, at a scalar time or over a 1-D array of times."""
+    mu, amp, _ = _table(sys)
     times = _checked(t, "time")
     with np.errstate(over="ignore"):  # _finite reports overflow as a ModelError
         values = np.einsum("...k,ik->...i", np.exp(np.multiply.outer(times, mu)), amp)
@@ -239,81 +237,24 @@ def _evaluate(mu, amp, t) -> PropagatorCoefficients:
     return PropagatorCoefficients(times, *values.T)
 
 
-def _require_kind(sys: OscillatorSystem, kind: InteractionKind, who: str) -> None:
-    if sys.kind is not kind:
-        raise ModelError(f"{who} needs kind={kind.value}, got {sys.kind.value}")
+def _report(t, products, prep: ThermalPreparation, sys: OscillatorSystem) -> HeatReport:
+    """Heat report from the nine ``_table`` forms evaluated, pointwise or as window means.
 
-
-def rwa_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
-    """Excitation-swap solution for the number-conserving coupling, on resonance.
-
-    a(t) = exp(-i omega t)(a cos gt - b sin gt), b(t) likewise with the roles
-    exchanged; no conjugate (squeezing) amplitudes appear.
+    The first eight are the |c_i|^2 in ``PropagatorCoefficients`` field order;
+    the ninth is K - 1, with K = 1 + |f_b|^2 + |g_b|^2 - |f_a|^2 - |g_a|^2, and
+    dQ_ab = omega_a (X_a - X_b) K.  That holds for every kind with a table (on
+    resonance the couplings are mode-symmetric; free evolution has K = 0) and
+    avoids the cancellation of dQ_b - dQ_a where the heats grow.
     """
-    _require_kind(sys, InteractionKind.RWA, "rwa_coefficients")
-    return propagator_coefficients(sys, t)
-
-
-def linear_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
-    """Propagator for the full linear coupling i g (a^dag + a)(b^dag - b), on resonance.
-
-    Solved through the hybrid modes u = (a + i b)/sqrt(2) at
-    nu_soft = sqrt(omega^2 - 2 omega g) and v = (b + i a)/sqrt(2) at
-    nu_stiff = sqrt(omega^2 + 2 omega g); g = omega/2 is singular.
-    """
-    _require_kind(sys, InteractionKind.LINEAR, "linear_coefficients")
-    return propagator_coefficients(sys, t)
-
-
-def free_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
-    """Uncoupled evolution: each mode just rotates at its own frequency."""
-    return _evaluate(*_free_terms(sys), t)
-
-
-def propagator_coefficients(sys: OscillatorSystem, t: float) -> PropagatorCoefficients:
-    """The closed form for this interaction kind."""
-    mu, amp, _ = _table(sys)
-    return _evaluate(mu, amp, t)
-
-
-def _report(t, squares, prep: ThermalPreparation, sys: OscillatorSystem, k=None) -> HeatReport:
-    """Heat report from the eight |c_i|^2 in ``_FIELDS`` order, pointwise or window means.
-
-    Without k, dQ_ab = dQ_b - dQ_a.  With k = K = 1 + |f_b|^2 + |g_b|^2 -
-    |f_a|^2 - |g_a|^2 from ``_table``, dQ_ab = omega_a (X_a - X_b) K, which holds
-    for every kind with a table (on resonance the couplings are mode-symmetric;
-    free evolution has K = 0) and avoids the cancellation of dQ_b - dQ_a where
-    the heats grow.
-    """
-    f_a, g_a, f_b, g_b, p_a, q_a, p_b, q_b = _finite(squares, "time or window")
+    f_a, g_a, f_b, g_b, p_a, q_a, p_b, q_b, k_minus_1 = _finite(products, "time or window")
     x_a = thermal_occupation(prep.beta_a, sys.omega_a)
     x_b = thermal_occupation(prep.beta_b, sys.omega_b)
     dq_a = sys.omega_a * ((f_a + g_a - 1.0) * x_a + (f_b + g_b) * x_b + g_a + g_b)
     dq_b = sys.omega_b * ((p_b + q_b - 1.0) * x_b + (p_a + q_a) * x_a + q_a + q_b)
-    dq_ab = None if k is None else sys.omega_a * (x_a - x_b) * k
+    dq_ab = sys.omega_a * (x_a - x_b) * (1.0 + k_minus_1)
     if np.ndim(t) == 0:
-        dq_a, dq_b = float(dq_a), float(dq_b)
-        dq_ab = None if dq_ab is None else float(dq_ab)
+        dq_a, dq_b, dq_ab = float(dq_a), float(dq_b), float(dq_ab)
     return HeatReport.from_heats(t, dq_a, dq_b, prep, sys, dq_ab=dq_ab)
-
-
-def _table_report(t, products, prep: ThermalPreparation, sys: OscillatorSystem) -> HeatReport:
-    """Heat report from the nine ``_table`` forms evaluated (pointwise or window means)."""
-    return _report(t, products[:8], prep, sys, k=1.0 + products[8])
-
-
-def heat_changes(
-    coeffs: PropagatorCoefficients,
-    prep: ThermalPreparation,
-    sys: OscillatorSystem,
-) -> HeatReport:
-    """Heat absorbed by each oscillator since t=0, for a product thermal start.
-
-    Callers are expected to pass coefficients that satisfy the commutator
-    invariants (any output of the builders above does).
-    """
-    squares = [abs(getattr(coeffs, name)) ** 2 for name in _FIELDS]
-    return _report(coeffs.t, np.array(squares), prep, sys)
 
 
 def heat_transfer(t: float, sys: OscillatorSystem, prep: ThermalPreparation) -> HeatReport:
@@ -323,7 +264,7 @@ def heat_transfer(t: float, sys: OscillatorSystem, prep: ThermalPreparation) -> 
     with np.errstate(over="ignore"):  # _report's _finite raises ModelError instead
         e = np.exp(np.multiply.outer(times, mu))
     products = np.einsum("...j,pjk,...k->p...", e, forms, e.conj()).real
-    return _table_report(t if times.ndim == 0 else times, products, prep, sys)
+    return _report(t if times.ndim == 0 else times, products, prep, sys)
 
 
 def time_averaged_heat(sys: OscillatorSystem, prep: ThermalPreparation, tau: float) -> float:
@@ -339,4 +280,4 @@ def time_averaged_heat(sys: OscillatorSystem, prep: ThermalPreparation, tau: flo
     phi = np.ones_like(z)
     np.divide(np.expm1(z), z, out=phi, where=z != 0)
     products = np.einsum("pjk,...jk->p...", forms, phi).real
-    return _table_report(tau if taus.ndim == 0 else taus, products, prep, sys).dq_ab
+    return _report(tau if taus.ndim == 0 else taus, products, prep, sys).dq_ab

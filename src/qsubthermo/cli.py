@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .analytic import heat_transfer, time_averaged_heat
 from .diagnostics import Classification, decomposition_audit, scan_violations
-from .fock import FockConfig, heat_series_numeric
+from .fock import TAIL_TOL_DEFAULT, FockConfig, heat_series_numeric
 from .model import (
     InteractionKind,
     ModelError,
@@ -37,6 +37,10 @@ EXIT_TOLERANCE = 4
 # units where omega = 1, which reproduces beta_b - beta_a = 0.01.
 TEMP_HOT = 100.0
 TEMP_COLD = 50.0
+
+# Inverse temperatures of ``compare`` without temperature flags: T = 100/50
+# needs 2764 levels per mode, beta = (1, 2) gets 28 for the default coupling.
+COMPARE_BETAS = (1.0, 2.0)
 
 # Levels per mode of ``audit`` without --fock-n.  The commutator norms do not
 # depend on the temperatures, so the cutoff is not sized from a thermal tail.
@@ -98,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, help="grid points (default 1000)")
     parser.add_argument("--tau-threshold", type=float, help="transient/persistent window split")
     parser.add_argument("--fock-n", type=int, help="Fock levels per mode (default: automatic)")
-    parser.add_argument("--tail-tol", type=float, help="thermal tail tolerance (default 1e-12)")
+    parser.add_argument("--tail-tol", type=float, help=f"thermal tail tolerance (default {TAIL_TOL_DEFAULT:g})")
     parser.add_argument("--out", type=Path, help="output path (default stdout)")
 
     commands = parser.add_subparsers(dest="command", required=True)
     fig = commands.add_parser("figure", help="reproduce one of the five preset curves as CSV")
     fig.add_argument("number", type=int, choices=range(1, 6))
-    comp = commands.add_parser("compare", help="analytic vs Fock-oracle heat curves")
+    comp = commands.add_parser("compare", help="analytic vs Fock-oracle heat curves (default beta = 1, 2)")
     comp.add_argument("--tol", type=float, default=1e-6, help="max relative deviation allowed")
     commands.add_parser("audit", help="commutator norms of the decomposition")
     sweep = commands.add_parser("sweep", help="violation classification over a (g, dbeta) grid")
@@ -175,7 +179,7 @@ def _system(args: argparse.Namespace) -> OscillatorSystem:
 
 
 def _fock_config(args: argparse.Namespace, sys_: OscillatorSystem, prep: ThermalPreparation) -> FockConfig:
-    tail_tol = args.tail_tol if args.tail_tol is not None else 1e-12
+    tail_tol = args.tail_tol if args.tail_tol is not None else TAIL_TOL_DEFAULT
     if args.fock_n is not None:
         return FockConfig(args.fock_n, args.fock_n, tail_tol=tail_tol)
     return FockConfig.auto(sys_, prep, tail_tol=tail_tol)
@@ -227,6 +231,8 @@ def run_figure(args: argparse.Namespace) -> int:
 
 
 def run_compare(args: argparse.Namespace) -> int:
+    if all(getattr(args, key) is None for key in ("beta_a", "beta_b", "temp_a", "temp_b")):
+        args.beta_a, args.beta_b = COMPARE_BETAS
     sys_ = _system(args)
     prep = _preparation(args)
     cfg = _fock_config(args, sys_, prep)

@@ -19,6 +19,7 @@ import numpy as np
 from .analytic import heat_transfer, time_averaged_heat
 from .fock import FockConfig, build_hamiltonian, sectors
 from .model import (
+    VIOLATION_TOL_SCALE,
     ModelError,
     OscillatorSystem,
     ThermalPreparation,
@@ -35,14 +36,17 @@ __all__ = [
     "decomposition_audit",
 ]
 
-#: Wrong-sign transfer below this (times omega) is floating-point noise, not a violation.
-VIOLATION_TOL_SCALE = 1e-12
-
 #: Averages are wrong-signed only beyond this absolute size.
 AVERAGE_TOL = 1e-9
 
 #: Longest averaging window the transient/persistent call considers (times 1/omega).
 TAU_HORIZON_CYCLES = 50.0
+
+#: Averaging windows the transient/persistent call checks, from tau_threshold to the horizon.
+TAU_WINDOWS = 32
+
+#: Commutator norms below this make a decomposition csl_safe.
+COMMUTATOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,9 @@ def csl_check(
     omega: float = 1.0,
 ) -> CslVerdict:
     """Clausius verdict for a single transfer value."""
-    tol = VIOLATION_TOL_SCALE * omega
     direction = float(np.sign(prep.beta_b - prep.beta_a))
-    compliant = csl_compliant(dq_ab, prep, omega=omega, tol_scale=VIOLATION_TOL_SCALE)
-    anomaly = direction == 0.0 and abs(dq_ab) > tol
+    compliant = csl_compliant(dq_ab, prep, omega=omega)
+    anomaly = direction == 0.0 and abs(dq_ab) > VIOLATION_TOL_SCALE * omega
     return CslVerdict(
         t=t,
         dq_ab=dq_ab,
@@ -103,7 +106,6 @@ def scan_violations(
     t_max: float,
     n_samples: int,
     tau_threshold: float | None = None,
-    n_tau: int = 32,
 ) -> ViolationProfile:
     """Evaluate dQ_ab on a uniform grid and classify any sign violations.
 
@@ -119,15 +121,13 @@ def scan_violations(
     if tau_threshold is None:
         tau_threshold = 3.0 / omega
     grid = np.linspace(0.0, t_max, n_samples)
-    compliant = csl_compliant(
-        heat_transfer(grid, sys, prep).dq_ab, prep, omega=omega, tol_scale=VIOLATION_TOL_SCALE
-    )
+    compliant = csl_compliant(heat_transfer(grid, sys, prep).dq_ab, prep, omega=omega)
     violations = tuple(grid[~compliant].tolist())
     if not violations:
         classification = Classification.NONE
     else:
         direction = np.sign(prep.beta_b - prep.beta_a)
-        taus = np.linspace(tau_threshold, TAU_HORIZON_CYCLES / omega, n_tau)
+        taus = np.linspace(tau_threshold, TAU_HORIZON_CYCLES / omega, TAU_WINDOWS)
         averages = time_averaged_heat(sys, prep, taus)
         persistent = np.any((np.abs(averages) > AVERAGE_TOL) & (np.sign(averages) != direction))
         classification = Classification.PERSISTENT if persistent else Classification.TRANSIENT
@@ -149,9 +149,7 @@ class DecompositionAudit:
     csl_safe: bool
 
 
-def decomposition_audit(
-    sys: OscillatorSystem, cfg: FockConfig, tol: float = 1e-10
-) -> DecompositionAudit:
+def decomposition_audit(sys: OscillatorSystem, cfg: FockConfig) -> DecompositionAudit:
     """Measure [H0, V], [H, V] and [H0, H] on the Fock oracle.
 
     With H = H0 + V the three commutators are equal as operators, so the norms
@@ -176,5 +174,5 @@ def decomposition_audit(
         norm_h0v=norm_h0v,
         norm_hv=norm_hv,
         norm_h0h=norm_h0h,
-        csl_safe=max(norm_h0v, norm_hv, norm_h0h) < tol,
+        csl_safe=max(norm_h0v, norm_hv, norm_h0h) < COMMUTATOR_TOL,
     )

@@ -47,10 +47,7 @@ __all__ = [
     "TrueHeatReport",
     "destroy",
     "build_hamiltonian",
-    "sectors",
     "thermal_state",
-    "thermal_weights",
-    "unitary_at",
     "heat_changes_numeric",
     "heat_series_numeric",
     "bare_amplitudes",
@@ -71,7 +68,7 @@ __all__ = [
 
 Matrix = NDArray[np.complex128]
 
-_TAIL_TOL_DEFAULT = 1e-12
+TAIL_TOL_DEFAULT = 1e-12
 _DIM_CAP = 64
 
 # Times evaluated per GEMM in a heat series: bounds the (block x sector size)
@@ -85,7 +82,7 @@ class FockConfig:
 
     n_a: int
     n_b: int
-    tail_tol: float = _TAIL_TOL_DEFAULT
+    tail_tol: float = TAIL_TOL_DEFAULT
 
     def __post_init__(self) -> None:
         if self.n_a < 2 or self.n_b < 2:
@@ -102,7 +99,7 @@ class FockConfig:
         cls,
         sys: OscillatorSystem,
         prep: ThermalPreparation,
-        tail_tol: float = _TAIL_TOL_DEFAULT,
+        tail_tol: float = TAIL_TOL_DEFAULT,
     ) -> "FockConfig":
         """Smallest common cutoff whose initial thermal tails stay below tail_tol.
 
@@ -285,6 +282,8 @@ def thermal_product_state(sys: OscillatorSystem, prep: ThermalPreparation, cfg: 
 
 
 def _require_hermitian(mat: Matrix, what: str, atol: float = 1e-12) -> None:
+    if not np.isfinite(mat).all():  # NaN would pass the comparison below
+        raise ModelError(f"{what} must be finite")
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
     if np.abs(mat - mat.conj().T).max(initial=0.0) > atol * scale:
         raise ModelError(f"{what} must be Hermitian")
@@ -435,6 +434,27 @@ def bare_amplitudes(
     )
 
 
+def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
+    """(P, W): P[p, q, n, m] = |<p_a, q_b| U(t) |n_a, m_b>|^2 and the initial
+    thermal weights W[n, m], taken first because they hold the truncation check."""
+    w = thermal_product_state(sys, prep, cfg).reshape(cfg.n_a, cfg.n_b)
+    return np.abs(bare_amplitudes(t, sys, cfg).amplitudes) ** 2, w
+
+
+def _average(f, probs, w, sys: OscillatorSystem) -> float:
+    """sum_pqnm W[n, m] P[p, q, n, m] f(E_a(n), E_b(m), E_a(p), E_b(q)) over the bare levels."""
+    e_a, e_b = sys.omega_a * np.arange(w.shape[0]), sys.omega_b * np.arange(w.shape[1])
+    initial = e_a[None, None, :, None], e_b[None, None, None, :]
+    values = f(*initial, e_a[:, None, None, None], e_b[None, :, None, None])
+    return float(np.einsum("pqnm,nm->", probs * values, w).real)
+
+
+def _jarzynski(probs, w) -> float:
+    # weight * exp(f) = exp(-beta_a w'_a) / Z_a * exp(-beta_b w'_b) / Z_b: the
+    # thermal weights of the final level (p, q).
+    return float(np.einsum("pqnm,pq->", probs, w))
+
+
 def classical_average(
     f: Callable[..., NDArray[np.float64]],
     t: float,
@@ -448,19 +468,7 @@ def classical_average(
     final a-energy, final b-energy) of the bare levels n*omega and must return
     an array of the broadcast shape (p, q, n, m).
     """
-    w_a = thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol)
-    w_b = thermal_weights(prep.beta_b, sys.omega_b, cfg.n_b, cfg.tail_tol)
-    probs = np.abs(bare_amplitudes(t, sys, cfg).amplitudes) ** 2
-    e_a = sys.omega_a * np.arange(cfg.n_a)
-    e_b = sys.omega_b * np.arange(cfg.n_b)
-    values = f(
-        e_a[None, None, :, None],
-        e_b[None, None, None, :],
-        e_a[:, None, None, None],
-        e_b[None, :, None, None],
-    )
-    weighted = probs * values
-    return float(np.einsum("pqnm,n,m->", weighted, w_a, w_b).real)
+    return _average(f, *_transitions(t, sys, prep, cfg), sys)
 
 
 def jarzynski_identity(
@@ -471,12 +479,7 @@ def jarzynski_identity(
     The thermal weights are folded into the exponent before exponentiating, so
     deep-cold preparations cannot overflow.
     """
-    w_a = thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol)
-    w_b = thermal_weights(prep.beta_b, sys.omega_b, cfg.n_b, cfg.tail_tol)
-    probs = np.abs(bare_amplitudes(t, sys, cfg).amplitudes) ** 2
-    # weight * exp(f) = exp(-beta_a w'_a) / Z_a * exp(-beta_b w'_b) / Z_b: the
-    # thermal weights of the final level (p, q).
-    return float(np.einsum("pqnm,p,q->", probs, w_a, w_b))
+    return _jarzynski(*_transitions(t, sys, prep, cfg))
 
 
 def jensen_bound(
@@ -484,12 +487,10 @@ def jensen_bound(
 ) -> tuple[float, float]:
     """(exp(E[f]), E[exp f]) for the entropy exponent f; the first never exceeds
     the second, which is the free-entropy second law in disguise."""
-
-    def exponent(ea0, eb0, ea1, eb1):
-        return prep.beta_a * (ea0 - ea1) + prep.beta_b * (eb0 - eb1)
-
-    mean_f = classical_average(exponent, t, sys, prep, cfg)
-    return math.exp(mean_f), jarzynski_identity(t, sys, prep, cfg)
+    probs, w = _transitions(t, sys, prep, cfg)
+    beta_a, beta_b = prep.beta_a, prep.beta_b
+    mean_f = _average(lambda ea0, eb0, ea1, eb1: beta_a * (ea0 - ea1) + beta_b * (eb0 - eb1), probs, w, sys)
+    return math.exp(mean_f), _jarzynski(probs, w)
 
 
 def partial_trace_b(mat: Matrix, n_a: int, n_b: int) -> Matrix:
@@ -509,11 +510,15 @@ def _density_eigs(rho: Matrix, what: str, floor: float = -1e-10):
     return values, vectors
 
 
+def _shannon(p) -> float:
+    """-sum p ln p over the positive entries, so 0 ln 0 = 0."""
+    positive = p[p > 0.0]
+    return -float(positive @ np.log(positive))
+
+
 def von_neumann_entropy(rho: Matrix) -> float:
     """-tr(rho ln rho) with 0 ln 0 = 0; rejects meaningfully negative eigenvalues."""
-    values, _ = _density_eigs(rho, "density matrix")
-    positive = values[values > 0.0]
-    return float(-(positive * np.log(positive)).sum())
+    return _shannon(_density_eigs(rho, "density matrix")[0])
 
 
 # Any genuinely occupied thermal direction representable in double precision
@@ -539,10 +544,8 @@ def relative_entropy(rho: Matrix, sigma: Matrix) -> float:
         raise PositivityError(
             f"first argument has mass {outside.sum():.3g} outside the support of the second"
         )
-    positive = rho_vals[rho_vals > 0.0]
-    tr_rho_ln_rho = float((positive * np.log(positive)).sum())
     tr_rho_ln_sigma = float(masses @ np.log(np.maximum(sig_vals, _LOG_CLAMP)))
-    return tr_rho_ln_rho - tr_rho_ln_sigma
+    return -_shannon(rho_vals) - tr_rho_ln_sigma
 
 
 @dataclass(frozen=True)
@@ -567,10 +570,9 @@ def entropy_production(
     eigenvalue products (below ~1e-30) in eigensolver noise.
     """
     rho_t = _state_at(t, sys, prep, cfg)
-    rho_a_t = partial_trace_b(rho_t, cfg.n_a, cfg.n_b)
-    rho_a_0 = thermal_state(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol)
-    s_a_t = von_neumann_entropy(rho_a_t)
-    ds_a = s_a_t - von_neumann_entropy(rho_a_0)
+    s_a_t = von_neumann_entropy(partial_trace_b(rho_t, cfg.n_a, cfg.n_b))
+    # rho_a(0) is diagonal in the number basis: its entropy is that of its weights.
+    ds_a = s_a_t - _shannon(thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol))
     # tr(rho(t) [ln rho_a(t) (x) I]) = -S(rho_a(t)); the mode-b term uses
     # ln w_b = -beta_b E_n - ln Z_b exactly, no clamping required.
     log_w_b = -prep.beta_b * sys.omega_b * np.arange(cfg.n_b)
@@ -578,9 +580,7 @@ def entropy_production(
     rho_b_t_diag = np.real(np.diag(partial_trace_a(rho_t, cfg.n_a, cfg.n_b)))
     tr_rho_ln_sigma = -s_a_t + float(log_w_b @ rho_b_t_diag)
     # Unitary evolution keeps the spectrum: S(rho(t)) = S(rho(0)) = -sum w ln w.
-    w = thermal_product_state(sys, prep, cfg)
-    w = w[w > 0.0]
-    ds_i_a = float(w @ np.log(w)) - tr_rho_ln_sigma
+    ds_i_a = -_shannon(thermal_product_state(sys, prep, cfg)) - tr_rho_ln_sigma
     ds_e_a = -prep.beta_b * heat_changes_numeric(sys, prep, cfg, t).dq_b
     return EntropyProduction(ds_a=ds_a, ds_i_a=ds_i_a, ds_e_a=ds_e_a)
 

@@ -15,6 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "InteractionKind",
+    "OscillatorSystem",
+    "ThermalPreparation",
+    "ModelError",
+    "OffResonanceError",
+    "SingularCouplingError",
+    "TruncationError",
+    "PositivityError",
+    "csl_compliant",
+    "free_entropy_change",
+]
+
 
 class ModelError(ValueError):
     """Invalid physical parameters or an unsupported configuration."""
@@ -132,17 +145,17 @@ def free_entropy_change(dq_a: float, dq_b: float, prep: ThermalPreparation) -> f
     return prep.beta_a * dq_a + prep.beta_b * dq_b
 
 
-def csl_compliant(
-    dq_ab: float,
-    prep: ThermalPreparation,
-    omega: float = 1.0,
-    tol_scale: float = 1e-12,
-) -> bool:
+#: Transfer within this (times omega) of zero is compliant: it absorbs exact
+#: sin^2-type zeros and floating-point noise, which are not violations.
+VIOLATION_TOL_SCALE = 1e-12
+
+
+def csl_compliant(dq_ab: float, prep: ThermalPreparation, omega: float = 1.0) -> bool:
     """Clausius sign test: heat must not flow from the cooler to the hotter oscillator.
 
-    Zero transfer (within tol_scale*omega, to absorb exact sin^2-type zeros) is
-    compliant: the law forbids wrong-sign transfer, not the absence of transfer.
-    An array of transfers gives an array of verdicts.
+    Zero transfer (within VIOLATION_TOL_SCALE * omega) is compliant: the law
+    forbids wrong-sign transfer, not the absence of transfer.  An array of
+    transfers gives an array of verdicts.
     """
-    ok = (np.abs(dq_ab) <= tol_scale * omega) | (np.sign(dq_ab) == np.sign(prep.beta_b - prep.beta_a))
+    ok = (np.abs(dq_ab) <= VIOLATION_TOL_SCALE * omega) | (np.sign(dq_ab) == np.sign(prep.beta_b - prep.beta_a))
     return ok if np.ndim(ok) else bool(ok)

@@ -6,18 +6,15 @@ import pytest
 
 from conftest import linear_system, rwa_system
 from qsubthermo import (
+    HeatReport,
     InteractionKind,
     ModelError,
     OffResonanceError,
     OscillatorSystem,
     SingularCouplingError,
     ThermalPreparation,
-    free_coefficients,
-    heat_changes,
     heat_transfer,
-    linear_coefficients,
     propagator_coefficients,
-    rwa_coefficients,
     thermal_occupation,
     time_averaged_heat,
 )
@@ -53,7 +50,7 @@ class TestThermalOccupation:
 
 class TestRwaCoefficients:
     def test_identity_at_t0(self):
-        c = rwa_coefficients(rwa_system(), 0.0)
+        c = propagator_coefficients(rwa_system(), 0.0)
         assert c.f_a == 1.0 and c.p_b == 1.0
         assert c.f_b == 0.0 and c.p_a == 0.0
         assert c.g_a == c.g_b == c.q_a == c.q_b == 0.0
@@ -61,26 +58,26 @@ class TestRwaCoefficients:
     def test_full_swap_at_quarter_beat(self):
         g = 0.1
         t = math.pi / (2.0 * g)
-        c = rwa_coefficients(rwa_system(g=g), t)
+        c = propagator_coefficients(rwa_system(g=g), t)
         assert abs(c.f_a) < 1e-12 and abs(c.p_b) < 1e-12
         assert abs(c.f_b) == pytest.approx(1.0, abs=1e-12)
         assert abs(c.p_a) == pytest.approx(1.0, abs=1e-12)
 
     def test_free_evolution_at_zero_coupling(self):
         t = 2.3
-        c = rwa_coefficients(rwa_system(g=0.0), t)
+        c = propagator_coefficients(rwa_system(g=0.0), t)
         assert c.f_a == pytest.approx(np.exp(-1j * t), abs=1e-15)
         assert c.p_b == pytest.approx(np.exp(-1j * t), abs=1e-15)
         assert c.f_b == 0.0 and c.p_a == 0.0
 
     def test_rejects_off_resonance(self):
         with pytest.raises(OffResonanceError):
-            rwa_coefficients(OscillatorSystem(1.0, 1.2, InteractionKind.RWA, g=0.1), 1.0)
+            propagator_coefficients(OscillatorSystem(1.0, 1.2, InteractionKind.RWA, g=0.1), 1.0)
 
 
 class TestLinearCoefficients:
     def test_identity_at_t0(self):
-        c = linear_coefficients(linear_system(), 0.0)
+        c = propagator_coefficients(linear_system(), 0.0)
         assert c.f_a == pytest.approx(1.0, abs=1e-15)
         assert c.p_b == pytest.approx(1.0, abs=1e-15)
         for value in (c.g_a, c.f_b, c.g_b, c.p_a, c.q_a, c.q_b):
@@ -88,7 +85,7 @@ class TestLinearCoefficients:
 
     def test_decoupled_limit_is_free_evolution(self):
         t = 3.7
-        c = linear_coefficients(linear_system(g=0.0), t)
+        c = propagator_coefficients(linear_system(g=0.0), t)
         assert c.f_a == pytest.approx(np.exp(-1j * t), abs=1e-14)
         assert c.p_b == pytest.approx(np.exp(-1j * t), abs=1e-14)
         for value in (c.g_a, c.f_b, c.g_b, c.p_a, c.q_a, c.q_b):
@@ -97,23 +94,23 @@ class TestLinearCoefficients:
     def test_continuity_towards_zero_coupling(self):
         # pointwise convergence to the free propagator as g -> 0
         for t in (0.5, 2.0, 10.0):
-            tiny = linear_coefficients(linear_system(g=1e-8), t)
-            free = free_coefficients(OscillatorSystem(1.0, 1.0, InteractionKind.NONE), t)
+            tiny = propagator_coefficients(linear_system(g=1e-8), t)
+            free = propagator_coefficients(OscillatorSystem(1.0, 1.0, InteractionKind.NONE), t)
             for name in ("f_a", "g_a", "f_b", "g_b", "p_a", "q_a", "p_b", "q_b"):
                 assert abs(getattr(tiny, name) - getattr(free, name)) < 1e-6
 
     def test_singular_coupling_rejected(self):
         with pytest.raises(SingularCouplingError):
-            linear_coefficients(linear_system(g=0.5), 1.0)
+            propagator_coefficients(linear_system(g=0.5), 1.0)
 
     def test_rejects_off_resonance(self):
         with pytest.raises(OffResonanceError):
-            linear_coefficients(OscillatorSystem(1.0, 1.1, InteractionKind.LINEAR, g=0.1), 1.0)
+            propagator_coefficients(OscillatorSystem(1.0, 1.1, InteractionKind.LINEAR, g=0.1), 1.0)
 
     def test_small_time_expansion(self):
         # a(t) ~ a(1 - i w t) + g t (b^dag - b) to first order
         g, t = 0.3, 1e-5
-        c = linear_coefficients(linear_system(g=g), t)
+        c = propagator_coefficients(linear_system(g=g), t)
         assert c.f_b == pytest.approx(-g * t, abs=1e-9)
         assert c.g_b == pytest.approx(g * t, abs=1e-9)
         assert c.p_a == pytest.approx(g * t, abs=1e-9)
@@ -161,7 +158,7 @@ class TestHeatChanges:
         x_a = thermal_occupation(PREP.beta_a, 1.0)
         x_b = thermal_occupation(PREP.beta_b, 1.0)
         for t in np.linspace(0.0, 40.0, 101):
-            report = heat_changes(rwa_coefficients(sys_, float(t)), PREP, sys_)
+            report = heat_transfer(float(t), sys_, PREP)
             expected = 2.0 * (x_a - x_b) * math.sin(0.1 * t) ** 2
             assert report.dq_ab == pytest.approx(expected, abs=1e-12)
             assert report.dq_a == pytest.approx(-report.dq_b, abs=1e-12)
@@ -176,7 +173,8 @@ class TestHeatChanges:
 
     def test_report_wiring(self):
         sys_ = linear_system()
-        report = heat_changes(linear_coefficients(sys_, 2.0), PREP, sys_)
+        heats = heat_transfer(2.0, sys_, PREP)
+        report = HeatReport.from_heats(2.0, heats.dq_a, heats.dq_b, PREP, sys_)
         assert report.dq_ab == report.dq_b - report.dq_a
         assert report.ds0 == pytest.approx(
             PREP.beta_a * report.dq_a + PREP.beta_b * report.dq_b, abs=1e-15

@@ -163,6 +163,15 @@ class TestCompareCommand:
         assert code == 0
         assert float(read_footer(out)[0].split(",")[1]) < 1e-9
 
+    def test_bare_compare_runs_at_the_default_betas(self, tmp_path):
+        # T = 100/50, the figure preset, needs 2764 levels per mode; without
+        # temperature flags compare runs at beta = (1, 2) and 28 levels instead
+        out = tmp_path / "bare.csv"
+        assert main(["--out", str(out), "compare"]) == 0
+        header, rows = read_csv(out)
+        assert header[0] == "t" and len(rows) == 81
+        assert float(read_footer(out)[0].split(",")[1]) < 1e-9
+
     def test_closed_form_overflow_is_one_error_line(self, tmp_path):
         # a fresh interpreter, so stderr is exactly what a user sees: the
         # error line and no numpy overflow warning before it

@@ -197,3 +197,13 @@ class TestEvolve:
         sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
         with pytest.raises(ModelError, match="Hermitian"):
             effective_hamiltonian(1.0, sys_, ThermalPreparation(1.0, 1.0), cfg_small, interaction=bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_interaction(self, value):
+        # NaN compares false against the Hermiticity tolerance, so it needs its own check
+        cfg = FockConfig(4, 4, tail_tol=0.5)
+        bad = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+        bad[0, 0] = value
+        sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
+        with pytest.raises(ModelError, match="finite"):
+            effective_hamiltonian(0.5, sys_, ThermalPreparation(1.0, 1.0), cfg, interaction=bad)

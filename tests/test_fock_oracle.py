@@ -26,7 +26,6 @@ from qsubthermo import (
     heat_transfer,
     jarzynski_identity,
     jensen_bound,
-    linear_coefficients,
     partial_trace_a,
     partial_trace_b,
     propagator_coefficients,
