@@ -39,18 +39,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    HeatReport,
     InteractionKind,
     ModelError,
     OscillatorSystem,
     SingularCouplingError,
     ThermalPreparation,
-    csl_compliant,
-    free_entropy_change,
+    _checked,
+    _finite,
 )
 
 __all__ = [
     "PropagatorCoefficients",
-    "HeatReport",
     "thermal_occupation",
     "propagator_coefficients",
     "heat_transfer",
@@ -103,54 +103,6 @@ class PropagatorCoefficients:
             - self.g_b * self.q_b.conjugate()
         )
         return (d1, d2, d3, d4)
-
-
-@dataclass(frozen=True)
-class HeatReport:
-    """Subsystem heat changes and the second-law verdicts at one time, or
-    arrays of them over an array of times."""
-
-    t: float
-    dq_a: float
-    dq_b: float
-    dq_ab: float
-    ds0: float
-    csl_ok: bool
-
-    @classmethod
-    def from_heats(
-        cls, t: float, dq_a: float, dq_b: float, prep: ThermalPreparation, sys: OscillatorSystem,
-        dq_ab: float | None = None,
-    ) -> "HeatReport":
-        """Transfer, free entropy change and Clausius verdict from the two heats;
-        a caller with the transfer free of the cancellation in dq_b - dq_a passes dq_ab."""
-        dq_ab = dq_b - dq_a if dq_ab is None else dq_ab
-        return cls(
-            t=t,
-            dq_a=dq_a,
-            dq_b=dq_b,
-            dq_ab=dq_ab,
-            ds0=free_entropy_change(dq_a, dq_b, prep),
-            csl_ok=csl_compliant(dq_ab, prep, omega=max(sys.omega_a, sys.omega_b)),
-        )
-
-
-def _checked(values, what: str, positive: bool = False):
-    """A scalar or 1-D array of finite times (windows: positive ones) as floats."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim > 1:
-        raise ModelError(f"{what} must be a scalar or a one-dimensional array")
-    lowest = arr.min(initial=np.inf)  # NaN propagates and fails both tests below
-    if not ((lowest > 0.0 if positive else lowest >= 0.0) and arr.max(initial=0.0) < np.inf):
-        bound = "positive" if positive else "non-negative"
-        raise ModelError(f"{what} must be finite and {bound}, got {values}")
-    return arr
-
-
-def _finite(values, what: str):
-    if not np.isfinite(values).all():
-        raise ModelError(f"the closed form overflows for this {what}")
-    return values
 
 
 def _rwa_terms(sys: OscillatorSystem):
@@ -278,6 +230,7 @@ def time_averaged_heat(sys: OscillatorSystem, prep: ThermalPreparation, tau: flo
     mu, _, forms = _table(sys)
     z = np.multiply.outer(taus, mu[:, None] + mu.conj())
     phi = np.ones_like(z)
-    np.divide(np.expm1(z), z, out=phi, where=z != 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _report's _finite raises ModelError instead
+        np.divide(np.expm1(z), z, out=phi, where=z != 0)
     products = np.einsum("pjk,...jk->p...", forms, phi).real
     return _report(tau if taus.ndim == 0 else taus, products, prep, sys).dq_ab

@@ -36,9 +36,6 @@ __all__ = [
     "decomposition_audit",
 ]
 
-#: Averages are wrong-signed only beyond this absolute size.
-AVERAGE_TOL = 1e-9
-
 #: Longest averaging window the transient/persistent call considers (times 1/omega).
 TAU_HORIZON_CYCLES = 50.0
 
@@ -112,6 +109,7 @@ def scan_violations(
     Violations are transient when every averaging window tau between
     tau_threshold (default 3/omega) and the 50/omega horizon yields a
     compliant time-averaged transfer, persistent when some window does not.
+    Pointwise values and averages take the same verdict, ``csl_compliant``.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ModelError("t_max must be positive and finite")
@@ -126,10 +124,8 @@ def scan_violations(
     if not violations:
         classification = Classification.NONE
     else:
-        direction = np.sign(prep.beta_b - prep.beta_a)
         taus = np.linspace(tau_threshold, TAU_HORIZON_CYCLES / omega, TAU_WINDOWS)
-        averages = time_averaged_heat(sys, prep, taus)
-        persistent = np.any((np.abs(averages) > AVERAGE_TOL) & (np.sign(averages) != direction))
+        persistent = not csl_compliant(time_averaged_heat(sys, prep, taus), prep, omega=omega).all()
         classification = Classification.PERSISTENT if persistent else Classification.TRANSIENT
     return ViolationProfile(
         grid=tuple(grid.tolist()),
@@ -157,17 +153,17 @@ def decomposition_audit(sys: OscillatorSystem, cfg: FockConfig) -> Decomposition
     condition for the Clausius sign rule.
     """
     parts = build_hamiltonian(sys, cfg)
-    # H0 is diagonal, so [H0, X]_ij = (d_i - d_j) X_ij needs no product.  H and
-    # V are Hermitian, so V H = (H V)^dag, and both vanish between the sectors
-    # of their joint pattern, so [H, V] takes one product per sector.
+    # H0 is diagonal, so [H0, X]_ij = (d_i - d_j) X_ij needs no product, and
+    # the gaps vanish on the diagonal, where alone V and H differ: [H0, V] and
+    # [H0, H] are one array.  H and V = H - H0 are Hermitian, so V H = (H V)^dag,
+    # and both vanish between the sectors of H, so [H, V] takes one product per
+    # sector.
     d = parts.d_a + parts.d_b
-    gaps = d[:, None] - d[None, :]
-    norm_h0v = float(np.linalg.norm(gaps * parts.v))
-    norm_h0h = float(np.linalg.norm(gaps * parts.h))
+    norm_h0v = norm_h0h = float(np.linalg.norm((d[:, None] - d[None, :]) * parts.h))
     sector_norms = []
-    for index in sectors(parts.h, parts.v):
-        block = np.ix_(index, index)
-        hv = parts.h[block] @ parts.v[block]
+    for index in sectors(parts.h):
+        h_s = parts.h[np.ix_(index, index)]
+        hv = h_s @ (h_s - np.diag(d[index]))
         sector_norms.append(np.linalg.norm(hv - hv.conj().T))
     norm_hv = math.hypot(*sector_norms)
     return DecompositionAudit(

@@ -1,12 +1,13 @@
 """Truncated-Fock-space oracle: exact evolution and first-principles heat, sector by sector.
 
 Everything here is computed from truncated number-basis matrices with no input
-from the closed forms in ``analytic``, so the two routes cross-validate each
-other.  Composite indexing is a-major: basis state |i_a, i_b> sits at row
-i_a * n_b + i_b, i.e. operators extend to the composite space as
-numpy.kron(op_a, identity_b) and numpy.kron(identity_a, op_b).  The bare
-energies H_a, H_b are diagonal in this basis, and every other term of H is a
-kron of two single-mode matrices, so H is assembled without any
+from the closed forms in ``analytic`` (the two import only ``model``, which
+holds the heat report and the time rule they share), so the two routes
+cross-validate each other.  Composite indexing is a-major: basis state
+|i_a, i_b> sits at row i_a * n_b + i_b, i.e. operators extend to the composite
+space as numpy.kron(op_a, identity_b) and numpy.kron(identity_a, op_b).  The
+bare energies H_a, H_b are diagonal in this basis, and every other term of H
+is a kron of two single-mode matrices, so H is assembled without any
 composite-space product.
 
 H is block-diagonal: ``sectors`` reads its conserved sectors from the exactly
@@ -28,8 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .analytic import HeatReport
 from .model import (
+    HeatReport,
     InteractionKind,
     MINIMAL_KINDS,
     ModelError,
@@ -37,6 +38,8 @@ from .model import (
     PositivityError,
     ThermalPreparation,
     TruncationError,
+    _checked,
+    _finite,
 )
 
 __all__ = [
@@ -140,16 +143,20 @@ def _quadratures(n: int, omega: float, m: float) -> tuple[Matrix, Matrix]:
 
 @dataclass(frozen=True)
 class HamiltonianParts:
-    """Total and interaction Hamiltonians on the composite space, and the bare
-    energies H_a, H_b as their number-basis diagonals d_a, d_b.
+    """Total Hamiltonian H on the composite space, and the bare energies H_a,
+    H_b as their number-basis diagonals d_a, d_b.
 
-    The dense H_a, H_b and H0 = H_a + H_b are built only when asked for.
+    The interaction V = H - H0 and the dense H_a, H_b and H0 = H_a + H_b are
+    built only when asked for.
     """
 
     h: Matrix
-    v: Matrix
     d_a: NDArray[np.float64]
     d_b: NDArray[np.float64]
+
+    @property
+    def v(self) -> Matrix:
+        return _plus_diagonal(self.h, -(self.d_a + self.d_b))
 
     @property
     def h_a(self) -> Matrix:
@@ -195,19 +202,18 @@ def build_hamiltonian(sys: OscillatorSystem, cfg: FockConfig) -> HamiltonianPart
             mode_a = mode_a + q * q / (2.0 * m) * (x_a @ x_a)
             cross = (q / m) * np.kron(x_a, p_b)
         h = np.kron(mode_a, np.eye(cfg.n_b)) + np.kron(np.eye(cfg.n_a), mode_b) + cross
-        v = _plus_diagonal(h, -(d_a + d_b))
     else:
         a, b = destroy(cfg.n_a), destroy(cfg.n_b)
         if kind is InteractionKind.NONE:
-            v = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+            h = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
         elif kind is InteractionKind.RWA:
-            v = 1j * sys.g * (np.kron(a, b.conj().T) - np.kron(a.conj().T, b))
+            h = 1j * sys.g * (np.kron(a, b.conj().T) - np.kron(a.conj().T, b))
         elif kind is InteractionKind.LINEAR:
-            v = 1j * sys.g * np.kron(a.conj().T + a, b.conj().T - b)
+            h = 1j * sys.g * np.kron(a.conj().T + a, b.conj().T - b)
         else:  # pragma: no cover - enum is closed
             raise ModelError(f"unknown interaction kind {kind!r}")
-        h = _plus_diagonal(v, d_a + d_b)
-    return HamiltonianParts(h=h, v=v, d_a=d_a, d_b=d_b)
+        h.flat[:: cfg.dim + 1] += d_a + d_b  # H = V + H0 in place
+    return HamiltonianParts(h=h, d_a=d_a, d_b=d_b)
 
 
 def _plus_diagonal(mat: Matrix, diag) -> Matrix:
@@ -304,8 +310,15 @@ def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
     return blocks
 
 
+def _phases(times, energies):
+    """exp(-i E t) over times x energies (over energies for one time); a time
+    whose E t overflows is a ModelError, not NaN phases."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite raises ModelError instead
+        return _finite(np.exp(-1j * np.multiply.outer(times, energies)), "time")
+
+
 def _sector_unitary(energies, vectors, t: float) -> Matrix:
-    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+    return (vectors * _phases(t, energies)) @ vectors.conj().T
 
 
 def _scatter(blocks, dim: int, sector_matrix) -> Matrix:
@@ -317,13 +330,9 @@ def _scatter(blocks, dim: int, sector_matrix) -> Matrix:
     return out
 
 
-def _unitary(blocks, dim: int, t: float) -> Matrix:
-    """U(t) = exp(-i H t) from the sector eigendecompositions of H."""
-    return _scatter(blocks, dim, lambda index, energies, vectors: _sector_unitary(energies, vectors, t))
-
-
 def _evolved(blocks, t: float, w) -> Matrix:
     """rho(t) = U(t) diag(w) U(t)^dag for a state diagonal in the number basis."""
+    t = _checked(t, "time")
 
     def sector_state(index, energies, vectors):
         u = _sector_unitary(energies, vectors, t)
@@ -333,8 +342,10 @@ def _evolved(blocks, t: float, w) -> Matrix:
 
 
 def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
-    """U(t) = exp(-i H t) from the cached eigendecomposition."""
-    return _unitary(eigensystem(sys, cfg), cfg.dim, t)
+    """U(t) = exp(-i H t) from the cached sector eigendecompositions of H."""
+    t = _checked(t, "time")
+    blocks = eigensystem(sys, cfg)
+    return _scatter(blocks, cfg.dim, lambda index, energies, vectors: _sector_unitary(energies, vectors, t))
 
 
 def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> Matrix:
@@ -378,7 +389,7 @@ def _expectations(kernels, times) -> NDArray[np.float64]:
     for start in range(0, len(times), _SERIES_BLOCK):
         block = slice(start, start + _SERIES_BLOCK)
         for energies, *sector_kernels in kernels:
-            phases = np.exp(-1j * np.outer(times[block], energies))
+            phases = _phases(times[block], energies)
             for values, kernel in zip(out, sector_kernels):
                 values[block] += np.einsum("tj,tj->t", phases @ kernel, phases.conj()).real
     return out
@@ -398,11 +409,9 @@ def heat_series_numeric(
     times: Sequence[float],
 ) -> list[HeatReport]:
     """Heat reports over a time grid from the cached kernel, in blocks of times."""
-    times = np.asarray(times, dtype=float)
+    times = _checked(times, "evaluation times")
     if times.ndim != 1:
         raise ModelError("evaluation times must be a one-dimensional sequence")
-    if not np.isfinite(times).all():
-        raise ModelError("evaluation times must be finite")
     if times.size == 0:
         return []
     kernels, q_a0, q_b0 = _heat_kernel(sys, prep, cfg)

@@ -24,6 +24,7 @@ __all__ = [
     "SingularCouplingError",
     "TruncationError",
     "PositivityError",
+    "HeatReport",
     "csl_compliant",
     "free_entropy_change",
 ]
@@ -159,3 +160,55 @@ def csl_compliant(dq_ab: float, prep: ThermalPreparation, omega: float = 1.0) ->
     """
     ok = (np.abs(dq_ab) <= VIOLATION_TOL_SCALE * omega) | (np.sign(dq_ab) == np.sign(prep.beta_b - prep.beta_a))
     return ok if np.ndim(ok) else bool(ok)
+
+
+@dataclass(frozen=True)
+class HeatReport:
+    """Subsystem heat changes and the second-law verdicts at one time, or
+    arrays of them over an array of times."""
+
+    t: float
+    dq_a: float
+    dq_b: float
+    dq_ab: float
+    ds0: float
+    csl_ok: bool
+
+    @classmethod
+    def from_heats(
+        cls, t: float, dq_a: float, dq_b: float, prep: ThermalPreparation, sys: OscillatorSystem,
+        dq_ab: float | None = None,
+    ) -> "HeatReport":
+        """Transfer, free entropy change and Clausius verdict from the two heats;
+        a caller with the transfer free of the cancellation in dq_b - dq_a passes dq_ab."""
+        dq_ab = dq_b - dq_a if dq_ab is None else dq_ab
+        return cls(
+            t=t,
+            dq_a=dq_a,
+            dq_b=dq_b,
+            dq_ab=dq_ab,
+            ds0=free_entropy_change(dq_a, dq_b, prep),
+            csl_ok=csl_compliant(dq_ab, prep, omega=max(sys.omega_a, sys.omega_b)),
+        )
+
+
+def _checked(values, what: str, positive: bool = False):
+    """A scalar or 1-D array of finite times (windows: positive ones) as floats.
+
+    Both routes take their times through here, so they reject the same inputs.
+    The error names the first bad value, so it stays one line for any grid.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise ModelError(f"{what} must be a scalar or a one-dimensional array")
+    bad = arr[~((arr > 0.0 if positive else arr >= 0.0) & (arr < np.inf))]  # NaN fails both
+    if bad.size:
+        raise ModelError(f"{what} must be finite and {'positive' if positive else 'non-negative'}, got {bad[0]}")
+    return arr
+
+
+def _finite(values, what: str):
+    """values, or a ModelError when the evolution overflowed (inf or NaN) on the way."""
+    if not np.isfinite(values).all():
+        raise ModelError(f"the evolution overflows for this {what}")
+    return values

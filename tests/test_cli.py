@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import qsubthermo
-from qsubthermo import InteractionKind, OscillatorSystem, ThermalPreparation, heat_transfer
+from qsubthermo import HeatReport, InteractionKind, OscillatorSystem, ThermalPreparation, cli, heat_transfer
 from qsubthermo.cli import EXIT_SINGULAR, EXIT_TOLERANCE, EXIT_VALIDATION, main
 
 
@@ -21,6 +22,14 @@ def read_csv(path):
 def read_footer(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     return [line for line in lines if line.startswith("#")]
+
+
+def run_fresh(argv):
+    """The CLI in a fresh interpreter, so stderr is exactly what a user sees,
+    numpy warnings included."""
+    src = str(Path(qsubthermo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qsubthermo.cli", *argv], capture_output=True, text=True, env=env)
 
 
 class TestFigureCommand:
@@ -173,16 +182,30 @@ class TestCompareCommand:
         assert float(read_footer(out)[0].split(",")[1]) < 1e-9
 
     def test_closed_form_overflow_is_one_error_line(self, tmp_path):
-        # a fresh interpreter, so stderr is exactly what a user sees: the
-        # error line and no numpy overflow warning before it
-        argv = ["--out", str(tmp_path / "x.csv"), "--kind", "linear", "--g", "0.9", "--t-max", "10000",
-                "--fock-n", "12", "--tail-tol", "1e-2", "--beta-a", "1", "--beta-b", "2", "compare"]
-        src = str(Path(qsubthermo.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "qsubthermo.cli", *argv], capture_output=True, text=True, env=env)
+        proc = run_fresh(["--out", str(tmp_path / "x.csv"), "--kind", "linear", "--g", "0.9", "--t-max", "10000",
+                          "--fock-n", "12", "--tail-tol", "1e-2", "--beta-a", "1", "--beta-b", "2", "compare"])
         assert proc.returncode == EXIT_VALIDATION
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invalid configuration:"), proc.stderr
+
+    def test_oracle_overflow_is_one_error_line(self, tmp_path):
+        # the closed form is finite at t = 1e308 on resonance; the oracle's
+        # phases E t overflow, which used to give an all-NaN series and exit 0
+        proc = run_fresh(["--out", str(tmp_path / "x.csv"), "--kind", "rwa", "--g", "0.1", "--beta-a", "1",
+                          "--beta-b", "2", "--t-max", "1e308", "--samples", "3", "compare"])
+        assert proc.returncode == EXIT_VALIDATION
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid configuration:"), proc.stderr
+
+    def test_nan_deviation_fails_the_gate(self, tmp_path, monkeypatch):
+        # NaN compares false against any tolerance; the gate must read it as a breach
+        def nan_series(sys_, prep, cfg, times):
+            return [HeatReport(t, math.nan, math.nan, math.nan, math.nan, False) for t in times]
+
+        monkeypatch.setattr(cli, "heat_series_numeric", nan_series)
+        out = tmp_path / "nan.csv"
+        assert main(["--out", str(out), "--kind", "rwa", "--samples", "3", "compare"]) == EXIT_TOLERANCE
+        assert read_footer(out) == ["# max_relative_deviation,nan"]
 
     def test_singular_coupling_exit_code(self, tmp_path):
         code = main(

@@ -107,6 +107,14 @@ class TestHamiltonians:
         parts = build_hamiltonian(linear_system(), cfg_small)
         assert np.linalg.norm(commutator(parts.h0, parts.v)) > 0.01
 
+    def test_interaction_is_the_coupling_operator(self, cfg_small):
+        # V = H - H0 is read off H's diagonal; it must be exactly the coupling
+        a, b = destroy(cfg_small.n_a), destroy(cfg_small.n_b)
+        rwa = build_hamiltonian(rwa_system(g=0.1), cfg_small).v
+        linear = build_hamiltonian(linear_system(g=0.3), cfg_small).v
+        assert np.array_equal(rwa, 0.1j * (np.kron(a, b.conj().T) - np.kron(a.conj().T, b)))
+        assert np.array_equal(linear, 0.3j * np.kron(a.conj().T + a, b.conj().T - b))
+
     def test_none_kind_has_zero_interaction(self, cfg_small):
         parts = build_hamiltonian(OscillatorSystem(1.0, 1.0, InteractionKind.NONE), cfg_small)
         assert np.abs(parts.v).max() == 0.0

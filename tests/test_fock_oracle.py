@@ -199,6 +199,32 @@ def test_oracle_matches_analytic_heats(kind, n, g, times):
         _heat_kernel.cache_clear()
 
 
+# Every public oracle call that evolves to a time t, as call(t, sys, prep, cfg).
+ORACLE_ENTRY_POINTS = {
+    "heat_changes_numeric": lambda t, s, p, c: heat_changes_numeric(s, p, c, t),
+    "heat_series_numeric": lambda t, s, p, c: heat_series_numeric(s, p, c, [0.5, t]),
+    "unitary_at": lambda t, s, p, c: unitary_at(t, s, c),
+    "bare_amplitudes": lambda t, s, p, c: bare_amplitudes(t, s, c),
+    "classical_average": lambda t, s, p, c: classical_average(lambda ea0, eb0, ea1, eb1: ea1 - ea0, t, s, p, c),
+    "jarzynski_identity": jarzynski_identity,
+    "jensen_bound": jensen_bound,
+    "entropy_production": entropy_production,
+    "true_heat_transfer_identity": true_heat_transfer_identity,
+    "effective_hamiltonian": effective_hamiltonian,
+}
+
+
+@pytest.mark.parametrize("call", ORACLE_ENTRY_POINTS.values(), ids=ORACLE_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 1e308], ids=["nan", "inf", "negative", "overflow"])
+@pytest.mark.filterwarnings("error")
+def test_oracle_rejects_bad_times(call, t, cfg_small):
+    # the closed forms' time rule: NaN, inf and negative times are refused, and
+    # a finite time whose phases E t overflow is a ModelError, never NaN output
+    # or a numpy warning
+    with pytest.raises(ModelError, match="finite and non-negative|overflows"):
+        call(t, linear_system(g=0.2), PREP, cfg_small)
+
+
 def test_infeasible_cutoff_fails_before_eigh():
     # the thermal tail check comes before any assembly or eigendecomposition,
     # so an infeasible cutoff costs nothing
