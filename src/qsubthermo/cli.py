@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import sys as _sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,18 +64,45 @@ def write_csv(path: Path | None, header: list[str], rows, footer: str | None = N
         out.writelines(line + "\n" for line in lines)
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment."""
-    values: dict[str, str] = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ModelError(f"config line {raw!r} is not key=value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+def positive_int(text: str) -> int:
+    if not (text.strip().isdecimal() and int(text) > 0):
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
+class _Param(NamedTuple):
+    key: str  # the config key; the flag is --key with dashes
+    convert: Callable[[str], object]
+    builtin: object  # the value given by neither flag nor file; None leaves it to the command
+    help: str
+    choices: tuple[str, ...] | None = None
+    command: str | None = None  # the one command that takes it; None for a global flag
+
+
+# Every parameter a config file may set, by config key: its flag, check, built-in value and help.
+_PARAMS = {param.key: param for param in (
+    _Param("omega", float, 1.0, "common oscillator frequency"),
+    _Param("g", float, None, "coupling strength (default 0.1, 0 for kind none; figures and sweep set their own)"),
+    _Param("kind", str, InteractionKind.LINEAR.value, "interaction kind", tuple(k.value for k in InteractionKind)),
+    _Param("mass", float, 1.0, "mass for minimal-coupling kinds"),
+    _Param("charge", float, 0.0, "coupling q for minimal-coupling kinds"),
+    _Param("beta_a", float, None, "inverse temperature of oscillator a"),
+    _Param("beta_b", float, None, "inverse temperature of oscillator b"),
+    _Param("temp_a", float, None, "temperature of a (k_B = 1; excludes --beta-a)"),
+    _Param("temp_b", float, None, "temperature of b (excludes --beta-b)"),
+    _Param("t_max", float, None, "largest time on the grid (default 20 for compare, 50/omega otherwise)"),
+    _Param("samples", positive_int, None, "grid points (default 1000 for figures 1-3, 200 for figures 4-5, "
+           "512 for sweep, 81 for compare)"),
+    _Param("tau_threshold", float, None, "transient/persistent window split (default 3/omega)"),
+    _Param("fock_n", int, None, f"Fock levels per mode (default: automatic; {AUDIT_LEVELS} for audit)"),
+    _Param("tail_tol", float, TAIL_TOL_DEFAULT, "thermal tail tolerance"),
+    _Param("g_grid", float_list, None, "comma-separated couplings", command="sweep"),
+    _Param("dbeta_grid", float_list, None, "comma-separated beta_b - beta_a offsets", command="sweep"),
+)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,24 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", type=Path, help="flat key=value file; flags override it")
-    parser.add_argument("--omega", type=float, help="common oscillator frequency (default 1.0)")
-    parser.add_argument("--g", type=float, help="coupling strength (default 0.1)")
-    parser.add_argument(
-        "--kind",
-        choices=[k.value for k in InteractionKind],
-        help="interaction kind (default linear)",
-    )
-    parser.add_argument("--mass", type=float, help="mass for minimal-coupling kinds")
-    parser.add_argument("--charge", type=float, help="coupling q for minimal-coupling kinds")
-    parser.add_argument("--beta-a", type=float, help="inverse temperature of oscillator a")
-    parser.add_argument("--beta-b", type=float, help="inverse temperature of oscillator b")
-    parser.add_argument("--temp-a", type=float, help="temperature of a (k_B = 1; excludes --beta-a)")
-    parser.add_argument("--temp-b", type=float, help="temperature of b (excludes --beta-b)")
-    parser.add_argument("--t-max", type=float, help="largest time on the grid (default 50/omega)")
-    parser.add_argument("--samples", type=int, help="grid points (default 1000)")
-    parser.add_argument("--tau-threshold", type=float, help="transient/persistent window split")
-    parser.add_argument("--fock-n", type=int, help="Fock levels per mode (default: automatic)")
-    parser.add_argument("--tail-tol", type=float, help=f"thermal tail tolerance (default {TAIL_TOL_DEFAULT:g})")
     parser.add_argument("--out", type=Path, help="output path (default stdout)")
 
     commands = parser.add_subparsers(dest="command", required=True)
@@ -111,42 +121,46 @@ def build_parser() -> argparse.ArgumentParser:
     comp = commands.add_parser("compare", help="analytic vs Fock-oracle heat curves (default beta = 1, 2)")
     comp.add_argument("--tol", type=float, default=1e-6, help="max relative deviation allowed")
     commands.add_parser("audit", help="commutator norms of the decomposition")
-    sweep = commands.add_parser("sweep", help="violation classification over a (g, dbeta) grid")
-    sweep.add_argument("--g-grid", type=str, help="comma-separated couplings")
-    sweep.add_argument("--dbeta-grid", type=str, help="comma-separated beta_b - beta_a offsets")
+    commands.add_parser("sweep", help="violation classification over a (g, dbeta) grid")
+    # Table flags keep argparse's default None, so _resolve can tell an absent
+    # flag from a given one.  Built-in values must not go into a command's
+    # set_defaults: those overwrite a global flag given on the command line.
+    for param in _PARAMS.values():
+        default = "" if param.builtin is None else f" (default {param.builtin})"
+        (parser if param.command is None else commands.choices[param.command]).add_argument(
+            "--" + param.key.replace("_", "-"), type=param.convert, choices=param.choices, help=param.help + default
+        )
     return parser
 
 
-_CONFIG_KEYS = {
-    "omega": float,
-    "g": float,
-    "kind": str,
-    "mass": float,
-    "charge": float,
-    "beta_a": float,
-    "beta_b": float,
-    "temp_a": float,
-    "temp_b": float,
-    "t_max": float,
-    "samples": int,
-    "tau_threshold": float,
-    "fock_n": int,
-    "tail_tol": float,
-    "g_grid": str,
-    "dbeta_grid": str,
-}
+def _read_config(path: Path) -> dict[str, object]:
+    """Flat key=value lines ('#' starts a comment), each value checked as its flag would be."""
+    values = {}
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ModelError(f"config line {raw!r} is not key=value")
+        if key not in _PARAMS:
+            raise ModelError(f"unknown config key {key!r}")
+        param = _PARAMS[key]
+        try:
+            values[key] = param.convert(text)
+        except ValueError as exc:
+            raise ModelError(f"config key {key}: {exc}") from None
+        if param.choices is not None and values[key] not in param.choices:
+            raise ModelError(f"config key {key}: {text!r} is not one of {', '.join(param.choices)}")
+    return values
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Overlay config-file values under explicit flags."""
-    if args.config is not None:
-        file_values = _parse_config_file(args.config)
-        unknown = set(file_values) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ModelError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_values.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, _CONFIG_KEYS[key](value))
+    """Each parameter takes its flag, else its config-file value, else its built-in value."""
+    file_values = _read_config(args.config) if args.config is not None else {}
+    for key, param in _PARAMS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, file_values.get(key, param.builtin))
     return args
 
 
@@ -167,36 +181,25 @@ def _preparation(args: argparse.Namespace) -> ThermalPreparation:
 
 
 def _system(args: argparse.Namespace) -> OscillatorSystem:
-    omega = args.omega if args.omega is not None else 1.0
-    kind = InteractionKind(args.kind) if args.kind is not None else InteractionKind.LINEAR
+    omega, kind = args.omega, InteractionKind(args.kind)
     if kind in (InteractionKind.MINIMAL_A, InteractionKind.MINIMAL_B):
-        return OscillatorSystem(
-            omega, omega, kind, m=args.mass if args.mass is not None else 1.0,
-            q=args.charge if args.charge is not None else 0.0,
-        )
+        return OscillatorSystem(omega, omega, kind, m=args.mass, q=args.charge)
     g = args.g if args.g is not None else (0.0 if kind is InteractionKind.NONE else 0.1)
     return OscillatorSystem(omega, omega, kind, g=g)
 
 
 def _fock_config(args: argparse.Namespace, sys_: OscillatorSystem, prep: ThermalPreparation) -> FockConfig:
-    tail_tol = args.tail_tol if args.tail_tol is not None else TAIL_TOL_DEFAULT
     if args.fock_n is not None:
-        return FockConfig(args.fock_n, args.fock_n, tail_tol=tail_tol)
-    return FockConfig.auto(sys_, prep, tail_tol=tail_tol)
-
-
-def _figure_presets(args: argparse.Namespace):
-    omega = args.omega if args.omega is not None else 1.0
-    t_max = args.t_max if args.t_max is not None else 50.0 / omega
-    samples = args.samples if args.samples is not None else 1000
-    hot_a = ThermalPreparation.from_temperatures(TEMP_HOT, TEMP_COLD)
-    hot_b = hot_a.swapped()
-    return omega, t_max, samples, hot_a, hot_b
+        return FockConfig(args.fock_n, args.fock_n, tail_tol=args.tail_tol)
+    return FockConfig.auto(sys_, prep, tail_tol=args.tail_tol)
 
 
 def run_figure(args: argparse.Namespace) -> int:
-    omega, t_max, samples, hot_a, hot_b = _figure_presets(args)
-    number = args.number
+    omega, number = args.omega, args.number
+    t_max = args.t_max if args.t_max is not None else 50.0 / omega
+    samples = args.samples if args.samples is not None else (1000 if number <= 3 else 200)
+    hot_a = ThermalPreparation.from_temperatures(TEMP_HOT, TEMP_COLD)
+    hot_b = hot_a.swapped()
     times = np.linspace(0.0, t_max, samples)
     if number == 1:
         sys_ = OscillatorSystem(omega, omega, InteractionKind.RWA, g=0.1 * omega)
@@ -217,8 +220,6 @@ def run_figure(args: argparse.Namespace) -> int:
     else:
         g = 0.49 * omega if number == 4 else 0.51 * omega
         linear = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
-        if args.samples is None:
-            samples = 200
         taus = np.arange(1, samples + 1) * (t_max / samples)
         header = ["tau", "avg_dQ_ab"]
         columns = [taus, time_averaged_heat(linear, hot_a, taus)]
@@ -269,19 +270,13 @@ def run_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str | None, default: list[float]) -> list[float]:
-    if text is None:
-        return default
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
 def run_sweep(args: argparse.Namespace) -> int:
-    omega = args.omega if args.omega is not None else 1.0
+    omega = args.omega
     base_beta = args.beta_a if args.beta_a is not None else 1.0 / TEMP_HOT
     t_max = args.t_max if args.t_max is not None else 50.0 / omega
     samples = args.samples if args.samples is not None else 512
-    g_grid = _parse_grid(args.g_grid, [0.1 * omega, 0.3 * omega, 0.49 * omega, 0.5 * omega, 0.51 * omega])
-    dbeta_grid = _parse_grid(args.dbeta_grid, [0.005, 0.01])
+    g_grid = args.g_grid if args.g_grid is not None else [f * omega for f in (0.1, 0.3, 0.49, 0.5, 0.51)]
+    dbeta_grid = args.dbeta_grid if args.dbeta_grid is not None else [0.005, 0.01]
     rows = []
     for g in g_grid:
         for dbeta in dbeta_grid:
@@ -296,17 +291,11 @@ def run_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_RUNNERS = {
-    "figure": run_figure,
-    "compare": run_compare,
-    "audit": run_audit,
-    "sweep": run_sweep,
-}
+_RUNNERS = {"figure": run_figure, "compare": run_compare, "audit": run_audit, "sweep": run_sweep}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args = _resolve(args)
         return _RUNNERS[args.command](args)

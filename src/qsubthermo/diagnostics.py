@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import heat_transfer, time_averaged_heat
-from .fock import FockConfig, build_hamiltonian, sectors
+from .fock import FockConfig, build_hamiltonian, sector_blocks
 from .model import (
     VIOLATION_TOL_SCALE,
     ModelError,
@@ -161,8 +161,7 @@ def decomposition_audit(sys: OscillatorSystem, cfg: FockConfig) -> Decomposition
     d = parts.d_a + parts.d_b
     norm_h0v = norm_h0h = float(np.linalg.norm((d[:, None] - d[None, :]) * parts.h))
     sector_norms = []
-    for index in sectors(parts.h):
-        h_s = parts.h[np.ix_(index, index)]
+    for index, h_s in sector_blocks(parts.h):
         hv = h_s @ (h_s - np.diag(d[index]))
         sector_norms.append(np.linalg.norm(hv - hv.conj().T))
     norm_hv = math.hypot(*sector_norms)

@@ -251,9 +251,15 @@ def sectors(*matrices: Matrix) -> list[NDArray[np.intp]]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def sector_blocks(h: Matrix):
+    """(index, h restricted to the sector) for each sector of h, in the order of sectors(h)."""
+    for index in sectors(h):
+        yield index, h[np.ix_(index, index)]
+
+
 def _eigh_sectors(h: Matrix):
     """(index, energies, vectors) of h restricted to each of its sectors."""
-    return tuple((index, *np.linalg.eigh(h[np.ix_(index, index)])) for index in sectors(h))
+    return tuple((index, *np.linalg.eigh(block)) for index, block in sector_blocks(h))
 
 
 def thermal_weights(beta: float, omega: float, n: int, tail_tol: float | None = None):
@@ -331,8 +337,7 @@ def _scatter(blocks, dim: int, sector_matrix) -> Matrix:
 
 
 def _evolved(blocks, t: float, w) -> Matrix:
-    """rho(t) = U(t) diag(w) U(t)^dag for a state diagonal in the number basis."""
-    t = _checked(t, "time")
+    """rho(t) = U(t) diag(w) U(t)^dag for a number-diagonal state w and a _checked time."""
 
     def sector_state(index, energies, vectors):
         u = _sector_unitary(energies, vectors, t)
@@ -349,6 +354,7 @@ def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
 
 
 def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> Matrix:
+    t = _checked(t, "time")  # before the eigensystem, so a bad time costs nothing
     w = thermal_product_state(sys, prep, cfg)
     return _evolved(eigensystem(sys, cfg), t, w)
 
@@ -651,11 +657,14 @@ def effective_hamiltonian(
     ``interaction`` overrides the system's own V (the state still evolves
     under H0 + interaction), which is how non-linear couplings are probed.
     """
+    t = _checked(t, "time")
     w = thermal_product_state(sys, prep, cfg)
     if interaction is None:
         v = build_hamiltonian(sys, cfg).v
         blocks = eigensystem(sys, cfg)
     else:
+        if np.shape(interaction) != (cfg.dim, cfg.dim):
+            raise ModelError(f"interaction override must be {cfg.dim} x {cfg.dim}, got shape {np.shape(interaction)}")
         _require_hermitian(interaction, "interaction override")
         d_a, d_b = _bare_levels(sys, cfg)
         v = interaction
@@ -685,6 +694,8 @@ def spectrum_match(
         sys_b.omega_b,
     ):
         raise ModelError("spectrum_match needs identical m, q and frequencies")
+    if k < 1:
+        raise ModelError(f"spectrum_match needs k >= 1, got {k}")
     if k > cfg.dim // 4:
         raise TruncationError(
             f"k={k} reaches into the truncation-contaminated band (limit {cfg.dim // 4})"
@@ -695,5 +706,5 @@ def spectrum_match(
 
 def _lowest_levels(h: Matrix, k: int) -> NDArray[np.float64]:
     """The k lowest eigenvalues of h, merged from its sectors."""
-    levels = [np.linalg.eigvalsh(h[np.ix_(index, index)]) for index in sectors(h)]
+    levels = [np.linalg.eigvalsh(block) for _, block in sector_blocks(h)]
     return np.sort(np.concatenate(levels))[:k]

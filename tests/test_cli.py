@@ -1,6 +1,8 @@
+import argparse
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +285,36 @@ class TestConfigFile:
             main(["--quad-tol", "1e-8", "figure", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("line,command", [("kind = foo", ["audit"]), ("samples = abc", ["figure", "4"]),
+                                              ("samples = 0", ["figure", "1"]), ("g_grid = 0.1,x", ["sweep"]),
+                                              ("fock_n = 1.5", ["audit"])])
+    def test_bad_config_value_is_one_error_line(self, tmp_path, line, command):
+        # a file value goes through its flag's converter and choices
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        proc = run_fresh(["--config", str(cfg), *command])
+        assert proc.returncode == EXIT_VALIDATION
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid configuration: config key"), proc.stderr
+
+    def test_flag_over_file_over_builtin(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 3\n", encoding="utf-8")
+        runs = {"builtin": [], "file": ["--config", str(cfg)], "flag": ["--config", str(cfg), "--samples", "2"]}
+        rows = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(["--out", str(out), *argv, "figure", "1"]) == 0
+            rows[name] = len(read_csv(out)[1])
+        assert rows == {"builtin": 1000, "file": 3, "flag": 2}
+
+    def test_command_flag_overrides_the_file(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("g_grid = 0.3\ndbeta_grid = 0.01\nt_max = 20\nsamples = 64\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert main(["--out", str(out), "--config", str(cfg), "sweep", "--g-grid", "0.5"]) == 0
+        assert read_csv(out)[1] == [["0.5", "0.01", "", "gap"]]
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frequency = 2\n", encoding="utf-8")
@@ -301,3 +333,43 @@ class TestConfigFile:
                      "audit"]) == EXIT_VALIDATION
         assert main(["--beta-a", "0.5", "--temp-a", "100", "--temp-b", "50",
                      "--kind", "rwa", "--fock-n", "12", "audit"]) == EXIT_VALIDATION
+
+
+def long_options(parser):
+    """Every --option of the parser and of its commands."""
+    options = set()
+    for action in parser._actions:
+        options |= {option for option in action.option_strings if option.startswith("--")}
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                options |= long_options(command)
+    return options
+
+
+FLAG_ONLY = {"--help", "--version", "--config", "--out", "--tol"}
+
+
+class TestParameterSurface:
+    def test_config_keys_are_the_other_flags(self):
+        keys = set(cli._PARAMS)
+        assert len(keys) == 16
+        assert {"--" + key.replace("_", "-") for key in keys} == long_options(cli.build_parser()) - FLAG_ONLY
+
+    def test_readme_names_every_option_and_no_other(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z]+(?:-[a-z]+)*", section))
+        assert named == long_options(cli.build_parser())
+
+    @pytest.mark.parametrize("argv", [["--samples", "0", "figure", "4"], ["--samples", "-5", "compare"],
+                                      ["--samples", "0", "figure", "1"], ["--samples", "0", "compare"],
+                                      ["sweep", "--g-grid", "0.1,x"], ["sweep", "--dbeta-grid", "x"]],
+                             ids=" ".join)
+    def test_bad_flag_value_exits_2(self, argv):
+        # each of these once ended in a traceback, or (samples 0 for figures
+        # 1-3 and compare) in a header-only CSV
+        proc = run_fresh(argv)
+        assert proc.returncode == EXIT_VALIDATION
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("qsubthermo"), proc.stderr
+        assert "error: argument --" in proc.stderr

@@ -215,3 +215,12 @@ class TestEvolve:
         sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
         with pytest.raises(ModelError, match="finite"):
             effective_hamiltonian(0.5, sys_, ThermalPreparation(1.0, 1.0), cfg, interaction=bad)
+
+    @pytest.mark.parametrize("shape", [(63, 63), (64, 65), (64,)])
+    def test_rejects_misshapen_interaction(self, shape):
+        # an override must act on the whole composite space, here 8 x 8 levels
+        cfg = FockConfig(8, 8, tail_tol=0.5)
+        bad = np.zeros(shape, dtype=complex)
+        sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
+        with pytest.raises(ModelError, match="64 x 64"):
+            effective_hamiltonian(0.5, sys_, ThermalPreparation(1.0, 1.0), cfg, interaction=bad)

@@ -218,11 +218,16 @@ ORACLE_ENTRY_POINTS = {
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 1e308], ids=["nan", "inf", "negative", "overflow"])
 @pytest.mark.filterwarnings("error")
 def test_oracle_rejects_bad_times(call, t, cfg_small):
-    # the closed forms' time rule: NaN, inf and negative times are refused, and
-    # a finite time whose phases E t overflow is a ModelError, never NaN output
-    # or a numpy warning
+    # the closed forms' time rule: NaN, inf and negative times are refused
+    # before any eigendecomposition, so they cost nothing, and a finite time
+    # whose phases E t overflow is a ModelError, never NaN output or a numpy
+    # warning
+    eigensystem.cache_clear()
+    _heat_kernel.cache_clear()
     with pytest.raises(ModelError, match="finite and non-negative|overflows"):
         call(t, linear_system(g=0.2), PREP, cfg_small)
+    if t != 1e308:  # only the overflow needs the energies to show
+        assert eigensystem.cache_info().misses == 0
 
 
 def test_infeasible_cutoff_fails_before_eigh():
@@ -479,3 +484,11 @@ class TestSpectrumMatch:
         _, sys_b = self._pair(0.3)
         with pytest.raises(ModelError):
             spectrum_match(sys_a, sys_b, CFG24, 4)
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_k_below_one_rejected(self, k):
+        # k = -1 would slice off only the top level and compare the
+        # truncation-contaminated band; k = 0 would reduce over nothing
+        sys_a, sys_b = self._pair(0.2)
+        with pytest.raises(ModelError, match="k >= 1"):
+            spectrum_match(sys_a, sys_b, FockConfig(8, 8), k)
