@@ -22,6 +22,7 @@ from .analytic import heat_transfer, time_averaged_heat
 from .diagnostics import Classification, decomposition_audit, scan_violations
 from .fock import TAIL_TOL_DEFAULT, FockConfig, heat_series_numeric
 from .model import (
+    MINIMAL_KINDS,
     InteractionKind,
     ModelError,
     OscillatorSystem,
@@ -182,7 +183,7 @@ def _preparation(args: argparse.Namespace) -> ThermalPreparation:
 
 def _system(args: argparse.Namespace) -> OscillatorSystem:
     omega, kind = args.omega, InteractionKind(args.kind)
-    if kind in (InteractionKind.MINIMAL_A, InteractionKind.MINIMAL_B):
+    if kind in MINIMAL_KINDS:
         return OscillatorSystem(omega, omega, kind, m=args.mass, q=args.charge)
     g = args.g if args.g is not None else (0.0 if kind is InteractionKind.NONE else 0.1)
     return OscillatorSystem(omega, omega, kind, g=g)
@@ -195,7 +196,7 @@ def _fock_config(args: argparse.Namespace, sys_: OscillatorSystem, prep: Thermal
 
 
 def run_figure(args: argparse.Namespace) -> int:
-    omega, number = args.omega, args.number
+    omega, number = OscillatorSystem(args.omega, args.omega).omega_a, args.number  # checked before 50/omega
     t_max = args.t_max if args.t_max is not None else 50.0 / omega
     samples = args.samples if args.samples is not None else (1000 if number <= 3 else 200)
     hot_a = ThermalPreparation.from_temperatures(TEMP_HOT, TEMP_COLD)
@@ -271,7 +272,7 @@ def run_audit(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    omega = args.omega
+    omega = OscillatorSystem(args.omega, args.omega).omega_a  # checked before 50/omega
     base_beta = args.beta_a if args.beta_a is not None else 1.0 / TEMP_HOT
     t_max = args.t_max if args.t_max is not None else 50.0 / omega
     samples = args.samples if args.samples is not None else 512

@@ -23,6 +23,7 @@ from .model import (
     ModelError,
     OscillatorSystem,
     ThermalPreparation,
+    _checked,
     csl_compliant,
 )
 
@@ -111,8 +112,7 @@ def scan_violations(
     compliant time-averaged transfer, persistent when some window does not.
     Pointwise values and averages take the same verdict, ``csl_compliant``.
     """
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ModelError("t_max must be positive and finite")
+    _checked(t_max, "t_max", positive=True)
     if n_samples < 16:
         raise ModelError("need at least 16 samples")
     omega = max(sys.omega_a, sys.omega_b)

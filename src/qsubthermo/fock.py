@@ -90,8 +90,8 @@ class FockConfig:
     def __post_init__(self) -> None:
         if self.n_a < 2 or self.n_b < 2:
             raise ModelError("each mode needs at least two Fock levels")
-        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
-            raise ModelError("tail_tol must be positive and finite")
+        if not 0.0 < self.tail_tol < 1.0:  # NaN fails too
+            raise ModelError(f"tail_tol must lie strictly between 0 and 1, got {self.tail_tol}")
 
     @property
     def dim(self) -> int:
@@ -106,26 +106,19 @@ class FockConfig:
     ) -> "FockConfig":
         """Smallest common cutoff whose initial thermal tails stay below tail_tol.
 
-        Both modes get the larger of the two per-mode cutoffs: the coupling
-        moves the hotter mode's population into the colder mode's space.
+        Both modes get the cutoff of the hotter one (the smaller beta*omega):
+        the coupling moves its population into the colder mode's space.  The
+        cutoff is the first that passes the check ``thermal_weights`` makes.
         """
-        n = max(
-            _min_dimension(prep.beta_a, sys.omega_a, tail_tol),
-            _min_dimension(prep.beta_b, sys.omega_b, tail_tol),
-        )
-        return cls(n_a=n, n_b=n, tail_tol=tail_tol)
-
-
-def _min_dimension(beta: float, omega: float, tail_tol: float) -> int:
-    # Geometric thermal tail above level n is exactly exp(-beta*omega*n).
-    n = max(2, math.ceil(math.log(1.0 / tail_tol) / (beta * omega)))
-    if n > _DIM_CAP:
-        feasible = math.log(1.0 / tail_tol) / _DIM_CAP
+        cls(2, 2, tail_tol)  # checks tail_tol before anything is sized
+        beta, omega = min((prep.beta_a, sys.omega_a), (prep.beta_b, sys.omega_b), key=lambda mode: mode[0] * mode[1])
+        for n in range(2, _DIM_CAP + 1):
+            if _thermal_tail(beta, omega, n) < tail_tol:
+                return cls(n_a=n, n_b=n, tail_tol=tail_tol)
         raise TruncationError(
-            f"beta*omega = {beta * omega:.4g} needs {n} levels for tail {tail_tol:g}; "
-            f"cap is {_DIM_CAP} (minimal feasible beta*omega is {feasible:.4g})"
+            f"beta*omega = {beta * omega:.4g} needs more than {_DIM_CAP} levels for tail {tail_tol:g} "
+            f"(minimal feasible beta*omega is {math.log(1.0 / tail_tol) / _DIM_CAP:.4g})"
         )
-    return n
 
 
 def destroy(n: int) -> Matrix:
@@ -223,20 +216,18 @@ def _plus_diagonal(mat: Matrix, diag) -> Matrix:
     return out
 
 
-def sectors(*matrices: Matrix) -> list[NDArray[np.intp]]:
+def sectors(h: Matrix) -> list[NDArray[np.intp]]:
     """Connected components of the graph whose edges are the exactly nonzero
-    entries of the given square matrices (their joint pattern).
+    entries of the square matrix h.
 
     There is no tolerance: a rounding-level entry joins two sectors instead of
-    being dropped, so every matrix is exactly zero between the sectors
-    returned.  Each sector is an ascending index array; sectors are ordered by
-    their smallest index.
+    being dropped, so h is exactly zero between the sectors returned.  Each
+    sector is an ascending index array; sectors are ordered by their smallest
+    index.
     """
-    pattern = np.zeros(matrices[0].shape, dtype=bool)
-    for mat in matrices:
-        pattern |= mat != 0
+    pattern = h != 0
     rows, cols = np.nonzero(pattern | pattern.T)
-    label = np.arange(pattern.shape[0])
+    label = np.arange(h.shape[0])
     # Each index takes the smallest label among its neighbours and then its
     # label's label; labels only fall, and stop once every edge joins equal
     # labels, each the smallest index of its component.
@@ -262,13 +253,18 @@ def _eigh_sectors(h: Matrix):
     return tuple((index, *np.linalg.eigh(block)) for index, block in sector_blocks(h))
 
 
+def _thermal_tail(beta: float, omega: float, n: int) -> float:
+    """Thermal population above level n, exactly exp(-beta*omega*n): n holds when it is below tail_tol."""
+    return math.exp(-beta * omega * n)
+
+
 def thermal_weights(beta: float, omega: float, n: int, tail_tol: float | None = None):
     """Occupation probabilities of the truncated thermal state (renormalised)."""
     if not (beta > 0.0 and omega > 0.0):
         raise ModelError("thermal state needs beta > 0 and omega > 0")
     if tail_tol is not None:
-        tail = math.exp(-beta * omega * n)
-        if tail >= tail_tol:
+        tail = _thermal_tail(beta, omega, n)
+        if not tail < tail_tol:
             raise TruncationError(
                 f"thermal tail {tail:.3g} above {n} levels exceeds tail_tol {tail_tol:g}"
             )

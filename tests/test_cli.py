@@ -160,11 +160,14 @@ class TestCompareCommand:
 
     def test_automatic_cutoffs_meet_the_default_gate(self, tmp_path):
         # the colder mode needs the hotter mode's cutoff once the coupling has
-        # moved population across; per-mode cutoffs (28 x 14) breached 1e-6
+        # moved population across; per-mode cutoffs (28 x 14) breached 1e-6.
+        # At beta_a = ln(1e12)/28 the tail above 28 levels is not below
+        # tail_tol 1e-12 in floating point, so the cutoff must be 29.
         out = tmp_path / "auto.csv"
-        code = main(["--out", str(out), "--kind", "rwa", "--beta-a", "1", "--beta-b", "2", "compare"])
-        assert code == 0
-        assert float(read_footer(out)[0].split(",")[1]) < 1e-9
+        for beta_a in ("1", "0.9868221827117338"):
+            code = main(["--out", str(out), "--kind", "rwa", "--beta-a", beta_a, "--beta-b", "2", "compare"])
+            assert code == 0
+            assert float(read_footer(out)[0].split(",")[1]) < 1e-9
 
     def test_automatic_cutoffs_at_the_hotter_preparation(self, tmp_path):
         # beta_a = 0.5 needs 56 levels per mode (dim 3136); the exchange
@@ -348,6 +351,12 @@ def long_options(parser):
 
 FLAG_ONLY = {"--help", "--version", "--config", "--out", "--tol"}
 
+# Bad flag values that argparse rejects, with its usage line, and that the model rejects, in one line.
+PARSER_REJECTS = [["--samples", "0", "figure", "4"], ["--samples", "-5", "compare"], ["--samples", "0", "figure", "1"],
+                  ["--samples", "0", "compare"], ["sweep", "--g-grid", "0.1,x"], ["sweep", "--dbeta-grid", "x"]]
+MODEL_REJECTS = [["--tail-tol", value, "compare"] for value in ("0", "-1", "nan", "inf", "2")] + [
+    ["--omega", "0", *command] for command in (["figure", "1"], ["figure", "4"], ["sweep"])]
+
 
 class TestParameterSurface:
     def test_config_keys_are_the_other_flags(self):
@@ -361,15 +370,17 @@ class TestParameterSurface:
         named = set(re.findall(r"(?<![\w-])--[a-z]+(?:-[a-z]+)*", section))
         assert named == long_options(cli.build_parser())
 
-    @pytest.mark.parametrize("argv", [["--samples", "0", "figure", "4"], ["--samples", "-5", "compare"],
-                                      ["--samples", "0", "figure", "1"], ["--samples", "0", "compare"],
-                                      ["sweep", "--g-grid", "0.1,x"], ["sweep", "--dbeta-grid", "x"]],
-                             ids=" ".join)
+    @pytest.mark.parametrize("argv", PARSER_REJECTS + MODEL_REJECTS, ids=" ".join)
     def test_bad_flag_value_exits_2(self, argv):
         # each of these once ended in a traceback, or (samples 0 for figures
-        # 1-3 and compare) in a header-only CSV
+        # 1-3 and compare) in a header-only CSV, or (tail_tol 2) ran with the
+        # tail check switched off
         proc = run_fresh(argv)
         assert proc.returncode == EXIT_VALIDATION
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("qsubthermo"), proc.stderr
-        assert "error: argument --" in proc.stderr
+        lines = proc.stderr.splitlines()
+        if argv in MODEL_REJECTS:
+            assert len(lines) == 1 and lines[0].startswith("invalid configuration:"), proc.stderr
+        else:
+            assert lines[-1].startswith("qsubthermo"), proc.stderr
+            assert "error: argument --" in proc.stderr

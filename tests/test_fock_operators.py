@@ -37,20 +37,38 @@ class TestFockConfig:
         with pytest.raises(ModelError):
             FockConfig(1, 8)
 
-    @pytest.mark.parametrize("tail_tol", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tail_tol", [0.0, math.nan, math.inf, 1.0, 2.0, -1.0])
     def test_rejects_bad_tail_tolerance(self, tail_tol):
+        # checked before auto sizes anything; 1 and above would switch the check off
         with pytest.raises(ModelError, match="tail_tol"):
             FockConfig(8, 8, tail_tol=tail_tol)
+        with pytest.raises(ModelError, match="tail_tol"):
+            FockConfig.auto(linear_system(), ThermalPreparation(1.0, 2.0), tail_tol=tail_tol)
 
     def test_auto_selection_tracks_tail(self):
         # the hotter mode's geometric tail exp(-beta*omega*n) must fall below
-        # tail_tol, minimally; the coupling carries that population into the
-        # colder mode, so both modes get the same cutoff
+        # tail_tol, minimally, by the check every oracle call makes; the
+        # coupling carries that population into the colder mode, so both modes
+        # get the same cutoff.  beta*omega = ln(1/tol)/k and its two float
+        # neighbours sit on the boundary of that check.
         sys_ = linear_system()
-        for prep in (ThermalPreparation(0.5, 1.0), ThermalPreparation(1.0, 0.5)):
-            cfg = FockConfig.auto(sys_, prep, tail_tol=1e-12)
-            assert cfg.n_a == cfg.n_b
-            assert math.exp(-0.5 * cfg.n_a) < 1e-12 <= math.exp(-0.5 * (cfg.n_a - 1))
+        cases = [(ThermalPreparation(0.5, 1.0), 1e-12), (ThermalPreparation(1.0, 0.5), 1e-12)]
+        for tol in (1e-12, 1e-10, 1e-8, 1e-6):
+            for k in range(2, 65):
+                x = math.log(1.0 / tol) / k
+                for beta in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                    cases.append((ThermalPreparation(beta, 2.0), tol))
+        for prep, tol in cases:
+            try:
+                cfg = FockConfig.auto(sys_, prep, tail_tol=tol)
+            except TruncationError:  # past the 64-level cap, which must then fail the check too
+                cfg = FockConfig(65, 65, tail_tol=tol)
+            else:
+                assert cfg.n_a == cfg.n_b
+                thermal_product_state(sys_, prep, cfg)
+            if cfg.n_a > 2:
+                with pytest.raises(TruncationError):
+                    thermal_product_state(sys_, prep, FockConfig(cfg.n_a - 1, cfg.n_b - 1, tail_tol=tol))
 
     def test_auto_selection_rejects_infeasible_temperatures(self):
         sys_ = linear_system()
