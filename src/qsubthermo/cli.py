@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import heat_transfer, time_averaged_heat
-from .diagnostics import Classification, decomposition_audit, scan_violations
+from .diagnostics import decomposition_audit, scan_violations
 from .fock import TAIL_TOL_DEFAULT, FockConfig, heat_series_numeric
 from .model import (
     MINIMAL_KINDS,
@@ -98,7 +98,6 @@ _PARAMS = {param.key: param for param in (
     _Param("t_max", float, None, "largest time on the grid (default 20 for compare, 50/omega otherwise)"),
     _Param("samples", positive_int, None, "grid points (default 1000 for figures 1-3, 200 for figures 4-5, "
            "512 for sweep, 81 for compare)"),
-    _Param("tau_threshold", float, None, "transient/persistent window split (default 3/omega)"),
     _Param("fock_n", int, None, f"Fock levels per mode (default: automatic; {AUDIT_LEVELS} for audit)"),
     _Param("tail_tol", float, TAIL_TOL_DEFAULT, "thermal tail tolerance"),
     _Param("g_grid", float_list, None, "comma-separated couplings", command="sweep"),
@@ -286,7 +285,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                 continue
             sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
             prep = ThermalPreparation(base_beta, base_beta + dbeta)
-            profile = scan_violations(sys_, prep, t_max, samples, tau_threshold=args.tau_threshold)
+            profile = scan_violations(sys_, prep, t_max, samples)
             rows.append((g, dbeta, len(profile.violations), profile.classification.value))
     write_csv(args.out, ["g", "dbeta", "violations", "classification"], rows)
     return EXIT_OK

@@ -1,11 +1,12 @@
-"""Second-law verdicts, violation scans, and the subsystem-decomposition audit.
+"""Violation scans and the subsystem-decomposition audit.
 
-A decomposition is "safe" when the bare energy is a constant of the motion,
-i.e. [H0, V] = 0 (equivalently [H, V] = 0 or [H0, H] = 0 since H = H0 + V).
-That condition is sufficient for the Clausius sign rule; when it fails, the
-sign rule can break, and the scan classifies the breakage as transient
-(pointwise only, averages recover past a threshold window) or persistent
-(time-averaged transfer still wrong-signed at long windows).
+The Clausius verdict itself is ``model.csl_compliant``; this module applies
+it.  A decomposition is "safe" when the bare energy is a constant of the
+motion, i.e. [H0, V] = 0 (equivalently [H, V] = 0 or [H0, H] = 0 since
+H = H0 + V).  That condition is sufficient for the Clausius sign rule; when it
+fails, the sign rule can break, and the scan classifies the breakage as
+transient (pointwise only, averages recover past a threshold window) or
+persistent (time-averaged transfer still wrong-signed at long windows).
 """
 
 from __future__ import annotations
@@ -18,68 +19,27 @@ import numpy as np
 
 from .analytic import heat_transfer, time_averaged_heat
 from .fock import FockConfig, build_hamiltonian, sector_blocks
-from .model import (
-    VIOLATION_TOL_SCALE,
-    ModelError,
-    OscillatorSystem,
-    ThermalPreparation,
-    _checked,
-    csl_compliant,
-)
+from .model import ModelError, OscillatorSystem, ThermalPreparation, _checked, csl_compliant
 
 __all__ = [
-    "CslVerdict",
     "Classification",
     "ViolationProfile",
     "DecompositionAudit",
-    "csl_check",
     "scan_violations",
     "decomposition_audit",
 ]
 
+#: Shortest averaging window the transient/persistent call considers (times 1/omega).
+TAU_THRESHOLD_CYCLES = 3.0
+
 #: Longest averaging window the transient/persistent call considers (times 1/omega).
 TAU_HORIZON_CYCLES = 50.0
 
-#: Averaging windows the transient/persistent call checks, from tau_threshold to the horizon.
+#: Averaging windows the transient/persistent call checks, from the threshold to the horizon.
 TAU_WINDOWS = 32
 
 #: Commutator norms below this make a decomposition csl_safe.
 COMMUTATOR_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CslVerdict:
-    """Sign verdict for one heat-transfer value.
-
-    ``margin`` is sign(beta_b - beta_a) * dq_ab: positive when safely
-    compliant, negative when violating.  ``anomaly`` marks measurable transfer
-    between equal-temperature preparations, which is reportable but not wrong.
-    """
-
-    t: float
-    dq_ab: float
-    compliant: bool
-    margin: float
-    anomaly: bool = False
-
-
-def csl_check(
-    dq_ab: float,
-    prep: ThermalPreparation,
-    t: float = 0.0,
-    omega: float = 1.0,
-) -> CslVerdict:
-    """Clausius verdict for a single transfer value."""
-    direction = float(np.sign(prep.beta_b - prep.beta_a))
-    compliant = csl_compliant(dq_ab, prep, omega=omega)
-    anomaly = direction == 0.0 and abs(dq_ab) > VIOLATION_TOL_SCALE * omega
-    return CslVerdict(
-        t=t,
-        dq_ab=dq_ab,
-        compliant=compliant,
-        margin=direction * dq_ab,
-        anomaly=anomaly,
-    )
 
 
 class Classification(enum.Enum):
@@ -92,10 +52,8 @@ class Classification(enum.Enum):
 class ViolationProfile:
     """Where the sign rule fails on a time grid, and how that failure reads."""
 
-    grid: tuple[float, ...]
     violations: tuple[float, ...]
     classification: Classification
-    tau_threshold: float
 
 
 def scan_violations(
@@ -103,36 +61,25 @@ def scan_violations(
     prep: ThermalPreparation,
     t_max: float,
     n_samples: int,
-    tau_threshold: float | None = None,
 ) -> ViolationProfile:
     """Evaluate dQ_ab on a uniform grid and classify any sign violations.
 
-    Violations are transient when every averaging window tau between
-    tau_threshold (default 3/omega) and the 50/omega horizon yields a
-    compliant time-averaged transfer, persistent when some window does not.
-    Pointwise values and averages take the same verdict, ``csl_compliant``.
+    Violations are transient when every averaging window tau between 3/omega
+    and the 50/omega horizon yields a compliant time-averaged transfer,
+    persistent when some window does not.  Pointwise values and averages take
+    the same verdict, ``csl_compliant``.
     """
     _checked(t_max, "t_max", positive=True)
     if n_samples < 16:
         raise ModelError("need at least 16 samples")
-    omega = max(sys.omega_a, sys.omega_b)
-    if tau_threshold is None:
-        tau_threshold = 3.0 / omega
     grid = np.linspace(0.0, t_max, n_samples)
-    compliant = csl_compliant(heat_transfer(grid, sys, prep).dq_ab, prep, omega=omega)
-    violations = tuple(grid[~compliant].tolist())
+    violations = tuple(grid[~heat_transfer(grid, sys, prep).csl_ok].tolist())
     if not violations:
-        classification = Classification.NONE
-    else:
-        taus = np.linspace(tau_threshold, TAU_HORIZON_CYCLES / omega, TAU_WINDOWS)
-        persistent = not csl_compliant(time_averaged_heat(sys, prep, taus), prep, omega=omega).all()
-        classification = Classification.PERSISTENT if persistent else Classification.TRANSIENT
-    return ViolationProfile(
-        grid=tuple(grid.tolist()),
-        violations=violations,
-        classification=classification,
-        tau_threshold=tau_threshold,
-    )
+        return ViolationProfile(violations, Classification.NONE)
+    omega = max(sys.omega_a, sys.omega_b)
+    taus = np.linspace(TAU_THRESHOLD_CYCLES / omega, TAU_HORIZON_CYCLES / omega, TAU_WINDOWS)
+    persistent = not csl_compliant(time_averaged_heat(sys, prep, taus), prep, omega=omega).all()
+    return ViolationProfile(violations, Classification.PERSISTENT if persistent else Classification.TRANSIENT)
 
 
 @dataclass(frozen=True)

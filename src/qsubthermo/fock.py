@@ -117,7 +117,7 @@ class FockConfig:
                 return cls(n_a=n, n_b=n, tail_tol=tail_tol)
         raise TruncationError(
             f"beta*omega = {beta * omega:.4g} needs more than {_DIM_CAP} levels for tail {tail_tol:g} "
-            f"(minimal feasible beta*omega is {math.log(1.0 / tail_tol) / _DIM_CAP:.4g})"
+            f"(beta*omega must exceed {math.log(1.0 / tail_tol) / _DIM_CAP:.4g})"
         )
 
 

@@ -156,7 +156,7 @@ class TestCompareCommand:
             ]
         )
         assert code == EXIT_VALIDATION
-        assert "minimal feasible" in capsys.readouterr().err
+        assert "must exceed" in capsys.readouterr().err
 
     def test_automatic_cutoffs_meet_the_default_gate(self, tmp_path):
         # the colder mode needs the hotter mode's cutoff once the coupling has
@@ -278,14 +278,18 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "--kind", "linear", "audit"]) == 0
         assert "csl_safe=false" in capsys.readouterr().out
 
-    def test_quad_tol_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key,value", [("quad_tol", "1e-8"), ("tau_threshold", "3")])
+    def test_quad_tol_key_rejected(self, tmp_path, capsys, key, value):
+        # retired parameters: an old file fails loudly instead of being ignored
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("quad_tol = 1e-8\n", encoding="utf-8")
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         assert main(["--config", str(cfg), "figure", "4"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"invalid configuration: unknown config key {key!r}"]
 
-    def test_quad_tol_flag_rejected(self):
+    @pytest.mark.parametrize("flag,value", [("--quad-tol", "1e-8"), ("--tau-threshold", "3")])
+    def test_quad_tol_flag_rejected(self, flag, value):
         with pytest.raises(SystemExit) as exc:
-            main(["--quad-tol", "1e-8", "figure", "4"])
+            main([flag, value, "figure", "4"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("line,command", [("kind = foo", ["audit"]), ("samples = abc", ["figure", "4"]),
@@ -361,7 +365,7 @@ MODEL_REJECTS = [["--tail-tol", value, "compare"] for value in ("0", "-1", "nan"
 class TestParameterSurface:
     def test_config_keys_are_the_other_flags(self):
         keys = set(cli._PARAMS)
-        assert len(keys) == 16
+        assert len(keys) == 15
         assert {"--" + key.replace("_", "-") for key in keys} == long_options(cli.build_parser()) - FLAG_ONLY
 
     def test_readme_names_every_option_and_no_other(self):

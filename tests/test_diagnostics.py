@@ -11,45 +11,12 @@ from qsubthermo import (
     OscillatorSystem,
     SingularCouplingError,
     ThermalPreparation,
-    csl_check,
     decomposition_audit,
     heat_transfer,
     scan_violations,
 )
 
 HOT_A = ThermalPreparation.from_temperatures(100.0, 50.0)
-
-
-class TestCslCheck:
-    def test_compliant_flow_down_the_gradient(self):
-        verdict = csl_check(0.4, HOT_A)
-        assert verdict.compliant and verdict.margin == pytest.approx(0.4)
-        assert not verdict.anomaly
-
-    def test_violation_flagged_with_negative_margin(self):
-        verdict = csl_check(-0.4, HOT_A)
-        assert not verdict.compliant
-        assert verdict.margin == pytest.approx(-0.4)
-
-    def test_zero_transfer_is_compliant(self):
-        assert csl_check(0.0, HOT_A).compliant
-        assert csl_check(5e-13, HOT_A.swapped()).compliant
-
-    def test_equal_temperature_anomaly(self):
-        prep = ThermalPreparation(0.7, 0.7)
-        verdict = csl_check(0.3, prep)
-        assert verdict.anomaly and not verdict.compliant
-        quiet = csl_check(1e-14, prep)
-        assert quiet.compliant and not quiet.anomaly
-
-    def test_fig3_regime_produces_violations(self):
-        sys_ = linear_system(g=0.49)
-        verdicts = [
-            csl_check(heat_transfer(float(t), sys_, HOT_A).dq_ab, HOT_A, t=float(t))
-            for t in np.linspace(0.0, 50.0, 600)
-        ]
-        assert any(not v.compliant for v in verdicts)
-        assert any(v.compliant for v in verdicts)
 
 
 class TestScanViolations:
@@ -67,6 +34,12 @@ class TestScanViolations:
         profile = scan_violations(linear_system(g=0.51), HOT_A, t_max=50.0, n_samples=512)
         assert profile.violations
         assert profile.classification is Classification.PERSISTENT
+
+    def test_fig3_regime_produces_violations(self):
+        # the pointwise verdicts the scan reads
+        verdicts = heat_transfer(np.linspace(0.0, 50.0, 600), linear_system(g=0.49), HOT_A).csl_ok
+        assert not verdicts.all()
+        assert verdicts.any()
 
     def test_grid_validation(self):
         with pytest.raises(ModelError):

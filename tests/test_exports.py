@@ -38,3 +38,18 @@ def test_routes_import_only_model(name):
         elif isinstance(node, ast.Import):
             internal |= {a.name for a in node.names if a.name.startswith("qsubthermo")}
     assert internal == {"model"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(qsubthermo.__file__).parent.glob("[!_]*.py")), ids=lambda p: p.stem)
+def test_every_import_is_read(path):
+    # an import no line reads is dead code, and it hides which module a name
+    # really comes from
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names if a.name != "*"}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert bound - read == set()

@@ -70,10 +70,13 @@ class TestFockConfig:
                 with pytest.raises(TruncationError):
                     thermal_product_state(sys_, prep, FockConfig(cfg.n_a - 1, cfg.n_b - 1, tail_tol=tol))
 
-    def test_auto_selection_rejects_infeasible_temperatures(self):
+    # beta_a = ln(1e12)/64 is the boundary: its tail above 64 levels is not below 1e-12
+    @pytest.mark.parametrize("betas", [(0.01, 0.02), (math.log(1e12) / 64, 2.0)])
+    def test_auto_selection_rejects_infeasible_temperatures(self, betas):
         sys_ = linear_system()
-        with pytest.raises(TruncationError, match="minimal feasible"):
-            FockConfig.auto(sys_, ThermalPreparation(0.01, 0.02))
+        with pytest.raises(TruncationError, match="must exceed") as exc:
+            FockConfig.auto(sys_, ThermalPreparation(*betas))
+        assert "feasible" not in str(exc.value)
 
 
 class TestOperators:

@@ -78,6 +78,12 @@ def test_temperature_constructor_and_swap():
         (-0.5, 0.02, 0.01, True),   # hot b, heat flows b -> a
         (0.0, 0.01, 0.02, True),    # zero transfer is never a violation
         (1e-15, 0.02, 0.01, True),  # sub-tolerance noise
+        (0.4, 0.01, 0.02, True),
+        (-0.4, 0.01, 0.02, False),
+        (0.0, 0.02, 0.01, True),
+        (5e-13, 0.02, 0.01, True),  # within the 1e-12 tolerance of zero
+        (0.3, 0.7, 0.7, False),     # equal temperatures: measurable transfer either way is wrong
+        (1e-14, 0.7, 0.7, True),
     ],
 )
 def test_csl_compliance_sign_rule(dq_ab, beta_a, beta_b, expected):
