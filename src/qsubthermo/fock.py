@@ -17,6 +17,11 @@ and minimal couplings, and single levels when uncoupled.  Time evolution uses
 the Hermitian eigendecomposition of H in each sector (reused across times),
 never a generic matrix exponential; dense U(t) and rho(t) are scattered
 together from the sector blocks.
+
+Each sector is diagonalised in a real gauge read from H as well (unit phases
+along a spanning tree of its nonzero entries), in real arithmetic wherever the
+gauged block's imaginary part is exactly zero and in complex arithmetic where
+it is not.
 """
 
 from __future__ import annotations
@@ -116,8 +121,8 @@ class FockConfig:
             if _thermal_tail(beta, omega, n) < tail_tol:
                 return cls(n_a=n, n_b=n, tail_tol=tail_tol)
         raise TruncationError(
-            f"beta*omega = {beta * omega:.4g} needs more than {_DIM_CAP} levels for tail {tail_tol:g} "
-            f"(beta*omega must exceed {math.log(1.0 / tail_tol) / _DIM_CAP:.4g})"
+            f"beta*omega = {beta * omega!r} needs more than {_DIM_CAP} levels for tail {tail_tol:g} "
+            f"(beta*omega must exceed {math.log(1.0 / tail_tol) / _DIM_CAP!r})"
         )
 
 
@@ -190,19 +195,30 @@ def build_hamiltonian(sys: OscillatorSystem, cfg: FockConfig) -> HamiltonianPart
         # and (p_b + q x_a)^2 = p_b^2 + 2q x_a p_b + q^2 x_a^2.
         if kind is InteractionKind.MINIMAL_A:
             mode_b = mode_b + q * q / (2.0 * m) * (x_b @ x_b)
-            cross = -(q / m) * np.kron(p_a, x_b)
+            factors, scale = (p_a, x_b), -(q / m)
         else:
             mode_a = mode_a + q * q / (2.0 * m) * (x_a @ x_a)
-            cross = (q / m) * np.kron(x_a, p_b)
-        h = np.kron(mode_a, np.eye(cfg.n_b)) + np.kron(np.eye(cfg.n_a), mode_b) + cross
+            factors, scale = (x_a, p_b), q / m
+        # Each composite term joins H in place, in the order of the sum
+        # kron + kron + scale * kron, so no more than two are ever alive.
+        h = np.kron(mode_a, np.eye(cfg.n_b))
+        h += np.kron(np.eye(cfg.n_a), mode_b)
+        cross = np.kron(*factors)
+        cross *= scale
+        h += cross
     else:
         a, b = destroy(cfg.n_a), destroy(cfg.n_b)
         if kind is InteractionKind.NONE:
             h = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
         elif kind is InteractionKind.RWA:
-            h = 1j * sys.g * (np.kron(a, b.conj().T) - np.kron(a.conj().T, b))
+            # contiguous factors spare kron a copy of its dim x dim result
+            a_dag, b_dag = (np.ascontiguousarray(op.conj().T) for op in (a, b))
+            h = np.kron(a, b_dag)
+            h -= np.kron(a_dag, b)
+            h *= 1j * sys.g
         elif kind is InteractionKind.LINEAR:
-            h = 1j * sys.g * np.kron(a.conj().T + a, b.conj().T - b)
+            h = np.kron(a.conj().T + a, b.conj().T - b)
+            h *= 1j * sys.g
         else:  # pragma: no cover - enum is closed
             raise ModelError(f"unknown interaction kind {kind!r}")
         h.flat[:: cfg.dim + 1] += d_a + d_b  # H = V + H0 in place
@@ -248,9 +264,45 @@ def sector_blocks(h: Matrix):
         yield index, h[np.ix_(index, index)]
 
 
+def _real_gauge(block: Matrix):
+    """(z, conj(z) block z) for unit phases z read from the block's exactly
+    nonzero entries, gauging the block in place.
+
+    z makes every edge of a breadth-first spanning tree of the block's pattern
+    real and positive.  The gauged block is returned as its real part when its
+    imaginary part is exactly zero, and complex otherwise.
+    """
+    nonzero = block != 0
+    z = np.ones(len(block), dtype=np.complex128)
+    reached = np.zeros(len(block), dtype=bool)
+    reached[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        todo = np.flatnonzero(~reached)
+        links = nonzero[np.ix_(frontier, todo)]
+        new = links.any(axis=0)
+        parent, child = frontier[links.argmax(axis=0)[new]], todo[new]
+        edge = block[parent, child]
+        size = np.abs(edge)
+        # conj(edge) / |edge| part by part: complex division by |edge| would
+        # multiply by its rounded reciprocal and miss 1 for a real or imaginary edge
+        z[child] = z[parent] * (edge.real / size - 1j * (edge.imag / size))
+        reached[child] = True
+        frontier = child
+    block *= z
+    block *= z.conj()[:, None]
+    return z, block if block.imag.any() else block.real
+
+
 def _eigh_sectors(h: Matrix):
-    """(index, energies, vectors) of h restricted to each of its sectors."""
-    return tuple((index, *np.linalg.eigh(block)) for index, block in sector_blocks(h))
+    """(index, energies, vectors, z) for each sector of h: h restricted to the
+    sector is diag(z) vectors diag(energies) vectors^dag diag(z)^dag, with
+    real vectors wherever the gauge z makes the block real."""
+    out = []
+    for index, block in sector_blocks(h):
+        z, gauged = _real_gauge(block)
+        out.append((index, *np.linalg.eigh(gauged), z))
+    return tuple(out)
 
 
 def _thermal_tail(beta: float, omega: float, n: int) -> float:
@@ -303,8 +355,7 @@ def _require_hermitian(mat: Matrix, what: str, atol: float = 1e-12) -> None:
 @functools.lru_cache(maxsize=3)
 def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
     """Cached Hermitian eigendecomposition of H, one sector at a time, shared
-    read-only by the ops below: a tuple of (index, energies, vectors) with
-    H[index][:, index] = vectors diag(energies) vectors^dag."""
+    read-only by the ops below: the tuple of ``_eigh_sectors``."""
     blocks = _eigh_sectors(build_hamiltonian(sys, cfg).h)
     for block in blocks:
         for arr in block:
@@ -319,24 +370,31 @@ def _phases(times, energies):
         return _finite(np.exp(-1j * np.multiply.outer(times, energies)), "time")
 
 
-def _sector_unitary(energies, vectors, t: float) -> Matrix:
-    return (vectors * _phases(t, energies)) @ vectors.conj().T
+def _sector_unitary(energies, vectors, z, t: float) -> Matrix:
+    # diag(phases) split into its real and imaginary parts: two real products
+    # where the vectors are real
+    phases, v_dag = _phases(t, energies), vectors.conj().T
+    u = ((vectors * phases.imag) @ v_dag) * 1j
+    u += (vectors * phases.real) @ v_dag
+    u *= z[:, None]
+    u *= z.conj()
+    return u
 
 
 def _scatter(blocks, dim: int, sector_matrix) -> Matrix:
-    """Dense matrix equal to sector_matrix(index, energies, vectors) on each
-    sector and zero between sectors."""
+    """Dense matrix equal to sector_matrix(index, energies, vectors, z) on
+    each sector and zero between sectors."""
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for index, energies, vectors in blocks:
-        out[np.ix_(index, index)] = sector_matrix(index, energies, vectors)
+    for index, *sector in blocks:
+        out[np.ix_(index, index)] = sector_matrix(index, *sector)
     return out
 
 
 def _evolved(blocks, t: float, w) -> Matrix:
     """rho(t) = U(t) diag(w) U(t)^dag for a number-diagonal state w and a _checked time."""
 
-    def sector_state(index, energies, vectors):
-        u = _sector_unitary(energies, vectors, t)
+    def sector_state(index, energies, vectors, z):
+        u = _sector_unitary(energies, vectors, z, t)
         return (u * w[index]) @ u.conj().T
 
     return _scatter(blocks, len(w), sector_state)
@@ -346,7 +404,7 @@ def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
     """U(t) = exp(-i H t) from the cached sector eigendecompositions of H."""
     t = _checked(t, "time")
     blocks = eigensystem(sys, cfg)
-    return _scatter(blocks, cfg.dim, lambda index, energies, vectors: _sector_unitary(energies, vectors, t))
+    return _scatter(blocks, cfg.dim, lambda index, *sector: _sector_unitary(*sector, t))
 
 
 def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> Matrix:
@@ -368,13 +426,14 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     rho(0) and H_c are diagonal and H is block-diagonal, so tr(X rho(t)) is a
     sum over sectors.  With rho and X in a sector's eigenbasis, its term is
     sum_jk e^{-i E_j t} K_jk e^{i E_k t} for the kernel K = X^T * rho (elementwise).
-    Returns (kernels, tr(H_a rho(0)), tr(H_b rho(0))) with kernels a tuple of
-    (energies, K_a, K_b), one per sector.
+    The sector's gauge cancels from a number-diagonal X, so K is real wherever
+    the eigenvectors are.  Returns (kernels, tr(H_a rho(0)), tr(H_b rho(0)))
+    with kernels a tuple of (energies, K_a, K_b), one per sector.
     """
     w = thermal_product_state(sys, prep, cfg)
     d_a, d_b = _bare_levels(sys, cfg)
     kernels = []
-    for index, energies, vectors in eigensystem(sys, cfg):
+    for index, energies, vectors, _ in eigensystem(sys, cfg):
         rho_eig = _in_eigenbasis(vectors, w[index])
         k_a = _in_eigenbasis(vectors, d_a[index]).T * rho_eig
         k_b = _in_eigenbasis(vectors, d_b[index]).T * rho_eig
@@ -386,14 +445,20 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
 
 def _expectations(kernels, times) -> NDArray[np.float64]:
     """tr(H_a rho(t)) and tr(H_b rho(t)) over every time: per block of times,
-    one GEMM per sector and kernel, summed over sectors."""
+    two GEMMs per sector and kernel, summed over sectors.
+
+    phases @ K is formed from the real and imaginary parts of the phases, so
+    a real kernel takes two real products.
+    """
     out = np.zeros((2, len(times)))
     for start in range(0, len(times), _SERIES_BLOCK):
         block = slice(start, start + _SERIES_BLOCK)
         for energies, *sector_kernels in kernels:
             phases = _phases(times[block], energies)
+            re, im = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
             for values, kernel in zip(out, sector_kernels):
-                values[block] += np.einsum("tj,tj->t", phases @ kernel, phases.conj()).real
+                weighted = re @ kernel + 1j * (im @ kernel)
+                values[block] += np.einsum("tj,tj->t", weighted, phases.conj()).real
     return out
 
 
@@ -702,5 +767,5 @@ def spectrum_match(
 
 def _lowest_levels(h: Matrix, k: int) -> NDArray[np.float64]:
     """The k lowest eigenvalues of h, merged from its sectors."""
-    levels = [np.linalg.eigvalsh(block) for _, block in sector_blocks(h)]
+    levels = [np.linalg.eigvalsh(_real_gauge(block)[1]) for _, block in sector_blocks(h)]
     return np.sort(np.concatenate(levels))[:k]

@@ -1,5 +1,6 @@
 """The package namespace re-exports exactly the public names of its modules,
-and the two heat routes stay independent of each other."""
+the two heat routes stay independent of each other, and the oracle's algebra
+never depends on the coupling type."""
 
 import ast
 import importlib
@@ -38,6 +39,27 @@ def test_routes_import_only_model(name):
         elif isinstance(node, ast.Import):
             internal |= {a.name for a in node.names if a.name.startswith("qsubthermo")}
     assert internal == {"model"}
+
+
+# The oracle reads its sectors, its gauge and whether a sector is real from the
+# matrix alone, so nothing that decides its algebra may see the coupling type.
+ORACLE_ALGEBRA = ["sectors", "sector_blocks", "_eigh_sectors", "_real_gauge", "eigensystem", "_heat_kernel", "_expectations"]
+
+
+@pytest.mark.parametrize("function", ORACLE_ALGEBRA)
+def test_oracle_algebra_never_reads_the_coupling_type(function):
+    module = importlib.import_module("qsubthermo.fock")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    read = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.arg):
+            read.add(node.arg)
+    assert read & {"kind", "InteractionKind", "MINIMAL_KINDS"} == set()
 
 
 @pytest.mark.parametrize("path", sorted(Path(qsubthermo.__file__).parent.glob("[!_]*.py")), ids=lambda p: p.stem)

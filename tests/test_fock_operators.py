@@ -77,6 +77,9 @@ class TestFockConfig:
         with pytest.raises(TruncationError, match="must exceed") as exc:
             FockConfig.auto(sys_, ThermalPreparation(*betas))
         assert "feasible" not in str(exc.value)
+        # the printed bound is never below the true one, so a value above it passes
+        printed = float(str(exc.value).rpartition("must exceed ")[2].rstrip(")"))
+        assert printed >= math.log(1.0 / 1e-12) / 64
 
 
 class TestOperators:

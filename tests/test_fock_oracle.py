@@ -38,6 +38,7 @@ from qsubthermo import (
     von_neumann_entropy,
 )
 from qsubthermo.fock import (
+    _expectations,
     _heat_kernel,
     _state_at,
     eigensystem,
@@ -110,12 +111,14 @@ class TestHeatNumeric:
 
     def test_series_blocks_match_pointwise_loop(self):
         # the blocked series against the one-time-at-a-time contraction of the
-        # same kernels, across several blocks and a ragged last block
+        # same kernels, across several blocks and a ragged last block: first
+        # the cached kernels, which are real, then complex Hermitian kernels
+        # made from them by a diagonal unitary, as a complex eigenbasis gives
         sys_ = linear_system(g=0.3)
         times = np.linspace(0.0, 12.0, 301)
         kernels, q_a0, q_b0 = _heat_kernel(sys_, PREP, CFG24)
 
-        def contract(t, which):
+        def contract(kernels, t, which):
             # the sector kernels one time at a time, summed over sectors
             total = 0.0
             for energies, *sector_kernels in kernels:
@@ -123,13 +126,23 @@ class TestHeatNumeric:
                 total += float(np.real(phases @ sector_kernels[which] @ phases.conj()))
             return total
 
+        assert all(np.isrealobj(kernel) for _, *sector_kernels in kernels for kernel in sector_kernels)
         for report, t in zip(heat_series_numeric(sys_, PREP, CFG24, times), times):
-            dq_a = contract(t, 0) - q_a0
-            dq_b = contract(t, 1) - q_b0
+            dq_a = contract(kernels, t, 0) - q_a0
+            dq_b = contract(kernels, t, 1) - q_b0
             assert report.t == t
             assert report.dq_a == pytest.approx(dq_a, rel=1e-12, abs=1e-12)
             assert report.dq_b == pytest.approx(dq_b, rel=1e-12, abs=1e-12)
             assert report.dq_ab == report.dq_b - report.dq_a
+
+        rng = np.random.default_rng(3)
+        twisted = []
+        for energies, *sector_kernels in kernels:
+            z = np.exp(2j * np.pi * rng.random(len(energies)))
+            twisted.append((energies, *(z.conj()[:, None] * kernel * z for kernel in sector_kernels)))
+        for t, e_a, e_b in zip(times, *_expectations(twisted, times)):
+            assert e_a == pytest.approx(contract(twisted, t, 0), rel=1e-12, abs=1e-12)
+            assert e_b == pytest.approx(contract(twisted, t, 1), rel=1e-12, abs=1e-12)
 
     def test_single_time_matches_series(self):
         sys_ = linear_system(g=0.3)
@@ -193,8 +206,8 @@ def test_oracle_matches_analytic_heats(kind, n, g, times):
             for got, want in ((oracle.dq_a, analytic.dq_a), (oracle.dq_b, analytic.dq_b)):
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (kind, g, t)
     finally:
-        # a dim-2304 linear eigensystem holds two 1152 x 1152 sector bases
-        # (about 40 MB), and its heat kernel twice that; keep the peak bounded
+        # a dim-2304 linear eigensystem holds two real 1152 x 1152 sector
+        # bases (about 20 MB), and its heat kernel twice that; keep the peak bounded
         eigensystem.cache_clear()
         _heat_kernel.cache_clear()
 

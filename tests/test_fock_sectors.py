@@ -15,7 +15,15 @@ from qsubthermo import (
     effective_hamiltonian,
     partial_trace_a,
 )
-from qsubthermo.fock import eigensystem, sectors, thermal_product_state, unitary_at
+from qsubthermo.fock import (
+    _eigh_sectors,
+    _real_gauge,
+    eigensystem,
+    sector_blocks,
+    sectors,
+    thermal_product_state,
+    unitary_at,
+)
 
 SYSTEMS = {
     "rwa": OscillatorSystem(1.0, 1.0, InteractionKind.RWA, g=0.2),
@@ -49,14 +57,16 @@ def test_sector_sizes_and_exact_zeros(kind):
     assert np.all(h[~inside] == 0.0)
 
 
-def test_rounding_level_entry_joins_parities():
-    # The linear coupling keeps parity; one 1e-300 entry across it makes one
-    # sector, and the effective Hamiltonian still matches a dense evolution.
+def _override_matches_dense_evolution(entries):
+    """Joins the parities of the linear coupling with 1e-300 entries at the
+    given index pairs, checks the effective Hamiltonian against a dense
+    evolution, and returns the eigenvectors of the one joined sector."""
     cfg, t = CFG12, 1.3
     bare = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
     parts = build_hamiltonian(SYSTEMS["linear"], cfg)
     override = parts.v.copy()
-    override[0, 1] = override[1, 0] = 1e-300
+    for i, j in entries:
+        override[i, j] = override[j, i] = 1e-300
     assert len(sectors(parts.h0 + parts.v)) == 2
     assert len(sectors(parts.h0 + override)) == 1
 
@@ -66,17 +76,47 @@ def test_rounding_level_entry_joins_parities():
     reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
     got = effective_hamiltonian(t, bare, PREP, cfg, interaction=override)
     assert np.abs(got - reference).max() < 1e-12
+    ((_, _, vectors, _),) = _eigh_sectors(parts.h0 + override)
+    return vectors
+
+
+def test_rounding_level_entry_joins_parities():
+    # The linear coupling keeps parity; one 1e-300 entry across it makes one
+    # sector, and the effective Hamiltonian still matches a dense evolution.
+    # The entry is a bridge between the halves, which the gauge makes real
+    # like any tree edge.
+    assert np.isrealobj(_override_matches_dense_evolution([(0, 1)]))
+
+
+def test_rounding_level_loop_stays_complex():
+    # A second entry, |0_a 1_b> to |1_a 1_b> (index 13), closes the loop
+    # |0 0> - |0 1> - |1 1> - |0 0> through one imaginary coupling.  No
+    # diagonal gauge makes that loop real, so the sector keeps complex
+    # eigenvectors, and every route built on them must still be exact.
+    assert np.iscomplexobj(_override_matches_dense_evolution([(0, 1), (1, 13)]))
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_merged_energies_match_dense_spectrum(kind):
     sys_ = SYSTEMS[kind]
     blocks = eigensystem(sys_, CFG24)
-    for index, energies, vectors in blocks:
-        assert vectors.shape == (len(index), len(index)) and energies.shape == index.shape
-    merged = np.sort(np.concatenate([energies for _, energies, _ in blocks]))
+    for index, energies, vectors, z in blocks:
+        assert vectors.shape == (len(index), len(index)) and energies.shape == index.shape == z.shape
+        assert np.isrealobj(vectors)
+    merged = np.sort(np.concatenate([energies for _, energies, _, _ in blocks]))
     dense = np.linalg.eigvalsh(build_hamiltonian(sys_, CFG24).h)
     assert np.all(np.abs(merged - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+@pytest.mark.parametrize("cfg", [CFG12, CFG24], ids=["n12", "n24"])
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_gauged_sector_blocks_are_exactly_real(kind, cfg):
+    h = build_hamiltonian(SYSTEMS[kind], cfg).h
+    for _, block in sector_blocks(h):
+        z, gauged = _real_gauge(block.copy())
+        assert np.isrealobj(gauged)
+        assert np.all((np.conj(z)[:, None] * block * z).imag == 0.0)
+        assert np.all(np.abs(z) == 1.0)
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
