@@ -7,21 +7,22 @@ cross-validate each other.  Composite indexing is a-major: basis state
 |i_a, i_b> sits at row i_a * n_b + i_b, i.e. operators extend to the composite
 space as numpy.kron(op_a, identity_b) and numpy.kron(identity_a, op_b).  The
 bare energies H_a, H_b are diagonal in this basis, and every other term of H
-is a kron of two single-mode matrices, so H is assembled without any
-composite-space product.
+is a kron of two single-mode matrices, so H is assembled as an edge list: each
+term contributes the products of the nonzero entries of its two factors, and
+no dim x dim array is formed.
 
 H is block-diagonal: ``sectors`` reads its conserved sectors from the exactly
-nonzero entries of the matrix itself (never from the interaction kind), so
-N_a + N_b shows up for the exchange coupling, (N_a + N_b) mod 2 for the linear
-and minimal couplings, and single levels when uncoupled.  Time evolution uses
-the Hermitian eigendecomposition of H in each sector (reused across times),
-never a generic matrix exponential; dense U(t) and rho(t) are scattered
-together from the sector blocks.
-
-Each sector is diagonalised in a real gauge read from H as well (unit phases
-along a spanning tree of its nonzero entries), in real arithmetic wherever the
-gauged block's imaginary part is exactly zero and in complex arithmetic where
-it is not.
+nonzero entries of H itself (never from the interaction kind), so N_a + N_b
+shows up for the exchange coupling, (N_a + N_b) mod 2 for the linear and
+minimal couplings, and single levels when uncoupled.  Each sector block is cut
+straight from the edge list and diagonalised in a real gauge read from it
+(unit phases along a spanning tree of its nonzero entries), in real arithmetic
+wherever the gauged block's imaginary part is exactly zero and in complex
+arithmetic where it is not.  Time evolution reuses those eigendecompositions,
+never a generic matrix exponential.  rho(t) vanishes between sectors, so the
+partial traces, traces against H and transition probabilities are gathered
+from its sector blocks; only ``unitary_at`` and ``bare_amplitudes`` return a
+dense U(t).
 """
 
 from __future__ import annotations
@@ -141,20 +142,45 @@ def _quadratures(n: int, omega: float, m: float) -> tuple[Matrix, Matrix]:
 
 @dataclass(frozen=True)
 class HamiltonianParts:
-    """Total Hamiltonian H on the composite space, and the bare energies H_a,
-    H_b as their number-basis diagonals d_a, d_b.
+    """Total Hamiltonian H on the composite space as an edge list, its exactly
+    nonzero entries ``vals`` at (``rows``, ``cols``) in row-major order, and
+    the bare energies H_a, H_b as their number-basis diagonals d_a, d_b.
 
-    The interaction V = H - H0 and the dense H_a, H_b and H0 = H_a + H_b are
-    built only when asked for.
+    The dense H, V = H - H0, H_a, H_b and H0 = H_a + H_b are built only when
+    asked for.
     """
 
-    h: Matrix
+    rows: NDArray[np.intp]
+    cols: NDArray[np.intp]
+    vals: NDArray[np.complex128]
     d_a: NDArray[np.float64]
     d_b: NDArray[np.float64]
 
     @property
+    def dim(self) -> int:
+        return len(self.d_a)
+
+    def entries(self, shift):
+        """(rows, cols, values) of H + diag(shift): the off-diagonal edges of H,
+        then its whole diagonal, shifted."""
+        off = self.rows != self.cols
+        diag = np.zeros(self.dim, dtype=np.complex128)
+        diag[self.rows[~off]] = self.vals[~off]
+        diag += shift
+        index = np.arange(self.dim)
+        return (
+            np.concatenate([self.rows[off], index]),
+            np.concatenate([self.cols[off], index]),
+            np.concatenate([self.vals[off], diag]),
+        )
+
+    @property
+    def h(self) -> Matrix:
+        return _dense(self.dim, self.rows, self.cols, self.vals)
+
+    @property
     def v(self) -> Matrix:
-        return _plus_diagonal(self.h, -(self.d_a + self.d_b))
+        return _dense(self.dim, *self.entries(-(self.d_a + self.d_b)))
 
     @property
     def h_a(self) -> Matrix:
@@ -169,6 +195,18 @@ class HamiltonianParts:
         return np.diag((self.d_a + self.d_b).astype(np.complex128))
 
 
+def _dense(dim: int, rows, cols, vals) -> Matrix:
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[rows, cols] = vals
+    return out
+
+
+def _nonzero_entries(mat: Matrix):
+    """(rows, cols, values) of the exactly nonzero entries of a dense matrix, row-major."""
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
 def _bare_levels(sys: OscillatorSystem, cfg: FockConfig):
     """Diagonals of H_a = omega_a a^dag a and H_b = omega_b b^dag b on the composite space."""
     d_a = np.repeat(sys.omega_a * np.arange(cfg.n_a), cfg.n_b)
@@ -176,12 +214,28 @@ def _bare_levels(sys: OscillatorSystem, cfg: FockConfig):
     return d_a, d_b
 
 
+def _kron_entries(terms, cfg: FockConfig):
+    """(rows, cols, values): every position, row-major, on the diagonal or where
+    some kron(A, B) of terms multiplies two nonzero entries, and each term's
+    entries there, the products A[i, j] * B[k, l] that numpy.kron forms."""
+    dim, n_b = cfg.dim, cfg.n_b
+    keys = [np.arange(dim) * (dim + 1)]
+    for a, b in terms:
+        (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+        keys.append(((ra * n_b)[:, None] + rb).ravel() * dim + ((ca * n_b)[:, None] + cb).ravel())
+    rows, cols = np.divmod(np.unique(np.concatenate(keys)), dim)
+    (ra, rb), (ca, cb) = np.divmod(rows, n_b), np.divmod(cols, n_b)
+    return rows, cols, [a[ra, ca] * b[rb, cb] for a, b in terms]
+
+
 def build_hamiltonian(sys: OscillatorSystem, cfg: FockConfig) -> HamiltonianParts:
     """Assemble H = H0 + V for the system's interaction kind from single-mode blocks.
 
     The minimal-coupling kinds are built from the full quadratic forms
     (including the q^2 x^2 / 2m self-energy and zero-point offsets), with V
-    defined as H - H0.
+    defined as H - H0.  Each entry takes the arithmetic, in order, of the dense
+    sum of kron terms, so the edge list holds exactly the nonzero entries of
+    that dense H, bit for bit.
     """
     d_a, d_b = _bare_levels(sys, cfg)
     kind = sys.kind
@@ -199,57 +253,52 @@ def build_hamiltonian(sys: OscillatorSystem, cfg: FockConfig) -> HamiltonianPart
         else:
             mode_a = mode_a + q * q / (2.0 * m) * (x_a @ x_a)
             factors, scale = (x_a, p_b), q / m
-        # Each composite term joins H in place, in the order of the sum
-        # kron + kron + scale * kron, so no more than two are ever alive.
-        h = np.kron(mode_a, np.eye(cfg.n_b))
-        h += np.kron(np.eye(cfg.n_a), mode_b)
-        cross = np.kron(*factors)
+        # H = kron(mode_a, I) + kron(I, mode_b) + scale * kron(*factors)
+        rows, cols, (vals, term_b, cross) = _kron_entries(
+            [(mode_a, np.eye(cfg.n_b)), (np.eye(cfg.n_a), mode_b), factors], cfg
+        )
+        vals += term_b
         cross *= scale
-        h += cross
+        vals += cross
     else:
         a, b = destroy(cfg.n_a), destroy(cfg.n_b)
+        a_dag, b_dag = a.conj().T, b.conj().T
         if kind is InteractionKind.NONE:
-            h = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+            rows, cols, _ = _kron_entries([], cfg)
+            vals = np.zeros(len(rows), dtype=np.complex128)
         elif kind is InteractionKind.RWA:
-            # contiguous factors spare kron a copy of its dim x dim result
-            a_dag, b_dag = (np.ascontiguousarray(op.conj().T) for op in (a, b))
-            h = np.kron(a, b_dag)
-            h -= np.kron(a_dag, b)
-            h *= 1j * sys.g
+            rows, cols, (vals, back) = _kron_entries([(a, b_dag), (a_dag, b)], cfg)
+            vals -= back
+            vals *= 1j * sys.g
         elif kind is InteractionKind.LINEAR:
-            h = np.kron(a.conj().T + a, b.conj().T - b)
-            h *= 1j * sys.g
+            rows, cols, (vals,) = _kron_entries([(a_dag + a, b_dag - b)], cfg)
+            vals *= 1j * sys.g
         else:  # pragma: no cover - enum is closed
             raise ModelError(f"unknown interaction kind {kind!r}")
-        h.flat[:: cfg.dim + 1] += d_a + d_b  # H = V + H0 in place
-    return HamiltonianParts(h=h, d_a=d_a, d_b=d_b)
+        diag = rows == cols
+        vals[diag] += (d_a + d_b)[rows[diag]]  # H = V + H0
+    keep = vals != 0
+    return HamiltonianParts(rows[keep], cols[keep], vals[keep], d_a, d_b)
 
 
-def _plus_diagonal(mat: Matrix, diag) -> Matrix:
-    """mat + diag(diag) without forming the dense diagonal matrix."""
-    out = mat.copy()
-    out.flat[:: out.shape[0] + 1] += diag
-    return out
-
-
-def sectors(h: Matrix) -> list[NDArray[np.intp]]:
+def sectors(parts: HamiltonianParts) -> list[NDArray[np.intp]]:
     """Connected components of the graph whose edges are the exactly nonzero
-    entries of the square matrix h.
+    entries of H, read from its edge list.
 
     There is no tolerance: a rounding-level entry joins two sectors instead of
-    being dropped, so h is exactly zero between the sectors returned.  Each
+    being dropped, so H is exactly zero between the sectors returned.  Each
     sector is an ascending index array; sectors are ordered by their smallest
     index.
     """
-    pattern = h != 0
-    rows, cols = np.nonzero(pattern | pattern.T)
-    label = np.arange(h.shape[0])
+    rows, cols = parts.rows, parts.cols
+    label = np.arange(parts.dim)
     # Each index takes the smallest label among its neighbours and then its
     # label's label; labels only fall, and stop once every edge joins equal
     # labels, each the smallest index of its component.
     while True:
         low = label.copy()
         np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, cols, label[rows])
         low = low[low]
         if np.array_equal(low, label):
             break
@@ -258,10 +307,30 @@ def sectors(h: Matrix) -> list[NDArray[np.intp]]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def sector_blocks(h: Matrix):
-    """(index, h restricted to the sector) for each sector of h, in the order of sectors(h)."""
-    for index in sectors(h):
-        yield index, h[np.ix_(index, index)]
+def _grouped(owner, count: int):
+    """Positions of the entries of owner that hold each value 0 .. count - 1, ascending."""
+    order = np.argsort(owner, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(owner, minlength=count))[:-1])
+
+
+def _sector_layout(found, dim: int):
+    """(sector, local): the sector of each state among found, and its position in that sector."""
+    sector, local = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    for s, index in enumerate(found):
+        sector[index], local[index] = s, np.arange(len(index))
+    return sector, local
+
+
+def sector_blocks(parts: HamiltonianParts):
+    """(index, H restricted to the sector) for each sector of H, in the order
+    of sectors(parts), each block filled straight from the edge list."""
+    found = sectors(parts)
+    sector, local = _sector_layout(found, parts.dim)
+    # no edge joins two sectors, so each belongs to the sector of its row
+    for index, edges in zip(found, _grouped(sector[parts.rows], len(found))):
+        block = np.zeros((len(index), len(index)), dtype=np.complex128)
+        block[local[parts.rows[edges]], local[parts.cols[edges]]] = parts.vals[edges]
+        yield index, block
 
 
 def _real_gauge(block: Matrix):
@@ -294,12 +363,12 @@ def _real_gauge(block: Matrix):
     return z, block if block.imag.any() else block.real
 
 
-def _eigh_sectors(h: Matrix):
-    """(index, energies, vectors, z) for each sector of h: h restricted to the
+def _eigh_sectors(parts: HamiltonianParts):
+    """(index, energies, vectors, z) for each sector of H: H restricted to the
     sector is diag(z) vectors diag(energies) vectors^dag diag(z)^dag, with
     real vectors wherever the gauge z makes the block real."""
     out = []
-    for index, block in sector_blocks(h):
+    for index, block in sector_blocks(parts):
         z, gauged = _real_gauge(block)
         out.append((index, *np.linalg.eigh(gauged), z))
     return tuple(out)
@@ -356,7 +425,7 @@ def _require_hermitian(mat: Matrix, what: str, atol: float = 1e-12) -> None:
 def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
     """Cached Hermitian eigendecomposition of H, one sector at a time, shared
     read-only by the ops below: the tuple of ``_eigh_sectors``."""
-    blocks = _eigh_sectors(build_hamiltonian(sys, cfg).h)
+    blocks = _eigh_sectors(build_hamiltonian(sys, cfg))
     for block in blocks:
         for arr in block:
             arr.setflags(write=False)
@@ -370,47 +439,74 @@ def _phases(times, energies):
         return _finite(np.exp(-1j * np.multiply.outer(times, energies)), "time")
 
 
-def _sector_unitary(energies, vectors, z, t: float) -> Matrix:
-    # diag(phases) split into its real and imaginary parts: two real products
-    # where the vectors are real
+def _sector_parts(energies, vectors, t: float):
+    """(c, s) with vectors e^{-iEt} vectors^dag = c + i s, both Hermitian: the
+    phases split into their real and imaginary parts, two real products where
+    the vectors are real."""
     phases, v_dag = _phases(t, energies), vectors.conj().T
-    u = ((vectors * phases.imag) @ v_dag) * 1j
-    u += (vectors * phases.real) @ v_dag
+    return (vectors * phases.real) @ v_dag, (vectors * phases.imag) @ v_dag
+
+
+def _sector_unitary(energies, vectors, z, t: float) -> Matrix:
+    c, s = _sector_parts(energies, vectors, t)
+    u = s * 1j
+    u += c
     u *= z[:, None]
     u *= z.conj()
     return u
 
 
-def _scatter(blocks, dim: int, sector_matrix) -> Matrix:
-    """Dense matrix equal to sector_matrix(index, energies, vectors, z) on
-    each sector and zero between sectors."""
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for index, *sector in blocks:
-        out[np.ix_(index, index)] = sector_matrix(index, *sector)
+def _sector_state(energies, vectors, z, t: float, w, p, q):
+    """One sector's rho(t) = U(t) diag(w) U(t)^dag at its local entries (p, q).
+
+    U = diag(z) (c + i s) diag(z)^dag, so rho(t) = diag(z) (c w c + s w s +
+    i (x - x^dag)) diag(z)^dag with x = s w c: real products where the vectors
+    are real, and c w c = (c sqrt(w)) (c sqrt(w))^dag, so no more than four
+    sector-sized arrays at once, all freed on return.
+    """
+    c, s = _sector_parts(energies, vectors, t)
+    root = np.sqrt(w)
+    c *= root
+    s *= root
+    x = s @ c.conj().T
+    r = c @ c.conj().T
+    r += np.matmul(s, s.conj().T, out=c)
+    return (r[p, q] + 1j * (x[p, q] - x[q, p].conj())) * (z[p] * z[q].conj())
+
+
+def _evolved(blocks, t: float, w, rows, cols):
+    """rho(t) = U(t) diag(w) U(t)^dag at the entries (rows, cols), for a
+    number-diagonal state w and a _checked time, one sector at a time: rho(t)
+    vanishes between sectors."""
+    sector, local = _sector_layout([index for index, *_ in blocks], len(w))
+    out = np.zeros(len(rows), dtype=np.complex128)
+    # entries between two sectors make one more group, left at zero
+    owner = np.where(sector[rows] == sector[cols], sector[rows], len(blocks))
+    for (index, *sector_eigh), picked in zip(blocks, _grouped(owner, len(blocks) + 1)):
+        if picked.size:
+            out[picked] = _sector_state(*sector_eigh, t, w[index], local[rows[picked]], local[cols[picked]])
     return out
-
-
-def _evolved(blocks, t: float, w) -> Matrix:
-    """rho(t) = U(t) diag(w) U(t)^dag for a number-diagonal state w and a _checked time."""
-
-    def sector_state(index, energies, vectors, z):
-        u = _sector_unitary(energies, vectors, z, t)
-        return (u * w[index]) @ u.conj().T
-
-    return _scatter(blocks, len(w), sector_state)
 
 
 def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
     """U(t) = exp(-i H t) from the cached sector eigendecompositions of H."""
     t = _checked(t, "time")
-    blocks = eigensystem(sys, cfg)
-    return _scatter(blocks, cfg.dim, lambda index, *sector: _sector_unitary(*sector, t))
+    out = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+    for index, *sector in eigensystem(sys, cfg):
+        out[np.ix_(index, index)] = _sector_unitary(*sector, t)
+    return out
 
 
-def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> Matrix:
-    t = _checked(t, "time")  # before the eigensystem, so a bad time costs nothing
-    w = thermal_product_state(sys, prep, cfg)
-    return _evolved(eigensystem(sys, cfg), t, w)
+def _partial_traces(blocks, t: float, w, n_a: int, n_b: int):
+    """(tr_b rho(t), tr_a rho(t)) from the entries of rho(t) that each sums."""
+    i, j, k = np.ogrid[:n_a, :n_a, :n_b]  # rho_a[i, j] sums rho[(i, k), (j, k)]
+    traced_b = np.broadcast_arrays(i * n_b + k, j * n_b + k)
+    i, j, k = np.ogrid[:n_b, :n_b, :n_a]  # rho_b[i, j] sums rho[(k, i), (k, j)]
+    traced_a = np.broadcast_arrays(k * n_b + i, k * n_b + j)
+    rows, cols = (np.concatenate([x.ravel(), y.ravel()]) for x, y in zip(traced_b, traced_a))
+    values = _evolved(blocks, t, w, rows, cols)
+    split = n_a * n_a * n_b
+    return values[:split].reshape(n_a, n_a, n_b).sum(axis=2), values[split:].reshape(n_b, n_b, n_a).sum(axis=2)
 
 
 def _in_eigenbasis(vectors, diag) -> Matrix:
@@ -510,25 +606,39 @@ def bare_amplitudes(
     )
 
 
+def _probabilities(c, s):
+    """|c + i s|^2 elementwise, in place of c and s."""
+    if np.iscomplexobj(c):
+        c, s = c.real - s.imag, c.imag + s.real
+    c *= c
+    s *= s
+    c += s
+    return c
+
+
 def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
-    """(P, W): P[p, q, n, m] = |<p_a, q_b| U(t) |n_a, m_b>|^2 and the initial
-    thermal weights W[n, m], taken first because they hold the truncation check."""
-    w = thermal_product_state(sys, prep, cfg).reshape(cfg.n_a, cfg.n_b)
-    return np.abs(bare_amplitudes(t, sys, cfg).amplitudes) ** 2, w
+    """(w, [(index, P), ...]): the initial thermal weights, taken first because
+    they hold the truncation check, and for each sector P[i, j] = |<i| U(t) |j>|^2
+    between its states.  U(t) vanishes between sectors, and the gauge drops
+    out of |U|."""
+    w = thermal_product_state(sys, prep, cfg)
+    t = _checked(t, "time")
+    return w, [
+        (index, _probabilities(*_sector_parts(energies, vectors, t)))
+        for index, energies, vectors, _ in eigensystem(sys, cfg)
+    ]
 
 
-def _average(f, probs, w, sys: OscillatorSystem) -> float:
-    """sum_pqnm W[n, m] P[p, q, n, m] f(E_a(n), E_b(m), E_a(p), E_b(q)) over the bare levels."""
-    e_a, e_b = sys.omega_a * np.arange(w.shape[0]), sys.omega_b * np.arange(w.shape[1])
-    initial = e_a[None, None, :, None], e_b[None, None, None, :]
-    values = f(*initial, e_a[:, None, None, None], e_b[None, :, None, None])
-    return float(np.einsum("pqnm,nm->", probs * values, w).real)
+def _average(sector_values, w, transitions) -> float:
+    """sum_ij w_j P_ij f_ij over the final states i and initial states j of
+    every sector, with f restricted to a sector given by sector_values(index)."""
+    return float(sum(((probs * sector_values(index)) @ w[index]).sum() for index, probs in transitions).real)
 
 
-def _jarzynski(probs, w) -> float:
+def _jarzynski(w, transitions) -> float:
     # weight * exp(f) = exp(-beta_a w'_a) / Z_a * exp(-beta_b w'_b) / Z_b: the
-    # thermal weights of the final level (p, q).
-    return float(np.einsum("pqnm,pq->", probs, w))
+    # thermal weights of the final level.
+    return float(sum((w[index] @ probs).sum() for index, probs in transitions))
 
 
 def classical_average(
@@ -544,7 +654,12 @@ def classical_average(
     final a-energy, final b-energy) of the bare levels n*omega and must return
     an array of the broadcast shape (p, q, n, m).
     """
-    return _average(f, *_transitions(t, sys, prep, cfg), sys)
+    w, transitions = _transitions(t, sys, prep, cfg)
+    e_a, e_b = sys.omega_a * np.arange(cfg.n_a), sys.omega_b * np.arange(cfg.n_b)
+    initial = e_a[None, None, :, None], e_b[None, None, None, :]
+    values = f(*initial, e_a[:, None, None, None], e_b[None, :, None, None])
+    values = np.broadcast_to(values, (cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b)).reshape(cfg.dim, cfg.dim)
+    return _average(lambda index: values[np.ix_(index, index)], w, transitions)
 
 
 def jarzynski_identity(
@@ -563,10 +678,15 @@ def jensen_bound(
 ) -> tuple[float, float]:
     """(exp(E[f]), E[exp f]) for the entropy exponent f; the first never exceeds
     the second, which is the free-entropy second law in disguise."""
-    probs, w = _transitions(t, sys, prep, cfg)
-    beta_a, beta_b = prep.beta_a, prep.beta_b
-    mean_f = _average(lambda ea0, eb0, ea1, eb1: beta_a * (ea0 - ea1) + beta_b * (eb0 - eb1), probs, w, sys)
-    return math.exp(mean_f), _jarzynski(probs, w)
+    w, transitions = _transitions(t, sys, prep, cfg)
+    d_a, d_b = _bare_levels(sys, cfg)
+
+    def exponent(index):
+        # f from initial level j (columns) to final level i (rows)
+        e_a, e_b = d_a[index], d_b[index]
+        return prep.beta_a * (e_a - e_a[:, None]) + prep.beta_b * (e_b - e_b[:, None])
+
+    return math.exp(_average(exponent, w, transitions)), _jarzynski(w, transitions)
 
 
 def partial_trace_b(mat: Matrix, n_a: int, n_b: int) -> Matrix:
@@ -645,18 +765,20 @@ def entropy_production(
     Diagonalising the composite product directly would drown its deep
     eigenvalue products (below ~1e-30) in eigensolver noise.
     """
-    rho_t = _state_at(t, sys, prep, cfg)
-    s_a_t = von_neumann_entropy(partial_trace_b(rho_t, cfg.n_a, cfg.n_b))
+    t = _checked(t, "time")  # before the eigensystem, so a bad time costs nothing
+    w = thermal_product_state(sys, prep, cfg)
+    rho_a_t, rho_b_t = _partial_traces(eigensystem(sys, cfg), t, w, cfg.n_a, cfg.n_b)
+    s_a_t = von_neumann_entropy(rho_a_t)
     # rho_a(0) is diagonal in the number basis: its entropy is that of its weights.
     ds_a = s_a_t - _shannon(thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol))
     # tr(rho(t) [ln rho_a(t) (x) I]) = -S(rho_a(t)); the mode-b term uses
     # ln w_b = -beta_b E_n - ln Z_b exactly, no clamping required.
     log_w_b = -prep.beta_b * sys.omega_b * np.arange(cfg.n_b)
     log_w_b -= math.log(np.exp(log_w_b).sum())
-    rho_b_t_diag = np.real(np.diag(partial_trace_a(rho_t, cfg.n_a, cfg.n_b)))
+    rho_b_t_diag = np.real(np.diag(rho_b_t))
     tr_rho_ln_sigma = -s_a_t + float(log_w_b @ rho_b_t_diag)
     # Unitary evolution keeps the spectrum: S(rho(t)) = S(rho(0)) = -sum w ln w.
-    ds_i_a = -_shannon(thermal_product_state(sys, prep, cfg)) - tr_rho_ln_sigma
+    ds_i_a = -_shannon(w) - tr_rho_ln_sigma
     ds_e_a = -prep.beta_b * heat_changes_numeric(sys, prep, cfg, t).dq_b
     return EntropyProduction(ds_a=ds_a, ds_i_a=ds_i_a, ds_e_a=ds_e_a)
 
@@ -664,7 +786,7 @@ def entropy_production(
 def true_energies(sys: OscillatorSystem, cfg: FockConfig) -> tuple[Matrix, Matrix]:
     """Subsystem energies that absorb the interaction: (H - H_b, H - H_a)."""
     parts = build_hamiltonian(sys, cfg)
-    return _plus_diagonal(parts.h, -parts.d_b), _plus_diagonal(parts.h, -parts.d_a)
+    return _dense(cfg.dim, *parts.entries(-parts.d_b)), _dense(cfg.dim, *parts.entries(-parts.d_a))
 
 
 @dataclass(frozen=True)
@@ -685,18 +807,27 @@ def true_heat_transfer_identity(
     """dQ_ab from H_c_true = H - H_other equals the bare-energy dQ_ab: the two
     interaction contributions cancel in the difference.
 
-    The true heats are traced against the dense rho(t), a route independent of
-    the spectral kernel behind the bare-energy report.
+    The true heats are traced against rho(t) on the entries of H, sector by
+    sector, a route independent of the spectral kernel behind the bare-energy
+    report.
     """
-    report = heat_changes_numeric(sys, prep, cfg, t)
+    t_checked = _checked(t, "time")  # before the eigensystem, so a bad time costs nothing
     w = thermal_product_state(sys, prep, cfg)
-    rho_t = _state_at(t, sys, prep, cfg)
+    parts = build_hamiltonian(sys, cfg)
+    # H - H_b and H - H_a differ only on the diagonal: one set of entries of rho(t) serves both
+    rows, cols, h_true_a = parts.entries(-parts.d_b)
+    h_true_b = parts.entries(-parts.d_a)[2]
+    rho_t = _evolved(eigensystem(sys, cfg), t_checked, w, rows, cols)
+    # after the gather, so that the kernel this caches and the sector
+    # temporaries of rho(t) are never alive together
+    report = heat_changes_numeric(sys, prep, cfg, t)
 
-    def delta(h_true: Matrix) -> float:
-        # tr(X rho) = vdot(X, rho) for Hermitian X, and rho(0) = diag(w).
-        return float(np.vdot(h_true, rho_t).real - np.diag(h_true).real @ w)
+    def delta(h_true) -> float:
+        # tr(X rho) = vdot(X, rho) over the entries of a Hermitian X, and rho(0)
+        # = diag(w), whose entries close the list.
+        return float(np.vdot(h_true, rho_t).real - h_true[-cfg.dim :].real @ w)
 
-    dq_true_a, dq_true_b = (delta(h_true) for h_true in true_energies(sys, cfg))
+    dq_true_a, dq_true_b = delta(h_true_a), delta(h_true_b)
     return TrueHeatReport(
         t=t,
         dq_ab_true=dq_true_b - dq_true_a,
@@ -721,18 +852,25 @@ def effective_hamiltonian(
     t = _checked(t, "time")
     w = thermal_product_state(sys, prep, cfg)
     if interaction is None:
-        v = build_hamiltonian(sys, cfg).v
+        parts = build_hamiltonian(sys, cfg)
+        rows, cols, v = parts.entries(-(parts.d_a + parts.d_b))
         blocks = eigensystem(sys, cfg)
     else:
         if np.shape(interaction) != (cfg.dim, cfg.dim):
             raise ModelError(f"interaction override must be {cfg.dim} x {cfg.dim}, got shape {np.shape(interaction)}")
         _require_hermitian(interaction, "interaction override")
         d_a, d_b = _bare_levels(sys, cfg)
-        v = interaction
-        blocks = _eigh_sectors(_plus_diagonal(v, d_a + d_b))
-    rho_b_t = partial_trace_a(_evolved(blocks, t, w), cfg.n_a, cfg.n_b)
-    # tr_b[V (I (x) rho_b)]_ij = sum_kl V_(ik),(jl) (rho_b)_lk
-    return np.einsum("ikjl,lk->ij", v.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b_t)
+        rows, cols, v = _nonzero_entries(interaction)
+        h = interaction.copy()
+        h.flat[:: cfg.dim + 1] += d_a + d_b  # H = V + H0
+        blocks = _eigh_sectors(HamiltonianParts(*_nonzero_entries(h), d_a, d_b))
+    _, rho_b_t = _partial_traces(blocks, t, w, cfg.n_a, cfg.n_b)
+    # tr_b[V (I (x) rho_b)]_ij = sum_kl V_(ik),(jl) (rho_b)_lk, over the entries of V
+    (i, k), (j, l) = np.divmod(rows, cfg.n_b), np.divmod(cols, cfg.n_b)
+    terms, target = v * rho_b_t[l, k], i * cfg.n_a + j
+    size = cfg.n_a * cfg.n_a
+    h_eff = np.bincount(target, terms.real, size) + 1j * np.bincount(target, terms.imag, size)
+    return h_eff.reshape(cfg.n_a, cfg.n_a)
 
 
 def diagonal_split(h_eff: Matrix) -> tuple[Matrix, Matrix]:
@@ -761,11 +899,11 @@ def spectrum_match(
         raise TruncationError(
             f"k={k} reaches into the truncation-contaminated band (limit {cfg.dim // 4})"
         )
-    levels_a, levels_b = (_lowest_levels(build_hamiltonian(s, cfg).h, k) for s in (sys_a, sys_b))
+    levels_a, levels_b = (_lowest_levels(build_hamiltonian(s, cfg), k) for s in (sys_a, sys_b))
     return float(np.abs(levels_a - levels_b).max())
 
 
-def _lowest_levels(h: Matrix, k: int) -> NDArray[np.float64]:
-    """The k lowest eigenvalues of h, merged from its sectors."""
-    levels = [np.linalg.eigvalsh(_real_gauge(block)[1]) for _, block in sector_blocks(h)]
+def _lowest_levels(parts: HamiltonianParts, k: int) -> NDArray[np.float64]:
+    """The k lowest eigenvalues of H, merged from its sectors."""
+    levels = [np.linalg.eigvalsh(_real_gauge(block)[1]) for _, block in sector_blocks(parts)]
     return np.sort(np.concatenate(levels))[:k]

@@ -7,6 +7,7 @@ eigendecomposition caches serve every test that needs the same Hamiltonian.
 import pytest
 
 from qsubthermo import FockConfig, InteractionKind, OscillatorSystem, ThermalPreparation
+from qsubthermo.fock import thermal_product_state, unitary_at
 
 
 def rwa_system(g: float = 0.1, omega: float = 1.0) -> OscillatorSystem:
@@ -15,6 +16,12 @@ def rwa_system(g: float = 0.1, omega: float = 1.0) -> OscillatorSystem:
 
 def linear_system(g: float = 0.3, omega: float = 1.0) -> OscillatorSystem:
     return OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
+
+
+def dense_state(t, sys_, prep, cfg):
+    """Reference rho(t) = U(t) rho(0) U(t)^dag as one dense matrix, from the dense U(t)."""
+    u = unitary_at(t, sys_, cfg)
+    return (u * thermal_product_state(sys_, prep, cfg)) @ u.conj().T
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import linear_system, rwa_system
+from conftest import dense_state, linear_system, rwa_system
 from qsubthermo import (
     FockConfig,
     InteractionKind,
@@ -17,7 +17,7 @@ from qsubthermo import (
     thermal_occupation,
     thermal_state,
 )
-from qsubthermo.fock import _quadratures, _state_at, thermal_product_state, unitary_at
+from qsubthermo.fock import _quadratures, thermal_product_state, unitary_at
 
 
 def commutator(x, y):
@@ -198,18 +198,18 @@ class TestEvolve:
         sys_, prep = linear_system(), ThermalPreparation(1.0, 1.0)
         assert np.abs(unitary_at(0.0, sys_, cfg_small) - np.eye(cfg_small.dim)).max() < 1e-14
         rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
-        assert np.abs(_state_at(0.0, sys_, prep, cfg_small) - rho0).max() < 1e-14
+        assert np.abs(dense_state(0.0, sys_, prep, cfg_small) - rho0).max() < 1e-14
 
     def test_thermal_product_stationary_under_bare_hamiltonian(self, cfg_small):
         sys_, prep = OscillatorSystem(1.0, 1.3, InteractionKind.NONE), ThermalPreparation(1.0, 0.8)
         rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
-        assert np.abs(_state_at(2.7, sys_, prep, cfg_small) - rho0).max() < 1e-13
+        assert np.abs(dense_state(2.7, sys_, prep, cfg_small) - rho0).max() < 1e-13
 
     def test_energy_conserved(self, cfg_small):
         sys_, prep = linear_system(), ThermalPreparation(1.0, 1.5)
         parts = build_hamiltonian(sys_, cfg_small)
         rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
-        rho_t = _state_at(2.0, sys_, prep, cfg_small)
+        rho_t = dense_state(2.0, sys_, prep, cfg_small)
         e0 = np.trace(parts.h @ rho0).real
         et = np.trace(parts.h @ rho_t).real
         assert et == pytest.approx(e0, rel=1e-10)
@@ -219,7 +219,7 @@ class TestEvolve:
         rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
         purity0 = np.trace(rho0 @ rho0).real
         for t in (0.5, 2.0, 9.0):
-            rho_t = _state_at(t, sys_, prep, cfg_small)
+            rho_t = dense_state(t, sys_, prep, cfg_small)
             assert np.trace(rho_t).real == pytest.approx(1.0, abs=1e-10)
             assert np.trace(rho_t @ rho_t).real == pytest.approx(purity0, abs=1e-10)
 

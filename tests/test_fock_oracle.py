@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import linear_system, rwa_system
+from conftest import dense_state, linear_system, rwa_system
 from qsubthermo import (
     FockConfig,
     InteractionKind,
@@ -40,7 +40,6 @@ from qsubthermo import (
 from qsubthermo.fock import (
     _expectations,
     _heat_kernel,
-    _state_at,
     eigensystem,
     thermal_product_state,
     thermal_weights,
@@ -207,7 +206,9 @@ def test_oracle_matches_analytic_heats(kind, n, g, times):
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (kind, g, t)
     finally:
         # a dim-2304 linear eigensystem holds two real 1152 x 1152 sector
-        # bases (about 20 MB), and its heat kernel twice that; keep the peak bounded
+        # bases (about 20 MB) and its heat kernel twice that; no call builds a
+        # dense H or rho(t), so these cached entries are the largest arrays
+        # left alive, and clearing them keeps the next case's peak to its own
         eigensystem.cache_clear()
         _heat_kernel.cache_clear()
 
@@ -397,7 +398,7 @@ class TestEntropyProduction:
         # S(rho(t) || rho_a(t) (x) rho_b(0)) with S(rho(t)) from the dense rho(t)
         # instead of the conserved initial spectrum.
         t = 1.7
-        rho_t = _state_at(t, sys_, PREP, CFG24)
+        rho_t = dense_state(t, sys_, PREP, CFG24)
         log_w_b = np.log(thermal_weights(PREP.beta_b, sys_.omega_b, CFG24.n_b))
         rho_b_diag = np.diag(partial_trace_a(rho_t, CFG24.n_a, CFG24.n_b)).real
         expected = (

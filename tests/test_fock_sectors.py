@@ -1,29 +1,49 @@
 """Conserved sectors of the oracle's Hamiltonians, read from their nonzero
-pattern, and the per-sector spectral routes checked against dense references."""
+pattern, the edge-list assembly against the dense kron sum, and the
+per-sector spectral routes checked against dense references."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import dense_state
 from qsubthermo import (
     FockConfig,
+    HamiltonianParts,
     InteractionKind,
     OscillatorSystem,
     ThermalPreparation,
     build_hamiltonian,
+    classical_average,
     decomposition_audit,
     effective_hamiltonian,
+    entropy_production,
+    heat_series_numeric,
+    jarzynski_identity,
+    jensen_bound,
     partial_trace_a,
+    partial_trace_b,
+    spectrum_match,
+    true_heat_transfer_identity,
 )
 from qsubthermo.fock import (
     _eigh_sectors,
+    _heat_kernel,
+    _nonzero_entries,
+    _partial_traces,
+    _quadratures,
     _real_gauge,
+    destroy,
     eigensystem,
     sector_blocks,
     sectors,
     thermal_product_state,
     unitary_at,
 )
+from qsubthermo.model import MINIMAL_KINDS
 
 SYSTEMS = {
     "rwa": OscillatorSystem(1.0, 1.0, InteractionKind.RWA, g=0.2),
@@ -45,10 +65,69 @@ def expected_sizes(kind: str, n: int) -> list[int]:
     return [n * n // 2] * 2  # (N_a + N_b) mod 2
 
 
+def dense_kron_hamiltonian(sys_, cfg):
+    """H as the dense sum of kron terms, in the order and arithmetic the
+    oracle used before it assembled edge lists."""
+    d_a = np.repeat(sys_.omega_a * np.arange(cfg.n_a), cfg.n_b)
+    d_b = np.tile(sys_.omega_b * np.arange(cfg.n_b), cfg.n_a)
+    if sys_.kind in MINIMAL_KINDS:
+        m, q = sys_.mass(), float(sys_.q or 0.0)
+        x_a, p_a = _quadratures(cfg.n_a, sys_.omega_a, m)
+        x_b, p_b = _quadratures(cfg.n_b, sys_.omega_b, m)
+        mode_a = p_a @ p_a / (2.0 * m) + 0.5 * m * sys_.omega_a**2 * (x_a @ x_a)
+        mode_b = p_b @ p_b / (2.0 * m) + 0.5 * m * sys_.omega_b**2 * (x_b @ x_b)
+        if sys_.kind is InteractionKind.MINIMAL_A:
+            mode_b = mode_b + q * q / (2.0 * m) * (x_b @ x_b)
+            factors, scale = (p_a, x_b), -(q / m)
+        else:
+            mode_a = mode_a + q * q / (2.0 * m) * (x_a @ x_a)
+            factors, scale = (x_a, p_b), q / m
+        h = np.kron(mode_a, np.eye(cfg.n_b))
+        h += np.kron(np.eye(cfg.n_a), mode_b)
+        cross = np.kron(*factors)
+        cross *= scale
+        h += cross
+        return h
+    a, b = destroy(cfg.n_a), destroy(cfg.n_b)
+    if sys_.kind is InteractionKind.NONE:
+        h = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+    elif sys_.kind is InteractionKind.RWA:
+        h = np.kron(a, b.conj().T)
+        h -= np.kron(a.conj().T, b)
+        h *= 1j * sys_.g
+    else:
+        h = np.kron(a.conj().T + a, b.conj().T - b)
+        h *= 1j * sys_.g
+    h.flat[:: cfg.dim + 1] += d_a + d_b
+    return h
+
+
+def edge_list(h, parts):
+    """A dense matrix as an edge list, beside the bare energies of parts."""
+    return HamiltonianParts(*_nonzero_entries(h), parts.d_a, parts.d_b)
+
+
+@pytest.mark.parametrize("n", [12, 24, 40])
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_edge_list_is_the_dense_kron_sum_bit_for_bit(kind, n):
+    sys_, cfg = SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2)
+    parts = build_hamiltonian(sys_, cfg)
+    reference = dense_kron_hamiltonian(sys_, cfg)
+    assert parts.h.tobytes() == reference.tobytes()
+    # the finder reads a dense matrix through np.nonzero, the same edge list
+    found = sectors(parts)
+    assert all(np.array_equal(x, y) for x, y in zip(found, sectors(edge_list(reference, parts)), strict=True))
+    blocks = list(sector_blocks(parts))
+    assert [index.tobytes() for index, _ in blocks] == [index.tobytes() for index in found]
+    for index, block in blocks:
+        assert block.tobytes() == reference[np.ix_(index, index)].tobytes()
+
+
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_sector_sizes_and_exact_zeros(kind):
-    h = build_hamiltonian(SYSTEMS[kind], CFG12).h
-    found = sectors(h)
+    parts = build_hamiltonian(SYSTEMS[kind], CFG12)
+    h = parts.h
+    found = sectors(parts)
     assert sorted(len(index) for index in found) == expected_sizes(kind, CFG12.n_a)
     assert np.array_equal(np.sort(np.concatenate(found)), np.arange(CFG12.dim))
     inside = np.zeros(h.shape, dtype=bool)
@@ -67,8 +146,8 @@ def _override_matches_dense_evolution(entries):
     override = parts.v.copy()
     for i, j in entries:
         override[i, j] = override[j, i] = 1e-300
-    assert len(sectors(parts.h0 + parts.v)) == 2
-    assert len(sectors(parts.h0 + override)) == 1
+    assert len(sectors(edge_list(parts.h0 + parts.v, parts))) == 2
+    assert len(sectors(edge_list(parts.h0 + override, parts))) == 1
 
     u = scipy.linalg.expm(-1j * (parts.h0 + override) * t)
     rho_t = (u * thermal_product_state(bare, PREP, cfg)) @ u.conj().T
@@ -76,7 +155,7 @@ def _override_matches_dense_evolution(entries):
     reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
     got = effective_hamiltonian(t, bare, PREP, cfg, interaction=override)
     assert np.abs(got - reference).max() < 1e-12
-    ((_, _, vectors, _),) = _eigh_sectors(parts.h0 + override)
+    ((_, _, vectors, _),) = _eigh_sectors(edge_list(parts.h0 + override, parts))
     return vectors
 
 
@@ -111,8 +190,7 @@ def test_merged_energies_match_dense_spectrum(kind):
 @pytest.mark.parametrize("cfg", [CFG12, CFG24], ids=["n12", "n24"])
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_gauged_sector_blocks_are_exactly_real(kind, cfg):
-    h = build_hamiltonian(SYSTEMS[kind], cfg).h
-    for _, block in sector_blocks(h):
+    for _, block in sector_blocks(build_hamiltonian(SYSTEMS[kind], cfg)):
         z, gauged = _real_gauge(block.copy())
         assert np.isrealobj(gauged)
         assert np.all((np.conj(z)[:, None] * block * z).imag == 0.0)
@@ -137,3 +215,113 @@ def test_audit_matches_dense_commutators(kind):
     ]
     for got, want in zip((audit.norm_h0v, audit.norm_hv, audit.norm_h0h), dense):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def dense_audit_strings(parts):
+    """The three audit norms by the dense formula, printed as the audit prints
+    them: [H, V] on the ungauged complex sector blocks of the dense H, and the
+    gaps times H over the whole matrix."""
+    h, d = parts.h, parts.d_a + parts.d_b
+    sector_norms = []
+    for index in sectors(edge_list(h, parts)):
+        block = h[np.ix_(index, index)]
+        hv = block @ (block - np.diag(d[index]))
+        sector_norms.append(np.linalg.norm(hv - hv.conj().T))
+    for rows in np.array_split(np.arange(len(d)), 16):  # the gaps in place, a band of rows at a time
+        h[rows] *= d[rows, None] - d[None, :]
+    norm_h0v = float(np.linalg.norm(h))
+    return "%.6e %.6e %.6e" % (norm_h0v, math.hypot(*sector_norms), norm_h0v)
+
+
+AUDIT_CASES = [(kind, n) for n in (24, 40) for kind in SYSTEMS] + [("rwa-detuned", 64)]
+
+
+@pytest.mark.parametrize("kind,n", AUDIT_CASES)
+def test_audit_prints_as_the_dense_formula(kind, n):
+    # the audit reads [H0, H] from the edge list and [H, V] from real-gauged
+    # blocks; to the digits it prints, that is the dense formula
+    sys_ = OscillatorSystem(1.0, 1.7, InteractionKind.RWA, g=0.3) if kind == "rwa-detuned" else SYSTEMS[kind]
+    cfg = FockConfig(n, n, tail_tol=1e-2)
+    audit = decomposition_audit(sys_, cfg)
+    got = "%.6e %.6e %.6e" % (audit.norm_h0v, audit.norm_hv, audit.norm_h0h)
+    assert got == dense_audit_strings(build_hamiltonian(sys_, cfg))
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_sector_routes_match_dense_state(kind):
+    # every rho(t) route gathered from the sectors, against the dense rho(t)
+    # and dense U(t), with unequal cutoffs so that no index can swap modes
+    sys_, cfg, t = SYSTEMS[kind], FockConfig(10, 7, tail_tol=1e-2), 1.3
+    parts = build_hamiltonian(sys_, cfg)
+    rho_t = dense_state(t, sys_, PREP, cfg)
+    w = thermal_product_state(sys_, PREP, cfg)
+    rho_a, rho_b = _partial_traces(eigensystem(sys_, cfg), t, w, cfg.n_a, cfg.n_b)
+    assert np.abs(rho_a - partial_trace_b(rho_t, cfg.n_a, cfg.n_b)).max() < 1e-14
+    assert np.abs(rho_b - partial_trace_a(rho_t, cfg.n_a, cfg.n_b)).max() < 1e-14
+
+    v = parts.v.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b)
+    h_eff = np.einsum("ikjl,lk->ij", v, partial_trace_a(rho_t, cfg.n_a, cfg.n_b))
+    assert np.abs(effective_hamiltonian(t, sys_, PREP, cfg) - h_eff).max() < 1e-13
+
+    def delta(h_true):
+        return np.vdot(h_true, rho_t).real - np.diag(h_true).real @ w
+
+    h_true_a, h_true_b = parts.h - parts.h_b, parts.h - parts.h_a
+    report = true_heat_transfer_identity(t, sys_, PREP, cfg)
+    assert report.dq_ab_true == pytest.approx(delta(h_true_b) - delta(h_true_a), abs=1e-13)
+
+    probs = np.abs(unitary_at(t, sys_, cfg)) ** 2
+    e_a, e_b = parts.d_a, parts.d_b
+    f = PREP.beta_a * (e_a - e_a[:, None]) + PREP.beta_b * (e_b - e_b[:, None])
+    mean_f, jarzynski = np.sum(probs * f * w), np.sum(probs * w[:, None])
+    assert jarzynski_identity(t, sys_, PREP, cfg) == pytest.approx(jarzynski, abs=1e-14)
+    assert jensen_bound(t, sys_, PREP, cfg) == pytest.approx((np.exp(mean_f), jarzynski), abs=1e-13)
+    final_a = classical_average(lambda ea0, eb0, ea1, eb1: ea1 + 0 * (ea0 + eb0 + eb1), t, sys_, PREP, cfg)
+    assert final_a == pytest.approx(np.sum(probs * e_a[:, None] * w), abs=1e-13)
+
+
+# One dense complex H at 48 levels per mode, 16 dim^2 bytes (85 MB), bounds
+# each oracle call: every route works on sector blocks and edge lists.
+CFG48 = FockConfig(48, 48, tail_tol=1e-8)
+PREP48 = ThermalPreparation(1.4, 2.5)
+PEAK_SYSTEMS = {
+    "linear": OscillatorSystem(1.0, 1.0, InteractionKind.LINEAR, g=0.2),
+    "minimal-a": OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.3, q=0.3),
+}
+PEAK_CALLS = {
+    "eigensystem": lambda s: eigensystem(s, CFG48),
+    "decomposition_audit": lambda s: decomposition_audit(s, CFG48),
+    "_heat_kernel": lambda s: _heat_kernel(s, PREP48, CFG48),
+    "heat_series_numeric": lambda s: heat_series_numeric(s, PREP48, CFG48, np.linspace(0.0, 10.0, 81)),
+    "entropy_production": lambda s: entropy_production(1.7, s, PREP48, CFG48),
+    "true_heat_transfer_identity": lambda s: true_heat_transfer_identity(1.7, s, PREP48, CFG48),
+    "effective_hamiltonian": lambda s: effective_hamiltonian(1.7, s, PREP48, CFG48),
+    "jarzynski_identity": lambda s: jarzynski_identity(1.7, s, PREP48, CFG48),
+    "jensen_bound": lambda s: jensen_bound(1.7, s, PREP48, CFG48),
+    "spectrum_match": lambda s: spectrum_match(
+        s, OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_B, m=1.3, q=0.3), CFG48, 64
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,call",
+    [(kind, call) for kind in PEAK_SYSTEMS for call in PEAK_CALLS if call != "spectrum_match" or kind == "minimal-a"],
+)
+def test_oracle_calls_stay_below_one_dense_hamiltonian(kind, call):
+    # each call alone: the eigensystem cold when it is the call, warm
+    # otherwise, and the heat kernel cold
+    sys_ = PEAK_SYSTEMS[kind]
+    if call == "eigensystem":
+        eigensystem.cache_clear()
+    else:
+        eigensystem(sys_, CFG48)
+    _heat_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        PEAK_CALLS[call](sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _heat_kernel.cache_clear()
+    assert peak < 16 * CFG48.dim**2
