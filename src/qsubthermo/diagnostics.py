@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import heat_transfer, time_averaged_heat
-from .fock import FockConfig, _real_gauge, build_hamiltonian, sector_blocks
+from .fock import FockConfig, build_hamiltonian, sector_blocks
 from .model import ModelError, OscillatorSystem, ThermalPreparation, _checked, csl_compliant
 
 __all__ = [
@@ -104,15 +104,14 @@ def decomposition_audit(sys: OscillatorSystem, cfg: FockConfig) -> Decomposition
     # the gaps vanish on the diagonal, where alone V and H differ: [H0, V] and
     # [H0, H] are one list, over the edges of H.  H and V = H - H0 are
     # Hermitian, so V H = (H V)^dag, and both vanish between the sectors of H,
-    # so [H, V] takes one product per sector, in the sector's real gauge: a
-    # diagonal unitary commutes with H0 and keeps the norm.
+    # so [H, V] takes one product per sector, stacked, in the sectors' real
+    # gauge: a diagonal unitary commutes with H0 and keeps the norm.
     d = parts.d_a + parts.d_b
     norm_h0v = norm_h0h = float(np.linalg.norm((d[parts.rows] - d[parts.cols]) * parts.vals))
     sector_norms = []
-    for index, block in sector_blocks(parts):
-        _, h_s = _real_gauge(block)
-        hv = h_s @ (h_s - np.diag(d[index]))
-        sector_norms.append(np.linalg.norm(hv - hv.conj().T))
+    for index, _, h_s in sector_blocks(parts):
+        hv = h_s @ (h_s - d[index][..., None] * np.eye(index.shape[1]))
+        sector_norms.extend(np.linalg.norm(hv - hv.conj().swapaxes(-1, -2), axis=(-2, -1)).tolist())
     norm_hv = math.hypot(*sector_norms)
     return DecompositionAudit(
         norm_h0v=norm_h0v,

@@ -1,4 +1,4 @@
-"""Truncated-Fock-space oracle: exact evolution and first-principles heat, sector by sector.
+"""Truncated-Fock-space oracle: exact evolution and first-principles heat, in stacks of sectors.
 
 Everything here is computed from truncated number-basis matrices with no input
 from the closed forms in ``analytic`` (the two import only ``model``, which
@@ -14,15 +14,18 @@ no dim x dim array is formed.
 H is block-diagonal: ``sectors`` reads its conserved sectors from the exactly
 nonzero entries of H itself (never from the interaction kind), so N_a + N_b
 shows up for the exchange coupling, (N_a + N_b) mod 2 for the linear and
-minimal couplings, and single levels when uncoupled.  Each sector block is cut
-straight from the edge list and diagonalised in a real gauge read from it
-(unit phases along a spanning tree of its nonzero entries), in real arithmetic
-wherever the gauged block's imaginary part is exactly zero and in complex
-arithmetic where it is not.  Time evolution reuses those eigendecompositions,
-never a generic matrix exponential.  rho(t) vanishes between sectors, so the
-partial traces, traces against H and transition probabilities are gathered
-from its sector blocks; only ``unitary_at`` and ``bare_amplitudes`` return a
-dense U(t).
+minimal couplings, and single levels when uncoupled.  One breadth-first pass
+over the edge list reads a real gauge: unit phases that make a spanning tree
+of each sector's nonzero entries real and positive.  Sectors of one size whose
+gauged blocks are all real, or all complex, share a stack of at most
+max(dim, k_max^2) entries for the largest sector size k_max; each stack is cut
+straight from the edge list and diagonalised with one eigh, in real arithmetic
+wherever the gauged imaginary parts are exactly zero.  Time evolution reuses
+those eigendecompositions, never a generic matrix exponential, and every
+route takes batched products one stack at a time.  rho(t) vanishes between
+sectors, so the partial traces, traces against H and transition probabilities
+are gathered from its sector blocks; only ``unitary_at`` and
+``bare_amplitudes`` return a dense U(t).
 """
 
 from __future__ import annotations
@@ -313,65 +316,87 @@ def _grouped(owner, count: int):
     return np.split(order, np.cumsum(np.bincount(owner, minlength=count))[:-1])
 
 
-def _sector_layout(found, dim: int):
-    """(sector, local): the sector of each state among found, and its position in that sector."""
-    sector, local = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
-    for s, index in enumerate(found):
-        sector[index], local[index] = s, np.arange(len(index))
-    return sector, local
+def _stack_layout(stacks, dim: int):
+    """(stack, member, local): for each state, the stack among the (m, k)
+    index arrays that holds it, its sector's row there and its position in it."""
+    stack, member, local = (np.empty(dim, dtype=np.intp) for _ in range(3))
+    for s, index in enumerate(stacks):
+        stack[index], member[index], local[index] = s, np.arange(len(index))[:, None], np.arange(index.shape[1])
+    return stack, member, local
 
 
-def sector_blocks(parts: HamiltonianParts):
-    """(index, H restricted to the sector) for each sector of H, in the order
-    of sectors(parts), each block filled straight from the edge list."""
-    found = sectors(parts)
-    sector, local = _sector_layout(found, parts.dim)
-    # no edge joins two sectors, so each belongs to the sector of its row
-    for index, edges in zip(found, _grouped(sector[parts.rows], len(found))):
-        block = np.zeros((len(index), len(index)), dtype=np.complex128)
-        block[local[parts.rows[edges]], local[parts.cols[edges]]] = parts.vals[edges]
-        yield index, block
+def _real_gauge(parts: HamiltonianParts, roots):
+    """Unit phases z on every state, read from the exactly nonzero entries of
+    H in one breadth-first pass from roots, the first state of each sector.
 
-
-def _real_gauge(block: Matrix):
-    """(z, conj(z) block z) for unit phases z read from the block's exactly
-    nonzero entries, gauging the block in place.
-
-    z makes every edge of a breadth-first spanning tree of the block's pattern
-    real and positive.  The gauged block is returned as its real part when its
-    imaginary part is exactly zero, and complex otherwise.
+    Each state of a level takes its phase from the smallest-index state of
+    the level before that links to it, so that z makes that link of
+    conj(z) H z real and positive.
     """
-    nonzero = block != 0
-    z = np.ones(len(block), dtype=np.complex128)
-    reached = np.zeros(len(block), dtype=bool)
-    reached[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        todo = np.flatnonzero(~reached)
-        links = nonzero[np.ix_(frontier, todo)]
-        new = links.any(axis=0)
-        parent, child = frontier[links.argmax(axis=0)[new]], todo[new]
-        edge = block[parent, child]
+    rows, cols, vals = parts.rows, parts.cols, parts.vals
+    z = np.ones(parts.dim, dtype=np.complex128)
+    level = np.zeros(parts.dim, dtype=bool)
+    level[roots] = True
+    reached = level.copy()
+    while level.any():
+        links = np.flatnonzero(level[rows] & ~reached[cols])
+        # the edges are row-major, so the first link into each child is from its smallest-index parent
+        child, first = np.unique(cols[links], return_index=True)
+        parent, edge = rows[links[first]], vals[links[first]]
         size = np.abs(edge)
         # conj(edge) / |edge| part by part: complex division by |edge| would
         # multiply by its rounded reciprocal and miss 1 for a real or imaginary edge
         z[child] = z[parent] * (edge.real / size - 1j * (edge.imag / size))
         reached[child] = True
-        frontier = child
-    block *= z
-    block *= z.conj()[:, None]
-    return z, block if block.imag.any() else block.real
+        level[:] = False
+        level[child] = True
+    return z
+
+
+def sector_blocks(parts: HamiltonianParts):
+    """(index, z, blocks) for each stack of sectors of H, filled straight from
+    the edge list: index (m, k) holds m sectors of k states, z (m, k) their
+    gauge, and blocks (m, k, k) conj(z) H z on each sector, real where no
+    gauged entry of the stack has an imaginary part.
+
+    Sectors of one size and type share a stack, in the order of sectors(parts),
+    up to max(dim, k_max^2) entries, so that no stack outgrows the largest
+    sector or H's diagonal.
+    """
+    found = sectors(parts)
+    order, sizes = np.concatenate(found), np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+    starts = np.cumsum(sizes) - sizes
+    z = _real_gauge(parts, order[starts])
+    rows, cols = parts.rows, parts.cols
+    gauged = parts.vals * z[cols]
+    gauged *= z[rows].conj()
+    complex_sector = np.zeros(parts.dim, dtype=bool)
+    complex_sector[rows[gauged.imag != 0]] = True
+    complex_sector = np.logical_or.reduceat(complex_sector[order], starts)
+    cap, plan = max(parts.dim, int(sizes.max()) ** 2), []
+    for k, is_complex in dict.fromkeys(zip(sizes.tolist(), complex_sector.tolist())):
+        alike, per = np.flatnonzero((sizes == k) & (complex_sector == is_complex)), cap // k**2
+        for chunk in np.split(alike, range(per, len(alike), per)):
+            plan.append((order[starts[chunk, None] + np.arange(k)], is_complex))
+    stack, member, local = _stack_layout([index for index, _ in plan], parts.dim)
+    # no edge joins two sectors, so each belongs to the stack and member of its row
+    for (index, is_complex), edges in zip(plan, _grouped(stack[rows], len(plan))):
+        r, c = rows[edges], cols[edges]
+        blocks = np.zeros(index.shape + index.shape[1:], dtype=np.complex128)
+        blocks[member[r], local[r], local[c]] = parts.vals[edges]
+        # gauged whole, zeros too, so that eigh sees the signed zeros the per-sector gauge made
+        phases = z[index]
+        blocks *= phases[:, None, :]
+        blocks *= phases.conj()[:, :, None]
+        yield index, phases, blocks if is_complex else blocks.real
 
 
 def _eigh_sectors(parts: HamiltonianParts):
-    """(index, energies, vectors, z) for each sector of H: H restricted to the
-    sector is diag(z) vectors diag(energies) vectors^dag diag(z)^dag, with
-    real vectors wherever the gauge z makes the block real."""
-    out = []
-    for index, block in sector_blocks(parts):
-        z, gauged = _real_gauge(block)
-        out.append((index, *np.linalg.eigh(gauged), z))
-    return tuple(out)
+    """(index, energies, vectors, z) for each stack of sector_blocks, one eigh
+    per stack: H restricted to each sector is diag(z) vectors diag(energies)
+    vectors^dag diag(z)^dag, with real vectors wherever the gauge z makes the
+    block real."""
+    return tuple((index, *np.linalg.eigh(blocks), z) for index, z, blocks in sector_blocks(parts))
 
 
 def _thermal_tail(beta: float, omega: float, n: int) -> float:
@@ -423,8 +448,8 @@ def _require_hermitian(mat: Matrix, what: str, atol: float = 1e-12) -> None:
 # before the next.
 @functools.lru_cache(maxsize=3)
 def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
-    """Cached Hermitian eigendecomposition of H, one sector at a time, shared
-    read-only by the ops below: the tuple of ``_eigh_sectors``."""
+    """Cached Hermitian eigendecomposition of H, one stack of sectors at a
+    time, shared read-only by the ops below: the tuple of ``_eigh_sectors``."""
     blocks = _eigh_sectors(build_hamiltonian(sys, cfg))
     for block in blocks:
         for arr in block:
@@ -440,51 +465,45 @@ def _phases(times, energies):
 
 
 def _sector_parts(energies, vectors, t: float):
-    """(c, s) with vectors e^{-iEt} vectors^dag = c + i s, both Hermitian: the
-    phases split into their real and imaginary parts, two real products where
-    the vectors are real."""
-    phases, v_dag = _phases(t, energies), vectors.conj().T
+    """(c, s) with vectors e^{-iEt} vectors^dag = c + i s for each sector of a
+    stack, both Hermitian: the phases split into their real and imaginary
+    parts, two real products where the vectors are real."""
+    phases, v_dag = _phases(t, energies)[..., None, :], vectors.conj().swapaxes(-1, -2)
     return (vectors * phases.real) @ v_dag, (vectors * phases.imag) @ v_dag
 
 
-def _sector_unitary(energies, vectors, z, t: float) -> Matrix:
-    c, s = _sector_parts(energies, vectors, t)
-    u = s * 1j
-    u += c
-    u *= z[:, None]
-    u *= z.conj()
-    return u
-
-
-def _sector_state(energies, vectors, z, t: float, w, p, q):
-    """One sector's rho(t) = U(t) diag(w) U(t)^dag at its local entries (p, q).
+def _sector_state(energies, vectors, z, t: float, w, n, p, q):
+    """rho(t) = U(t) diag(w) U(t)^dag for a stack of sectors, at local entries
+    (p, q) of its sectors n.
 
     U = diag(z) (c + i s) diag(z)^dag, so rho(t) = diag(z) (c w c + s w s +
     i (x - x^dag)) diag(z)^dag with x = s w c: real products where the vectors
     are real, and c w c = (c sqrt(w)) (c sqrt(w))^dag, so no more than four
-    sector-sized arrays at once, all freed on return.
+    stack-sized arrays at once, all freed on return.
     """
     c, s = _sector_parts(energies, vectors, t)
-    root = np.sqrt(w)
+    root = np.sqrt(w)[..., None, :]
     c *= root
     s *= root
-    x = s @ c.conj().T
-    r = c @ c.conj().T
-    r += np.matmul(s, s.conj().T, out=c)
-    return (r[p, q] + 1j * (x[p, q] - x[q, p].conj())) * (z[p] * z[q].conj())
+    x = s @ c.conj().swapaxes(-1, -2)
+    r = c @ c.conj().swapaxes(-1, -2)
+    r += np.matmul(s, s.conj().swapaxes(-1, -2), out=c)
+    return (r[n, p, q] + 1j * (x[n, p, q] - x[n, q, p].conj())) * (z[n, p] * z[n, q].conj())
 
 
-def _evolved(blocks, t: float, w, rows, cols):
+def _evolved(stacks, t: float, w, rows, cols):
     """rho(t) = U(t) diag(w) U(t)^dag at the entries (rows, cols), for a
-    number-diagonal state w and a _checked time, one sector at a time: rho(t)
-    vanishes between sectors."""
-    sector, local = _sector_layout([index for index, *_ in blocks], len(w))
+    number-diagonal state w and a _checked time, one stack of sectors at a
+    time: rho(t) vanishes between sectors."""
+    stack, member, local = _stack_layout([index for index, *_ in stacks], len(w))
     out = np.zeros(len(rows), dtype=np.complex128)
     # entries between two sectors make one more group, left at zero
-    owner = np.where(sector[rows] == sector[cols], sector[rows], len(blocks))
-    for (index, *sector_eigh), picked in zip(blocks, _grouped(owner, len(blocks) + 1)):
+    same = (stack[rows] == stack[cols]) & (member[rows] == member[cols])
+    owner = np.where(same, stack[rows], len(stacks))
+    for (index, *stack_eigh), picked in zip(stacks, _grouped(owner, len(stacks) + 1)):
         if picked.size:
-            out[picked] = _sector_state(*sector_eigh, t, w[index], local[rows[picked]], local[cols[picked]])
+            r, c = rows[picked], cols[picked]
+            out[picked] = _sector_state(*stack_eigh, t, w[index], member[r], local[r], local[c])
     return out
 
 
@@ -492,8 +511,9 @@ def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
     """U(t) = exp(-i H t) from the cached sector eigendecompositions of H."""
     t = _checked(t, "time")
     out = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
-    for index, *sector in eigensystem(sys, cfg):
-        out[np.ix_(index, index)] = _sector_unitary(*sector, t)
+    for index, energies, vectors, z in eigensystem(sys, cfg):
+        c, s = _sector_parts(energies, vectors, t)
+        out[index[..., :, None], index[..., None, :]] = z[..., :, None] * (c + 1j * s) * z.conj()[..., None, :]
     return out
 
 
@@ -510,9 +530,9 @@ def _partial_traces(blocks, t: float, w, n_a: int, n_b: int):
 
 
 def _in_eigenbasis(vectors, diag) -> Matrix:
-    """S^dag diag(d) S for the eigenvector matrix S and an operator diagonal in
-    the number basis: one product, not two."""
-    return vectors.conj().T @ (diag[:, None] * vectors)
+    """S^dag diag(d) S for each eigenvector matrix S of a stack and an operator
+    diagonal in the number basis: one product, not two."""
+    return vectors.conj().swapaxes(-1, -2) @ (diag[..., None] * vectors)
 
 
 @functools.lru_cache(maxsize=4)
@@ -524,15 +544,15 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     sum_jk e^{-i E_j t} K_jk e^{i E_k t} for the kernel K = X^T * rho (elementwise).
     The sector's gauge cancels from a number-diagonal X, so K is real wherever
     the eigenvectors are.  Returns (kernels, tr(H_a rho(0)), tr(H_b rho(0)))
-    with kernels a tuple of (energies, K_a, K_b), one per sector.
+    with kernels a tuple of (energies, K_a, K_b), one per stack of sectors.
     """
     w = thermal_product_state(sys, prep, cfg)
     d_a, d_b = _bare_levels(sys, cfg)
     kernels = []
     for index, energies, vectors, _ in eigensystem(sys, cfg):
         rho_eig = _in_eigenbasis(vectors, w[index])
-        k_a = _in_eigenbasis(vectors, d_a[index]).T * rho_eig
-        k_b = _in_eigenbasis(vectors, d_b[index]).T * rho_eig
+        k_a = _in_eigenbasis(vectors, d_a[index]).swapaxes(-1, -2) * rho_eig
+        k_b = _in_eigenbasis(vectors, d_b[index]).swapaxes(-1, -2) * rho_eig
         for arr in (k_a, k_b):
             arr.setflags(write=False)
         kernels.append((energies, k_a, k_b))
@@ -541,7 +561,7 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
 
 def _expectations(kernels, times) -> NDArray[np.float64]:
     """tr(H_a rho(t)) and tr(H_b rho(t)) over every time: per block of times,
-    two GEMMs per sector and kernel, summed over sectors.
+    two stacked GEMMs per stack of sectors and kernel, summed over sectors.
 
     phases @ K is formed from the real and imaginary parts of the phases, so
     a real kernel takes two real products.
@@ -549,12 +569,12 @@ def _expectations(kernels, times) -> NDArray[np.float64]:
     out = np.zeros((2, len(times)))
     for start in range(0, len(times), _SERIES_BLOCK):
         block = slice(start, start + _SERIES_BLOCK)
-        for energies, *sector_kernels in kernels:
-            phases = _phases(times[block], energies)
+        for energies, *stack_kernels in kernels:
+            phases = np.moveaxis(_phases(times[block], energies), 0, -2)  # sectors x times x energies
             re, im = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
-            for values, kernel in zip(out, sector_kernels):
+            for values, kernel in zip(out, stack_kernels):
                 weighted = re @ kernel + 1j * (im @ kernel)
-                values[block] += np.einsum("tj,tj->t", weighted, phases.conj()).real
+                values[block] += np.einsum("mtj,mtj->t", weighted, phases.conj()).real
     return out
 
 
@@ -618,9 +638,9 @@ def _probabilities(c, s):
 
 def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
     """(w, [(index, P), ...]): the initial thermal weights, taken first because
-    they hold the truncation check, and for each sector P[i, j] = |<i| U(t) |j>|^2
-    between its states.  U(t) vanishes between sectors, and the gauge drops
-    out of |U|."""
+    they hold the truncation check, and for each stack P[n, i, j] = |<i| U(t) |j>|^2
+    between the states of its sector n.  U(t) vanishes between sectors, and
+    the gauge drops out of |U|."""
     w = thermal_product_state(sys, prep, cfg)
     t = _checked(t, "time")
     return w, [
@@ -631,14 +651,14 @@ def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg:
 
 def _average(sector_values, w, transitions) -> float:
     """sum_ij w_j P_ij f_ij over the final states i and initial states j of
-    every sector, with f restricted to a sector given by sector_values(index)."""
-    return float(sum(((probs * sector_values(index)) @ w[index]).sum() for index, probs in transitions).real)
+    every sector, with f restricted to a stack of sectors given by sector_values(index)."""
+    return float(sum(((probs * sector_values(index)) @ w[index][..., None]).sum() for index, probs in transitions).real)
 
 
 def _jarzynski(w, transitions) -> float:
     # weight * exp(f) = exp(-beta_a w'_a) / Z_a * exp(-beta_b w'_b) / Z_b: the
     # thermal weights of the final level.
-    return float(sum((w[index] @ probs).sum() for index, probs in transitions))
+    return float(sum((w[index][..., None, :] @ probs).sum() for index, probs in transitions))
 
 
 def classical_average(
@@ -659,7 +679,7 @@ def classical_average(
     initial = e_a[None, None, :, None], e_b[None, None, None, :]
     values = f(*initial, e_a[:, None, None, None], e_b[None, :, None, None])
     values = np.broadcast_to(values, (cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b)).reshape(cfg.dim, cfg.dim)
-    return _average(lambda index: values[np.ix_(index, index)], w, transitions)
+    return _average(lambda index: values[index[..., :, None], index[..., None, :]], w, transitions)
 
 
 def jarzynski_identity(
@@ -684,7 +704,7 @@ def jensen_bound(
     def exponent(index):
         # f from initial level j (columns) to final level i (rows)
         e_a, e_b = d_a[index], d_b[index]
-        return prep.beta_a * (e_a - e_a[:, None]) + prep.beta_b * (e_b - e_b[:, None])
+        return prep.beta_a * (e_a[..., None, :] - e_a[..., None]) + prep.beta_b * (e_b[..., None, :] - e_b[..., None])
 
     return math.exp(_average(exponent, w, transitions)), _jarzynski(w, transitions)
 
@@ -904,6 +924,6 @@ def spectrum_match(
 
 
 def _lowest_levels(parts: HamiltonianParts, k: int) -> NDArray[np.float64]:
-    """The k lowest eigenvalues of H, merged from its sectors."""
-    levels = [np.linalg.eigvalsh(_real_gauge(block)[1]) for _, block in sector_blocks(parts)]
+    """The k lowest eigenvalues of H, merged from its stacks of sectors."""
+    levels = [np.linalg.eigvalsh(blocks).ravel() for _, _, blocks in sector_blocks(parts)]
     return np.sort(np.concatenate(levels))[:k]

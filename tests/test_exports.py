@@ -44,7 +44,7 @@ def test_routes_import_only_model(name):
 # The oracle reads its sectors, its gauge and whether a sector is real from the
 # matrix alone, so nothing that decides its algebra may see the coupling type.
 ORACLE_ALGEBRA = [
-    "_kron_entries", "sectors", "_grouped", "_sector_layout", "sector_blocks", "_eigh_sectors", "_real_gauge", "eigensystem",
+    "_kron_entries", "sectors", "_grouped", "_stack_layout", "sector_blocks", "_eigh_sectors", "_real_gauge", "eigensystem",
     "_heat_kernel", "_expectations", "_sector_state", "_evolved", "_partial_traces", "_transitions",
 ]
 

@@ -118,14 +118,16 @@ class TestHeatNumeric:
         kernels, q_a0, q_b0 = _heat_kernel(sys_, PREP, CFG24)
 
         def contract(kernels, t, which):
-            # the sector kernels one time at a time, summed over sectors
+            # the sector kernels one time at a time, summed over every
+            # sector of every stack
             total = 0.0
-            for energies, *sector_kernels in kernels:
-                phases = np.exp(-1j * energies * t)
-                total += float(np.real(phases @ sector_kernels[which] @ phases.conj()))
+            for energies, *stack_kernels in kernels:
+                for sector_energies, kernel in zip(energies, stack_kernels[which], strict=True):
+                    phases = np.exp(-1j * sector_energies * t)
+                    total += float(np.real(phases @ kernel @ phases.conj()))
             return total
 
-        assert all(np.isrealobj(kernel) for _, *sector_kernels in kernels for kernel in sector_kernels)
+        assert all(np.isrealobj(kernel) for _, *stack_kernels in kernels for kernel in stack_kernels)
         for report, t in zip(heat_series_numeric(sys_, PREP, CFG24, times), times):
             dq_a = contract(kernels, t, 0) - q_a0
             dq_b = contract(kernels, t, 1) - q_b0
@@ -136,9 +138,9 @@ class TestHeatNumeric:
 
         rng = np.random.default_rng(3)
         twisted = []
-        for energies, *sector_kernels in kernels:
-            z = np.exp(2j * np.pi * rng.random(len(energies)))
-            twisted.append((energies, *(z.conj()[:, None] * kernel * z for kernel in sector_kernels)))
+        for energies, *stack_kernels in kernels:
+            z = np.exp(2j * np.pi * rng.random(energies.shape))
+            twisted.append((energies, *(z.conj()[..., :, None] * kernel * z[..., None, :] for kernel in stack_kernels)))
         for t, e_a, e_b in zip(times, *_expectations(twisted, times)):
             assert e_a == pytest.approx(contract(twisted, t, 0), rel=1e-12, abs=1e-12)
             assert e_b == pytest.approx(contract(twisted, t, 1), rel=1e-12, abs=1e-12)

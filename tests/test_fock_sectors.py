@@ -1,5 +1,6 @@
 """Conserved sectors of the oracle's Hamiltonians, read from their nonzero
-pattern, the edge-list assembly against the dense kron sum, and the
+pattern, the edge-list assembly against the dense kron sum, the one-pass gauge
+and the size-stacked sectors against per-block references, and the
 per-sector spectral routes checked against dense references."""
 
 import math
@@ -35,7 +36,6 @@ from qsubthermo.fock import (
     _nonzero_entries,
     _partial_traces,
     _quadratures,
-    _real_gauge,
     destroy,
     eigensystem,
     sector_blocks,
@@ -107,20 +107,128 @@ def edge_list(h, parts):
     return HamiltonianParts(*_nonzero_entries(h), parts.d_a, parts.d_b)
 
 
-@pytest.mark.parametrize("n", [12, 24, 40])
-@pytest.mark.parametrize("kind", SYSTEMS)
+def per_block_gauge(block):
+    """The gauge as one breadth-first search per sector block, each child
+    taking its phase from its smallest-index parent in the frontier: the
+    reference the one pass over the whole edge list must reproduce bit for bit."""
+    nonzero = block != 0
+    z = np.ones(len(block), dtype=np.complex128)
+    reached = np.zeros(len(block), dtype=bool)
+    reached[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        todo = np.flatnonzero(~reached)
+        links = nonzero[np.ix_(frontier, todo)]
+        new = links.any(axis=0)
+        parent, child = frontier[links.argmax(axis=0)[new]], todo[new]
+        edge = block[parent, child]
+        size = np.abs(edge)
+        z[child] = z[parent] * (edge.real / size - 1j * (edge.imag / size))
+        reached[child] = True
+        frontier = child
+    return z
+
+
+def gauged(block, z):
+    """conj(z) block z in the order of the oracle's arithmetic."""
+    out = block * z
+    out *= z.conj()[:, None]
+    return out
+
+
+def stacked_sectors(parts):
+    """(index, z, block) for every sector of every stack of sector_blocks."""
+    return [member for stack in sector_blocks(parts) for member in zip(*stack)]
+
+
+def assert_gauge_is_per_block_search(parts):
+    h = parts.h
+    members = stacked_sectors(parts)
+    assert sorted(index.tobytes() for index, _, _ in members) == sorted(index.tobytes() for index in sectors(parts))
+    for index, z, block in members:
+        reference = h[np.ix_(index, index)]
+        assert z.tobytes() == per_block_gauge(reference).tobytes()
+        want = gauged(reference, z)
+        assert block.tobytes() == (want if np.iscomplexobj(block) else want.real).tobytes()
+    return members
+
+
+GAUGE_CASES = [(kind, n) for n in (12, 24, 40) for kind in SYSTEMS] + [("rwa-detuned", 40)]
+
+
+@pytest.mark.parametrize("kind,n", GAUGE_CASES)
 def test_edge_list_is_the_dense_kron_sum_bit_for_bit(kind, n):
-    sys_, cfg = SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2)
+    sys_ = OscillatorSystem(1.0, 1.7, InteractionKind.RWA, g=0.3) if kind == "rwa-detuned" else SYSTEMS[kind]
+    cfg = FockConfig(n, n, tail_tol=1e-2)
     parts = build_hamiltonian(sys_, cfg)
     reference = dense_kron_hamiltonian(sys_, cfg)
     assert parts.h.tobytes() == reference.tobytes()
     # the finder reads a dense matrix through np.nonzero, the same edge list
     found = sectors(parts)
     assert all(np.array_equal(x, y) for x, y in zip(found, sectors(edge_list(reference, parts)), strict=True))
-    blocks = list(sector_blocks(parts))
-    assert [index.tobytes() for index, _ in blocks] == [index.tobytes() for index in found]
-    for index, block in blocks:
-        assert block.tobytes() == reference[np.ix_(index, index)].tobytes()
+    # each stacked block is the dense block, gauged by the one-pass z, which
+    # is the per-block search's z bit for bit
+    for _, _, block in assert_gauge_is_per_block_search(parts):
+        assert np.isrealobj(block)
+
+
+@pytest.mark.parametrize("entries,real", [([(0, 1)], True), ([(0, 1), (1, 13)], False)], ids=["bridge", "loop"])
+def test_override_gauge_is_the_per_block_search(entries, real):
+    # the rounding-level overrides below: one entry across the parities is a
+    # bridge and gauges to real, a second closes a loop and stays complex
+    parts = build_hamiltonian(SYSTEMS["linear"], CFG12)
+    override = parts.v.copy()
+    for i, j in entries:
+        override[i, j] = override[j, i] = 1e-300
+    ((_, _, block),) = assert_gauge_is_per_block_search(edge_list(parts.h0 + override, parts))
+    assert np.isrealobj(block) == real
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_stacked_eigh_is_per_block_eigh(kind):
+    parts = build_hamiltonian(SYSTEMS[kind], CFG24)
+    for (index, energies, vectors, z), (_, _, blocks) in zip(_eigh_sectors(parts), sector_blocks(parts), strict=True):
+        for block, e, v in zip(blocks, energies, vectors):
+            want_e, want_v = np.linalg.eigh(block)
+            assert e.tobytes() == want_e.tobytes() and v.tobytes() == want_v.tobytes()
+
+
+def stack_cap(parts):
+    """The most entries a stack may hold: H's diagonal or its largest sector, whichever is larger."""
+    return max(parts.dim, max(len(index) for index in sectors(parts)) ** 2)
+
+
+@pytest.mark.parametrize("n", [12, 24, 40, 48])
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_stacks_stay_within_the_cap(kind, n):
+    parts = build_hamiltonian(SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2))
+    cap, stacks, sizes = stack_cap(parts), {}, []
+    for index, z, blocks in sector_blocks(parts):
+        m, k = index.shape
+        assert z.shape == index.shape and blocks.shape == (m, k, k)
+        assert m * k * k <= cap
+        stacks.setdefault((k, np.iscomplexobj(blocks)), []).append(m)
+        sizes += [k] * m
+    assert sorted(sizes) == expected_sizes(kind, n)
+    # and no more stacks than the cap needs: all but the last of a size and type are full
+    for (k, _), counts in stacks.items():
+        assert all(m == cap // k**2 for m in counts[:-1])
+
+
+@pytest.mark.parametrize("kind,n,calls", [("none", 24, 1), ("rwa", 40, 51), ("linear", 40, 2)])
+def test_one_eigh_per_stack(kind, n, calls, monkeypatch):
+    # none: 576 one-state sectors in one stack; rwa: sizes 1 to 28 in pairs
+    # (2 * 28^2 <= 40^2), 29 to 39 alone, and the one sector of 40 states; linear:
+    # each parity half alone.  One eigh per sector would be 576, 79 and 2.
+    count = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: count.append(a.shape) or eigh(a))
+    eigensystem.cache_clear()
+    try:
+        stacks = eigensystem(SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2))
+    finally:
+        eigensystem.cache_clear()
+    assert len(count) == len(stacks) == calls
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
@@ -178,11 +286,11 @@ def test_rounding_level_loop_stays_complex():
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_merged_energies_match_dense_spectrum(kind):
     sys_ = SYSTEMS[kind]
-    blocks = eigensystem(sys_, CFG24)
-    for index, energies, vectors, z in blocks:
-        assert vectors.shape == (len(index), len(index)) and energies.shape == index.shape == z.shape
+    stacks = eigensystem(sys_, CFG24)
+    for index, energies, vectors, z in stacks:
+        assert vectors.shape == index.shape + index.shape[1:] and energies.shape == index.shape == z.shape
         assert np.isrealobj(vectors)
-    merged = np.sort(np.concatenate([energies for _, energies, _, _ in blocks]))
+    merged = np.sort(np.concatenate([energies.ravel() for _, energies, _, _ in stacks]))
     dense = np.linalg.eigvalsh(build_hamiltonian(sys_, CFG24).h)
     assert np.all(np.abs(merged - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 
@@ -190,10 +298,11 @@ def test_merged_energies_match_dense_spectrum(kind):
 @pytest.mark.parametrize("cfg", [CFG12, CFG24], ids=["n12", "n24"])
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_gauged_sector_blocks_are_exactly_real(kind, cfg):
-    for _, block in sector_blocks(build_hamiltonian(SYSTEMS[kind], cfg)):
-        z, gauged = _real_gauge(block.copy())
-        assert np.isrealobj(gauged)
-        assert np.all((np.conj(z)[:, None] * block * z).imag == 0.0)
+    parts = build_hamiltonian(SYSTEMS[kind], cfg)
+    h = parts.h
+    for index, z, block in stacked_sectors(parts):
+        assert np.isrealobj(block)
+        assert np.all((np.conj(z)[:, None] * h[np.ix_(index, index)] * z).imag == 0.0)
         assert np.all(np.abs(z) == 1.0)
 
 
@@ -285,6 +394,8 @@ def test_sector_routes_match_dense_state(kind):
 CFG48 = FockConfig(48, 48, tail_tol=1e-8)
 PREP48 = ThermalPreparation(1.4, 2.5)
 PEAK_SYSTEMS = {
+    "none": OscillatorSystem(1.0, 1.0, InteractionKind.NONE),
+    "rwa": OscillatorSystem(1.0, 1.0, InteractionKind.RWA, g=0.2),
     "linear": OscillatorSystem(1.0, 1.0, InteractionKind.LINEAR, g=0.2),
     "minimal-a": OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.3, q=0.3),
 }
