@@ -21,11 +21,13 @@ gauged blocks are all real, or all complex, share a stack of at most
 max(dim, k_max^2) entries for the largest sector size k_max; each stack is cut
 straight from the edge list and diagonalised with one eigh, in real arithmetic
 wherever the gauged imaginary parts are exactly zero.  Time evolution reuses
-those eigendecompositions, never a generic matrix exponential, and every
-route takes batched products one stack at a time.  rho(t) vanishes between
-sectors, so the partial traces, traces against H and transition probabilities
-are gathered from its sector blocks; only ``unitary_at`` and
-``bare_amplitudes`` return a dense U(t).
+those eigendecompositions, never a generic matrix exponential: the phases
+e^{-iEt} enter as the real pair cos(Et), sin(Et), and every route takes
+batched products one stack at a time.  rho(t) vanishes between sectors, so
+the partial traces, traces against H and transition probabilities are
+gathered from its sector blocks; only ``unitary_at`` and ``bare_amplitudes``
+return a dense U(t).  The stacks and their gauge stay inside this module:
+other modules read H as its edge list.
 """
 
 from __future__ import annotations
@@ -435,11 +437,15 @@ def thermal_product_state(sys: OscillatorSystem, prep: ThermalPreparation, cfg: 
     return np.kron(w_a, w_b)
 
 
-def _require_hermitian(mat: Matrix, what: str, atol: float = 1e-12) -> None:
+# An override is Hermitian when no entry of mat - mat^dag exceeds this times its largest entry.
+_HERMITIAN_TOL = 1e-12
+
+
+def _require_hermitian(mat: Matrix, what: str) -> None:
     if not np.isfinite(mat).all():  # NaN would pass the comparison below
         raise ModelError(f"{what} must be finite")
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > atol * scale:
+    if np.abs(mat - mat.conj().T).max(initial=0.0) > _HERMITIAN_TOL * scale:
         raise ModelError(f"{what} must be Hermitian")
 
 
@@ -458,18 +464,20 @@ def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
 
 
 def _phases(times, energies):
-    """exp(-i E t) over times x energies (over energies for one time); a time
-    whose E t overflows is a ModelError, not NaN phases."""
+    """(cos E t, sin E t) over the broadcast of times and energies, so that
+    e^{-iEt} = cos - i sin; a time whose E t overflows is a ModelError, not NaN
+    phases."""
     with np.errstate(over="ignore", invalid="ignore"):  # _finite raises ModelError instead
-        return _finite(np.exp(-1j * np.multiply.outer(times, energies)), "time")
+        et = np.multiply(times, energies)
+        return _finite(np.cos(et), "time"), np.sin(et)
 
 
 def _sector_parts(energies, vectors, t: float):
     """(c, s) with vectors e^{-iEt} vectors^dag = c + i s for each sector of a
-    stack, both Hermitian: the phases split into their real and imaginary
-    parts, two real products where the vectors are real."""
-    phases, v_dag = _phases(t, energies)[..., None, :], vectors.conj().swapaxes(-1, -2)
-    return (vectors * phases.real) @ v_dag, (vectors * phases.imag) @ v_dag
+    stack, both Hermitian: two real products where the vectors are real."""
+    cos, sin = _phases(t, energies)
+    v_dag = vectors.conj().swapaxes(-1, -2)
+    return (vectors * cos[..., None, :]) @ v_dag, (vectors * -sin[..., None, :]) @ v_dag
 
 
 def _sector_state(energies, vectors, z, t: float, w, n, p, q):
@@ -563,18 +571,20 @@ def _expectations(kernels, times) -> NDArray[np.float64]:
     """tr(H_a rho(t)) and tr(H_b rho(t)) over every time: per block of times,
     two stacked GEMMs per stack of sectors and kernel, summed over sectors.
 
-    phases @ K is formed from the real and imaginary parts of the phases, so
-    a real kernel takes two real products.
+    With e^{-iEt} = c - i s and a Hermitian K, the term sum_jk e^{-i E_j t}
+    K_jk e^{i E_k t} is Re(cKc + sKs) - 2 Im(cKs): the products c K and s K,
+    real for a real kernel.
     """
     out = np.zeros((2, len(times)))
     for start in range(0, len(times), _SERIES_BLOCK):
         block = slice(start, start + _SERIES_BLOCK)
         for energies, *stack_kernels in kernels:
-            phases = np.moveaxis(_phases(times[block], energies), 0, -2)  # sectors x times x energies
-            re, im = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
+            c, s = _phases(times[block, None], energies[:, None, :])  # sectors x times x energies
             for values, kernel in zip(out, stack_kernels):
-                weighted = re @ kernel + 1j * (im @ kernel)
-                values[block] += np.einsum("mtj,mtj->t", weighted, phases.conj()).real
+                ck = c @ kernel
+                total = np.einsum("mtj,mtj->t", ck, c).real - 2.0 * np.einsum("mtj,mtj->t", ck, s).imag
+                total += np.einsum("mtj,mtj->t", s @ kernel, s).real
+                values[block] += total
     return out
 
 
@@ -649,10 +659,15 @@ def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg:
     ]
 
 
-def _average(sector_values, w, transitions) -> float:
+def _average(f, w, transitions, d_a, d_b) -> float:
     """sum_ij w_j P_ij f_ij over the final states i and initial states j of
-    every sector, with f restricted to a stack of sectors given by sector_values(index)."""
-    return float(sum(((probs * sector_values(index)) @ w[index][..., None]).sum() for index, probs in transitions).real)
+    every sector, with f called per stack on the bare levels d_a and d_b of
+    its sectors, the initial ones as columns and the final ones as rows."""
+    total = 0.0
+    for index, probs in transitions:
+        a, b = d_a[index], d_b[index]
+        total += ((probs * f(a[..., None, :], b[..., None, :], a[..., None], b[..., None])) @ w[index][..., None]).sum()
+    return float(total.real)
 
 
 def _jarzynski(w, transitions) -> float:
@@ -670,16 +685,11 @@ def classical_average(
 ) -> float:
     """Thermal-weighted average of f over bare-state transition probabilities.
 
-    f receives four broadcastable arrays (initial a-energy, initial b-energy,
-    final a-energy, final b-energy) of the bare levels n*omega and must return
-    an array of the broadcast shape (p, q, n, m).
+    f receives four arrays (initial a-energy, initial b-energy, final a-energy,
+    final b-energy) of the bare levels n*omega, broadcastable per stack of
+    sectors, and must return an array of their broadcast shape.
     """
-    w, transitions = _transitions(t, sys, prep, cfg)
-    e_a, e_b = sys.omega_a * np.arange(cfg.n_a), sys.omega_b * np.arange(cfg.n_b)
-    initial = e_a[None, None, :, None], e_b[None, None, None, :]
-    values = f(*initial, e_a[:, None, None, None], e_b[None, :, None, None])
-    values = np.broadcast_to(values, (cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b)).reshape(cfg.dim, cfg.dim)
-    return _average(lambda index: values[index[..., :, None], index[..., None, :]], w, transitions)
+    return _average(f, *_transitions(t, sys, prep, cfg), *_bare_levels(sys, cfg))
 
 
 def jarzynski_identity(
@@ -699,14 +709,11 @@ def jensen_bound(
     """(exp(E[f]), E[exp f]) for the entropy exponent f; the first never exceeds
     the second, which is the free-entropy second law in disguise."""
     w, transitions = _transitions(t, sys, prep, cfg)
-    d_a, d_b = _bare_levels(sys, cfg)
 
-    def exponent(index):
-        # f from initial level j (columns) to final level i (rows)
-        e_a, e_b = d_a[index], d_b[index]
-        return prep.beta_a * (e_a[..., None, :] - e_a[..., None]) + prep.beta_b * (e_b[..., None, :] - e_b[..., None])
+    def exponent(ea0, eb0, ea1, eb1):
+        return prep.beta_a * (ea0 - ea1) + prep.beta_b * (eb0 - eb1)
 
-    return math.exp(_average(exponent, w, transitions)), _jarzynski(w, transitions)
+    return math.exp(_average(exponent, w, transitions, *_bare_levels(sys, cfg))), _jarzynski(w, transitions)
 
 
 def partial_trace_b(mat: Matrix, n_a: int, n_b: int) -> Matrix:
@@ -719,10 +726,14 @@ def partial_trace_a(mat: Matrix, n_a: int, n_b: int) -> Matrix:
     return np.einsum("kikj->ij", mat.reshape(n_a, n_b, n_a, n_b))
 
 
-def _density_eigs(rho: Matrix, what: str, floor: float = -1e-10):
+# An eigenvalue of a density matrix below this is negative, not rounding.
+_EIGENVALUE_FLOOR = -1e-10
+
+
+def _density_eigs(rho: Matrix, what: str):
     values, vectors = np.linalg.eigh(rho)
-    if values.min(initial=0.0) < floor:
-        raise PositivityError(f"{what} has eigenvalue {values.min():.3g} below {floor:g}")
+    if values.min(initial=0.0) < _EIGENVALUE_FLOOR:
+        raise PositivityError(f"{what} has eigenvalue {values.min():.3g} below {_EIGENVALUE_FLOOR:g}")
     return values, vectors
 
 

@@ -41,6 +41,15 @@ def test_routes_import_only_model(name):
     assert internal == {"model"}
 
 
+def test_diagnostics_reads_the_oracle_only_through_h():
+    # the audit reads [H0, H] from the edge list, so the stacks and the gauge
+    # of the sectors stay inside fock
+    module = importlib.import_module("qsubthermo.diagnostics")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "fock" for a in node.names}
+    assert names == {"FockConfig", "build_hamiltonian"}
+
+
 # The oracle reads its sectors, its gauge and whether a sector is real from the
 # matrix alone, so nothing that decides its algebra may see the coupling type.
 ORACLE_ALGEBRA = [

@@ -347,8 +347,8 @@ AUDIT_CASES = [(kind, n) for n in (24, 40) for kind in SYSTEMS] + [("rwa-detuned
 
 @pytest.mark.parametrize("kind,n", AUDIT_CASES)
 def test_audit_prints_as_the_dense_formula(kind, n):
-    # the audit reads [H0, H] from the edge list and [H, V] from real-gauged
-    # blocks; to the digits it prints, that is the dense formula
+    # the audit reads all three norms from the edge list, since [H, V] =
+    # [H0, H] exactly; to the digits it prints, that is the dense formula
     sys_ = OscillatorSystem(1.0, 1.7, InteractionKind.RWA, g=0.3) if kind == "rwa-detuned" else SYSTEMS[kind]
     cfg = FockConfig(n, n, tail_tol=1e-2)
     audit = decomposition_audit(sys_, cfg)
@@ -387,6 +387,9 @@ def test_sector_routes_match_dense_state(kind):
     assert jensen_bound(t, sys_, PREP, cfg) == pytest.approx((np.exp(mean_f), jarzynski), abs=1e-13)
     final_a = classical_average(lambda ea0, eb0, ea1, eb1: ea1 + 0 * (ea0 + eb0 + eb1), t, sys_, PREP, cfg)
     assert final_a == pytest.approx(np.sum(probs * e_a[:, None] * w), abs=1e-13)
+    # a cross-mode f, so that a swapped mode or a transposed transition shows
+    cross = classical_average(lambda ea0, eb0, ea1, eb1: ea1 * eb0 - ea0, t, sys_, PREP, cfg)
+    assert cross == pytest.approx(np.sum(probs * (e_a[:, None] * e_b - e_a) * w), abs=1e-13)
 
 
 # One dense complex H at 48 levels per mode, 16 dim^2 bytes (85 MB), bounds
@@ -409,6 +412,7 @@ PEAK_CALLS = {
     "effective_hamiltonian": lambda s: effective_hamiltonian(1.7, s, PREP48, CFG48),
     "jarzynski_identity": lambda s: jarzynski_identity(1.7, s, PREP48, CFG48),
     "jensen_bound": lambda s: jensen_bound(1.7, s, PREP48, CFG48),
+    "classical_average": lambda s: classical_average(lambda ea0, eb0, ea1, eb1: ea1 - ea0, 1.7, s, PREP48, CFG48),
     "spectrum_match": lambda s: spectrum_match(
         s, OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_B, m=1.3, q=0.3), CFG48, 64
     ),
