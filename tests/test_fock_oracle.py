@@ -108,26 +108,46 @@ class TestHeatNumeric:
             expected = 2.0 * (x_a - x_b) * math.sin(0.1 * t) ** 2
             assert report.dq_ab == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
-    def test_series_blocks_match_pointwise_loop(self):
+    @pytest.mark.parametrize("omega_b,per_stack", [(1.0, 1), (1.3, 2)], ids=["split", "detuned"])
+    def test_series_blocks_match_pointwise_loop(self, omega_b, per_stack):
         # the blocked series against the one-time-at-a-time contraction of the
         # same kernels, across several blocks and a ragged last block: first
         # the cached kernels, which are real, then complex Hermitian kernels
-        # made from them by a diagonal unitary, as a complex eigenbasis gives
-        sys_ = linear_system(g=0.3)
+        # made from them by a diagonal unitary, as a complex eigenbasis gives.
+        # A stack split by the mode exchange at h keeps K_a alone, and its
+        # K_b is S K_a S for S = +1 on the first h energies and -1 on the
+        # rest; detuned modes have no exchange and keep both kernels
+        sys_ = OscillatorSystem(1.0, omega_b, InteractionKind.LINEAR, g=0.3)
         times = np.linspace(0.0, 12.0, 301)
         kernels, q_a0, q_b0 = _heat_kernel(sys_, PREP, CFG24)
+
+        def stack_kernel(h, stack_kernels, which):
+            if which == 0 or len(stack_kernels) == 2:
+                return stack_kernels[which]
+            signs = np.where(np.arange(stack_kernels[0].shape[-1]) < h, 1.0, -1.0)
+            return signs[:, None] * stack_kernels[0] * signs
 
         def contract(kernels, t, which):
             # the sector kernels one time at a time, summed over every
             # sector of every stack
             total = 0.0
-            for energies, *stack_kernels in kernels:
-                for sector_energies, kernel in zip(energies, stack_kernels[which], strict=True):
+            for energies, h, *stack_kernels in kernels:
+                for sector_energies, kernel in zip(energies, stack_kernel(h, stack_kernels, which), strict=True):
                     phases = np.exp(-1j * sector_energies * t)
                     total += float(np.real(phases @ kernel @ phases.conj()))
             return total
 
-        assert all(np.isrealobj(kernel) for _, *stack_kernels in kernels for kernel in stack_kernels)
+        # K_b, read from the stack or as S K_a S, is K_b from the eigenvectors
+        stacks = eigensystem(sys_, CFG24)
+        assert [len(stack_kernels) for _, _, *stack_kernels in kernels] == [per_stack] * 2
+        w = thermal_product_state(sys_, PREP, CFG24)
+        d_b = np.tile(omega_b * np.arange(CFG24.n_b), CFG24.n_a)
+        for (index, _, vectors, _, _), (_, h, *stack_kernels) in zip(stacks, kernels, strict=True):
+            v_t = vectors.swapaxes(1, 2)
+            k_b = (v_t @ (d_b[index][..., None] * vectors)).swapaxes(1, 2) * (v_t @ (w[index][..., None] * vectors))
+            assert np.abs(stack_kernel(h, stack_kernels, 1) - k_b).max() < 1e-14 * np.abs(k_b).max()
+
+        assert all(np.isrealobj(kernel) for _, _, *stack_kernels in kernels for kernel in stack_kernels)
         for report, t in zip(heat_series_numeric(sys_, PREP, CFG24, times), times):
             dq_a = contract(kernels, t, 0) - q_a0
             dq_b = contract(kernels, t, 1) - q_b0
@@ -138,9 +158,11 @@ class TestHeatNumeric:
 
         rng = np.random.default_rng(3)
         twisted = []
-        for energies, *stack_kernels in kernels:
+        for energies, h, *stack_kernels in kernels:
             z = np.exp(2j * np.pi * rng.random(energies.shape))
-            twisted.append((energies, *(z.conj()[..., :, None] * kernel * z[..., None, :] for kernel in stack_kernels)))
+            twisted.append(
+                (energies, h, *(z.conj()[..., :, None] * kernel * z[..., None, :] for kernel in stack_kernels))
+            )
         for t, e_a, e_b in zip(times, *_expectations(twisted, times)):
             assert e_a == pytest.approx(contract(twisted, t, 0), rel=1e-12, abs=1e-12)
             assert e_b == pytest.approx(contract(twisted, t, 1), rel=1e-12, abs=1e-12)

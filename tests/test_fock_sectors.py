@@ -137,8 +137,15 @@ def gauged(block, z):
 
 
 def stacked_sectors(parts):
-    """(index, z, block) for every sector of every stack of sector_blocks."""
-    return [member for stack in sector_blocks(parts) for member in zip(*stack)]
+    """(index, z, block) for every sector of every stack of sector_blocks, in
+    ascending state order: a sector split by the mode exchange lists its
+    states as [F+ | H | F- | M] there."""
+    members = []
+    for index, z, blocks, *_ in sector_blocks(parts):
+        for states, phases, block in zip(index, z, blocks):
+            ascending = np.argsort(states)
+            members.append((states[ascending], phases[ascending], block[np.ix_(ascending, ascending)]))
+    return members
 
 
 def assert_gauge_is_per_block_search(parts):
@@ -184,13 +191,161 @@ def test_override_gauge_is_the_per_block_search(entries, real):
     assert np.isrealobj(block) == real
 
 
+def exchange_halves(index, sign, h, n):
+    """Q+ and Q- of one sector in sector_blocks' layout [F+ | H | F- | M],
+    after checking the layout against the mode swap (i_a, i_b) -> (i_b, i_a)
+    on n x n levels: e_f on each fixed point, (e_j +- sigma_j e_pi(j)) / sqrt(2)
+    on each head j."""
+    k, pairs = len(index), len(sign)
+    fixed, heads, mirrors = h - pairs, slice(h - pairs, h), slice(k - pairs, k)
+    i_a, i_b = np.divmod(index, n)
+    swapped = i_b * n + i_a
+    assert np.array_equal(swapped[heads], index[mirrors]) and np.all(index[heads] < index[mirrors])
+    assert np.array_equal(swapped[:fixed], index[:fixed])
+    assert np.array_equal(swapped[h : k - pairs], index[h : k - pairs])
+    plus, minus = np.zeros((k, h)), np.zeros((k, k - h))
+    plus[:fixed, :fixed] = np.eye(fixed)
+    minus[h : k - pairs, pairs:] = np.eye(k - h - pairs)
+    for half, sigma in ((plus[:, fixed:], sign), (minus[:, :pairs], -sign)):
+        half[heads] = np.eye(pairs) * math.sqrt(0.5)
+        half[mirrors] = np.diag(sigma) * math.sqrt(0.5)
+    return plus, minus
+
+
+SPLIT_CASES = {
+    "rwa": (SYSTEMS["rwa"], CFG24, True),
+    "linear": (SYSTEMS["linear"], CFG24, True),
+    "linear-0.7": (OscillatorSystem(0.7, 0.7, InteractionKind.LINEAR, g=0.2), FockConfig(24, 24, tail_tol=1e-2), True),
+    "minimal-a": (SYSTEMS["minimal-a"], CFG24, False),
+    "minimal-b": (SYSTEMS["minimal-b"], CFG24, False),
+    "linear-detuned": (OscillatorSystem(1.0, 1.3, InteractionKind.LINEAR, g=0.2), CFG24, False),
+    "linear-24x20": (SYSTEMS["linear"], FockConfig(24, 20, tail_tol=1e-2), False),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_exchange_splits_exactly_the_symmetric_sectors(case):
+    # the split is read from H: the swap must map a sector onto itself, carry
+    # d_a onto d_b and keep the gauged block up to the signs sigma, bit for
+    # bit; anything short of that keeps the whole block (h = k, no heads).
+    # A one-state sector is a fixed point of sign +1, which leaves it whole.
+    sys_, cfg, splits = SPLIT_CASES[case]
+    parts = build_hamiltonian(sys_, cfg)
+    for index, z, blocks, h, sign in sector_blocks(parts):
+        assert (h < index.shape[1]) == (splits and index.shape[1] > 1)
+        if h == index.shape[1]:
+            assert sign.shape == (len(index), 0)
+            assert all(np.array_equal(states, np.sort(states)) for states in index)
+            continue
+        for states, block, sigma_heads in zip(index, blocks, sign):
+            exchange_halves(states, sigma_heads, h, cfg.n_a)  # checks the layout against the swap
+            k, pairs = len(states), len(sigma_heads)
+            fixed = h - pairs
+            # the swap as local positions in [F+ | H | F- | M], and sigma on each part
+            swap = np.r_[0:fixed, k - pairs : k, h : k - pairs, fixed:h]
+            sigma = np.r_[np.ones(fixed), sigma_heads, -np.ones(k - h - pairs), sigma_heads]
+            assert np.array_equal(np.abs(sigma_heads), np.ones(pairs))
+            assert np.array_equal(parts.d_a[states[swap]], parts.d_b[states])
+            assert np.array_equal(block[np.ix_(swap, swap)], sigma[:, None] * sigma * block)
+
+
+def test_exchange_needs_the_bare_energies_swapped():
+    # H0 + V with omega_b = 1.5 and V = 0.5 N_a + 0.2 (a b^dag + a^dag b) is
+    # swap-symmetric entry for entry (its diagonal is 1.5 (N_a + N_b),
+    # exactly), but the swap does not carry d_a onto d_b, so K_b = S K_a S
+    # would not hold: no sector splits
+    cfg = CFG12
+    parts = build_hamiltonian(OscillatorSystem(1.0, 1.5, InteractionKind.NONE), cfg)
+    a, eye = destroy(cfg.n_a), np.eye(cfg.n_a)
+    hamiltonian = parts.h0 + 0.5 * np.kron(a.conj().T @ a, eye) + 0.2 * (np.kron(a, a.conj().T) + np.kron(a.conj().T, a))
+    i_a, i_b = np.divmod(np.arange(cfg.dim), cfg.n_b)
+    swap = i_b * cfg.n_b + i_a
+    assert np.array_equal(hamiltonian[np.ix_(swap, swap)], hamiltonian)
+    assert not np.array_equal(parts.d_a[swap], parts.d_b)
+    stacks = list(sector_blocks(edge_list(hamiltonian, parts)))
+    assert len(stacks) > 1 and all(h == index.shape[1] for index, _, _, h, _ in stacks)
+
+
+def test_exchange_squaring_to_minus_one_is_refused():
+    # the ring |1,0> - |2,0> - |0,1> - |0,2> - |1,0> on 12 levels, whose
+    # last link has the opposite sign: the swap keeps the ring up to signs
+    # sigma, but sigma[pi] = -sigma, so T = diag(sigma) P squares to -1 and
+    # has no real halves.  The ring stays whole, and the effective
+    # Hamiltonian still matches a dense evolution
+    cfg, t = CFG12, 1.3
+    bare = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
+    parts = build_hamiltonian(bare, cfg)
+    override = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+    for i, j, x in [(12, 24, 0.3), (24, 1, 0.2), (1, 2, 0.3), (2, 12, -0.2)]:
+        override[i, j] = override[j, i] = x
+    stacks = list(sector_blocks(edge_list(parts.h0 + override, parts)))
+    assert [index.shape[1] for index, *_ in stacks] == [1, 4]
+    assert all(h == index.shape[1] for index, _, _, h, _ in stacks)
+    u = scipy.linalg.expm(-1j * (parts.h0 + override) * t)
+    rho_t = (u * thermal_product_state(bare, PREP, cfg)) @ u.conj().T
+    rho_b = partial_trace_a(rho_t, cfg.n_a, cfg.n_b)
+    reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
+    assert np.abs(effective_hamiltonian(t, bare, PREP, cfg, interaction=override) - reference).max() < 1e-13
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_and_whole_sectors_match_dense_evolution(case):
+    # the heat series and the partial traces of rho(t), whether the exchange
+    # splits the sectors or not, against rho(t) from a dense expm of H
+    sys_, cfg, _ = SPLIT_CASES[case]
+    parts = build_hamiltonian(sys_, cfg)
+    w = thermal_product_state(sys_, PREP, cfg)
+    times = [0.7, 2.9]
+    for t, report in zip(times, heat_series_numeric(sys_, PREP, cfg, times), strict=True):
+        u = scipy.linalg.expm(-1j * t * parts.h)
+        rho_t = (u * w) @ u.conj().T
+        populations = np.real(np.diag(rho_t)) - w
+        assert report.dq_a == pytest.approx(populations @ parts.d_a, abs=1e-12)
+        assert report.dq_b == pytest.approx(populations @ parts.d_b, abs=1e-12)
+        rho_a, rho_b = _partial_traces(eigensystem(sys_, cfg), t, w, cfg.n_a, cfg.n_b)
+        assert np.abs(rho_a - partial_trace_b(rho_t, cfg.n_a, cfg.n_b)).max() < 1e-13
+        assert np.abs(rho_b - partial_trace_a(rho_t, cfg.n_a, cfg.n_b)).max() < 1e-13
+
+
+def test_own_interaction_override_matches_the_default_path():
+    # the override path reads the same exchange from H0 + V as the cached one
+    sys_, t = SYSTEMS["linear"], 1.3
+    v = build_hamiltonian(sys_, CFG24).v
+    default = effective_hamiltonian(t, sys_, PREP, CFG24)
+    assert np.abs(effective_hamiltonian(t, sys_, PREP, CFG24, interaction=v) - default).max() < 1e-13
+
+
 @pytest.mark.parametrize("kind", SYSTEMS)
-def test_stacked_eigh_is_per_block_eigh(kind):
+def test_stacked_eigh_is_per_block_eigh(kind, monkeypatch):
+    # one eigh per half-stack: an unsplit stack's is its blocks' eigh, and a
+    # split stack's halves are Q+^T B Q+ and Q-^T B Q- of each block, whose
+    # eigh each sector's energies [+ | -] and vectors Q Y repeat bit for bit
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append((a.copy(), *eigh(a))) or seen[-1][1:])
     parts = build_hamiltonian(SYSTEMS[kind], CFG24)
-    for (index, energies, vectors, z), (_, _, blocks) in zip(_eigh_sectors(parts), sector_blocks(parts), strict=True):
-        for block, e, v in zip(blocks, energies, vectors):
-            want_e, want_v = np.linalg.eigh(block)
-            assert e.tobytes() == want_e.tobytes() and v.tobytes() == want_v.tobytes()
+    stacks = _eigh_sectors(parts)
+    monkeypatch.undo()
+    calls = iter(seen)
+    for (index, energies, vectors, z, h), (_, _, blocks, _, sign) in zip(stacks, sector_blocks(parts), strict=True):
+        if h == index.shape[1]:
+            block_input, *_ = next(calls)
+            assert block_input.tobytes() == blocks.tobytes()
+            halves = [(np.eye(h)[None].repeat(len(index), 0), block_input)]
+        else:
+            halves = [
+                (np.stack([exchange_halves(i, s, h, CFG24.n_a)[which] for i, s in zip(index, sign)]), next(calls)[0])
+                for which in (0, 1)
+            ]
+        got_e, got_v = np.split(energies, [h], axis=1), np.split(vectors, [h], axis=2)
+        for (q, half_input), e_half, v_half in zip(halves, got_e, got_v):
+            want = q.swapaxes(1, 2) @ blocks @ q
+            assert np.abs(half_input - want).max() <= 4e-16 * max(1.0, np.abs(blocks).max())
+            for block, e, v, basis in zip(half_input, e_half, v_half, q):
+                want_e, want_y = np.linalg.eigh(block)
+                assert e.tobytes() == want_e.tobytes()
+                assert np.array_equal(v, basis @ want_y)
+    assert next(calls, None) is None
 
 
 def stack_cap(parts):
@@ -203,23 +358,26 @@ def stack_cap(parts):
 def test_stacks_stay_within_the_cap(kind, n):
     parts = build_hamiltonian(SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2))
     cap, stacks, sizes = stack_cap(parts), {}, []
-    for index, z, blocks in sector_blocks(parts):
+    for index, z, blocks, h, sign in sector_blocks(parts):
         m, k = index.shape
-        assert z.shape == index.shape and blocks.shape == (m, k, k)
+        assert z.shape == index.shape and blocks.shape == (m, k, k) and sign.shape[0] == m
         assert m * k * k <= cap
-        stacks.setdefault((k, np.iscomplexobj(blocks)), []).append(m)
+        stacks.setdefault((k, h, sign.shape[1], np.iscomplexobj(blocks)), []).append(m)
         sizes += [k] * m
     assert sorted(sizes) == expected_sizes(kind, n)
-    # and no more stacks than the cap needs: all but the last of a size and type are full
-    for (k, _), counts in stacks.items():
+    # and no more stacks than the cap needs: all but the last of a size, layout and type are full
+    for (k, *_), counts in stacks.items():
         assert all(m == cap // k**2 for m in counts[:-1])
 
 
-@pytest.mark.parametrize("kind,n,calls", [("none", 24, 1), ("rwa", 40, 51), ("linear", 40, 2)])
+@pytest.mark.parametrize("kind,n,calls", [("none", 24, 1), ("rwa", 40, 101), ("linear", 40, 4)])
 def test_one_eigh_per_stack(kind, n, calls, monkeypatch):
-    # none: 576 one-state sectors in one stack; rwa: sizes 1 to 28 in pairs
-    # (2 * 28^2 <= 40^2), 29 to 39 alone, and the one sector of 40 states; linear:
-    # each parity half alone.  One eigh per sector would be 576, 79 and 2.
+    # none: 576 one-state sectors in one stack, which the exchange leaves
+    # whole; rwa: sizes 1 to 28 in pairs (2 * 28^2 <= 40^2), 29 to 39 alone,
+    # and the one sector of 40 states, each split in two but the pair of
+    # one-state sectors |0, 0> and |39, 39>; linear: each parity half alone,
+    # split in two.  One eigh per sector would be 576, 79 and 2, and one per
+    # half-sector 576, 157 and 4.
     count = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: count.append(a.shape) or eigh(a))
@@ -228,7 +386,7 @@ def test_one_eigh_per_stack(kind, n, calls, monkeypatch):
         stacks = eigensystem(SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2))
     finally:
         eigensystem.cache_clear()
-    assert len(count) == len(stacks) == calls
+    assert len(count) == sum(1 + (h < index.shape[1]) for index, *_, h in stacks) == calls
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
@@ -263,7 +421,7 @@ def _override_matches_dense_evolution(entries):
     reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
     got = effective_hamiltonian(t, bare, PREP, cfg, interaction=override)
     assert np.abs(got - reference).max() < 1e-12
-    ((_, _, vectors, _),) = _eigh_sectors(edge_list(parts.h0 + override, parts))
+    ((_, _, vectors, _, _),) = _eigh_sectors(edge_list(parts.h0 + override, parts))
     return vectors
 
 
@@ -287,10 +445,10 @@ def test_rounding_level_loop_stays_complex():
 def test_merged_energies_match_dense_spectrum(kind):
     sys_ = SYSTEMS[kind]
     stacks = eigensystem(sys_, CFG24)
-    for index, energies, vectors, z in stacks:
+    for index, energies, vectors, z, _ in stacks:
         assert vectors.shape == index.shape + index.shape[1:] and energies.shape == index.shape == z.shape
         assert np.isrealobj(vectors)
-    merged = np.sort(np.concatenate([energies.ravel() for _, energies, _, _ in stacks]))
+    merged = np.sort(np.concatenate([energies.ravel() for _, energies, *_ in stacks]))
     dense = np.linalg.eigvalsh(build_hamiltonian(sys_, CFG24).h)
     assert np.all(np.abs(merged - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 
@@ -356,11 +514,13 @@ def test_audit_prints_as_the_dense_formula(kind, n):
     assert got == dense_audit_strings(build_hamiltonian(sys_, cfg))
 
 
+@pytest.mark.parametrize("levels", [(10, 7), (10, 10)], ids=["10x7", "10x10"])
 @pytest.mark.parametrize("kind", SYSTEMS)
-def test_sector_routes_match_dense_state(kind):
+def test_sector_routes_match_dense_state(kind, levels):
     # every rho(t) route gathered from the sectors, against the dense rho(t)
-    # and dense U(t), with unequal cutoffs so that no index can swap modes
-    sys_, cfg, t = SYSTEMS[kind], FockConfig(10, 7, tail_tol=1e-2), 1.3
+    # and dense U(t): with unequal cutoffs, so that no index can swap modes,
+    # and with equal ones, where the mode exchange splits rwa and linear
+    sys_, cfg, t = SYSTEMS[kind], FockConfig(*levels, tail_tol=1e-2), 1.3
     parts = build_hamiltonian(sys_, cfg)
     rho_t = dense_state(t, sys_, PREP, cfg)
     w = thermal_product_state(sys_, PREP, cfg)
