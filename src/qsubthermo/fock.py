@@ -24,15 +24,15 @@ exchange parity +1 and -1.  Sectors of one size, split and type share a stack
 of at most max(dim, k_max^2) entries for the largest sector size k_max; each
 stack is cut straight from the edge list and diagonalised with one eigh per
 half, in real arithmetic wherever the gauged imaginary parts are exactly zero.
-At 40 levels (LINEAR, 2 cores) the split takes ``eigensystem`` from 0.20 to
-0.11 s and a heat-series point from 214 to 134 us.  Time evolution reuses
-those eigendecompositions, never a generic matrix exponential: the phases
-e^{-iEt} enter as the real pair cos(Et), sin(Et), and every route takes
-batched products one stack at a time.  rho(t) vanishes between sectors, so
-the partial traces, traces against H and transition probabilities are
-gathered from its sector blocks; only ``unitary_at`` and ``bare_amplitudes``
-return a dense U(t).  The stacks and their gauge stay inside this module:
-other modules read H as its edge list.
+Time evolution reuses those eigendecompositions, never a generic matrix
+exponential: the phases e^{-iEt} enter as the real pair cos(Et), sin(Et),
+and every route takes batched products one stack at a time.  The heat kernel
+reads a stack's exchange split once and lays the kernel out as blocks with
+weights, which the heat series contracts all alike.  rho(t) vanishes between
+sectors, so the partial traces, traces against H and transition
+probabilities are gathered from its sector blocks; only ``unitary_at`` and
+``bare_amplitudes`` return a dense U(t).  The stacks and their gauge stay
+inside this module: other modules read H as its edge list.
 """
 
 from __future__ import annotations
@@ -447,39 +447,33 @@ def sector_blocks(parts: HamiltonianParts):
         yield index, phases, blocks if is_complex else blocks.real, h, sign[index[:, h - n : h]]
 
 
-def _eigh_halves(blocks, h: int, sign):
-    """eigh of the two halves Q^T B Q of a split stack, over [F+ | H] and [H | F-].
+def _eigh_stack(blocks, h: int, sign):
+    """(energies, vectors) of each block of a stack in sector_blocks' layout,
+    one eigh per half of the mode exchange: energies ordered [+ | -], and the
+    vectors Q Y written onto the sector's own states, the heads' rows times
+    1/sqrt(2) and their mirrors' rows those times +sigma or -sigma.
 
+    The halves Q^T B Q, over [F+ | H] and [H | F-], form no product with Q.
     The exchange T = diag(sigma) P has T = +1 on e_f for f in F+ and on (e_j
     + sigma_j e_pi(j)) / sqrt(2) for each head j, and T = -1 on e_f for f in
     F- and on (e_j - sigma_j e_pi(j)) / sqrt(2).  B[pi, pi] == sigma sigma^T
     * B bit for bit, so each half is B on its states, plus or minus B[H, M]
-    sigma between heads, and times sqrt(2) between heads and fixed points: no
-    product with Q is formed.  Its copies die on return, before the caller
-    allocates the stack's vectors.
+    sigma between heads, and times sqrt(2) between heads and fixed points.
+    The halves are freed before the vectors are allocated.
     """
     k, n = blocks.shape[-1], sign.shape[1]
-    fixed = h - n
-    exchange = blocks[:, fixed:h, k - n :] * sign[:, None, :]
+    if h == k:
+        return np.linalg.eigh(blocks)
+    fixed, mirrors = h - n, slice(k - n, k)
+    exchange = blocks[:, fixed:h, mirrors] * sign[:, None, :]
     plus, minus = blocks[:, :h, :h].copy(), blocks[:, fixed : k - n, fixed : k - n].copy()
     plus[:, fixed:, fixed:] += exchange
     minus[:, :n, :n] -= exchange
     for half, edge in ((plus, fixed), (minus, n)):
         half[:, edge:, :edge] *= math.sqrt(2.0)
         half[:, :edge, edge:] *= math.sqrt(2.0)
-    return np.linalg.eigh(plus), np.linalg.eigh(minus)
-
-
-def _eigh_stack(blocks, h: int, sign):
-    """(energies, vectors) of each block of a stack in sector_blocks' layout,
-    one eigh per half of the mode exchange: energies ordered [+ | -], and the
-    vectors Q Y written onto the sector's own states, the heads' rows times
-    1/sqrt(2) and their mirrors' rows those times +sigma or -sigma."""
-    k, n = blocks.shape[-1], sign.shape[1]
-    if h == k:
-        return np.linalg.eigh(blocks)
-    fixed, mirrors = h - n, slice(k - n, k)
-    (e_plus, y_plus), (e_minus, y_minus) = _eigh_halves(blocks, h, sign)
+    (e_plus, y_plus), (e_minus, y_minus) = np.linalg.eigh(plus), np.linalg.eigh(minus)
+    del exchange, plus, minus
     vectors = np.zeros_like(blocks)
     vectors[:, :h, :h] = y_plus
     vectors[:, fixed : k - n, h:] = y_minus
@@ -614,7 +608,7 @@ def _evolved(stacks, t: float, w, rows, cols):
 
 def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
     """U(t) = exp(-i H t) from the cached sector eigendecompositions of H."""
-    t = _checked(t, "time")
+    t = _checked(t, "time", scalar=True)
     out = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
     for index, energies, vectors, z, _ in eigensystem(sys, cfg):
         c, s = _sector_parts(energies, vectors, t)
@@ -634,39 +628,52 @@ def _partial_traces(blocks, t: float, w, n_a: int, n_b: int):
     return values[:split].reshape(n_a, n_a, n_b).sum(axis=2), values[split:].reshape(n_b, n_b, n_a).sum(axis=2)
 
 
-def _in_eigenbasis(vectors, diag) -> Matrix:
-    """S^dag diag(d) S for each eigenvector matrix S of a stack and an operator
-    diagonal in the number basis: one product, not two."""
-    return vectors.conj().swapaxes(-1, -2) @ (diag[..., None] * vectors)
-
-
 @functools.lru_cache(maxsize=4)
 def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
     """Products that make tr(H_c rho(t)) an O(sum of sector sizes^2) evaluation per time.
 
     rho(0) and H_c are diagonal and H is block-diagonal, so tr(X rho(t)) is a
     sum over sectors.  With rho and X in a sector's eigenbasis, its term is
-    sum_jk e^{-i E_j t} K_jk e^{i E_k t} for the kernel K = X^T * rho (elementwise).
-    The sector's gauge cancels from a number-diagonal X, so K is real wherever
-    the eigenvectors are.  Returns (kernels, tr(H_a rho(0)), tr(H_b rho(0)))
-    with kernels a tuple of (energies, h, K_a, K_b), one per stack of sectors.
+    sum_jk e^{-i E_j t} K_jk e^{i E_k t} for the Hermitian kernel K = X^T * rho
+    (elementwise).  The sector's gauge cancels from a number-diagonal X, so K
+    is real wherever the eigenvectors are.  Returns (kernels, tr(H_a rho(0)),
+    tr(H_b rho(0))) with kernels a tuple of (energies, terms), one per stack
+    of sectors, and terms a tuple of (rows, cols, K, weights): the block
+    K[rows, cols] of a kernel, built from the columns rows and cols of the
+    eigenvectors, whose real contraction times weights adds to (tr(H_a rho),
+    tr(H_b rho)).  This is the one place that reads a stack's split h.
 
     A stack split by the mode exchange (h < k) keeps K_a alone: the exchange
     P gives P D_a P^T = D_b and P V = diag(sigma) V S for S = +1 on the first
-    h eigenvectors and -1 on the rest, so K_b = S K_a S.  That is one product
-    and one kernel fewer per stack; at 48 levels (LINEAR) the call's
-    tracemalloc peak falls from 60.9 to 40.6 MiB.
+    h eigenvectors and -1 on the rest, so K_b = S K_a S.  Its terms are the
+    (+, +), (-, -) and (+, -) blocks of K_a, weighted (1, 1), (1, 1) and
+    (2, -2): the (-, +) block adds the (+, -) block's value again, K being
+    Hermitian, and S flips the sign of the cross blocks alone.  Any other
+    stack keeps K_a and K_b whole, weighted (1, 0) and (0, 1), on one rho.
     """
     w = thermal_product_state(sys, prep, cfg)
     d_a, d_b = _bare_levels(sys, cfg)
+
+    def product(vectors, diag, rows, cols):
+        # V[:, rows]^dag diag V[:, cols] for each eigenvector matrix V of a stack
+        return vectors[..., rows].conj().swapaxes(-1, -2) @ (diag[..., None] * vectors[..., cols])
+
     kernels = []
     for index, energies, vectors, _, h in eigensystem(sys, cfg):
-        rho_eig = _in_eigenbasis(vectors, w[index])
-        levels = (d_a,) if h < index.shape[1] else (d_a, d_b)
-        stack_kernels = tuple(_in_eigenbasis(vectors, d[index]).swapaxes(-1, -2) * rho_eig for d in levels)
-        for arr in stack_kernels:
-            arr.setflags(write=False)
-        kernels.append((energies, h, *stack_kernels))
+        plus, minus = slice(None, h), slice(h, None)  # plus is the whole sector where h == k
+        if h < index.shape[1]:
+            layout = [(plus, plus, [(d_a, (1.0, 1.0))]), (minus, minus, [(d_a, (1.0, 1.0))]), (plus, minus, [(d_a, (2.0, -2.0))])]
+        else:
+            layout = [(plus, plus, [(d_a, (1.0, 0.0)), (d_b, (0.0, 1.0))])]
+        terms = []
+        for rows, cols, levels in layout:
+            rho = product(vectors, w[index], rows, cols)
+            for d, weights in levels:
+                # the block (rows, cols) of X^T is the transpose of the block (cols, rows) of X
+                kernel = product(vectors, d[index], cols, rows).swapaxes(-1, -2) * rho
+                kernel.setflags(write=False)
+                terms.append((rows, cols, kernel, weights))
+        kernels.append((energies, tuple(terms)))
     return tuple(kernels), float(d_a @ w), float(d_b @ w)
 
 
@@ -687,28 +694,17 @@ def _form(left, kernel, right):
 
 def _expectations(kernels, times) -> NDArray[np.float64]:
     """tr(H_a rho(t)) and tr(H_b rho(t)) over every time: per block of times,
-    stacked GEMMs per stack of sectors and kernel, summed over sectors.
-
-    Each kernel splits at h into the blocks (+, +), (-, -) and (+, -); the
-    (-, +) block adds the (+, -) block's value again, K being Hermitian.  K_b
-    is the stack's last kernel: K_a again for a split stack, whose K_b = S K_a S
-    flips the sign of the cross blocks alone.  That costs about 0.75 k^2 per
-    phase vector against 2 k^2 for two whole kernels (a series point at 40
-    levels, LINEAR: 134 us, was 214 us); a stack with h = k has empty cross
-    blocks and pays for its two kernels.
+    stacked GEMMs per stack of sectors and term of its kernel, each term
+    contracted on the phases of its rows and columns and added with its
+    weights, summed over sectors.
     """
     out = np.zeros((2, len(times)))
     for start in range(0, len(times), _SERIES_BLOCK):
         block = slice(start, start + _SERIES_BLOCK)
-        for energies, h, *stack_kernels in kernels:
+        for energies, terms in kernels:
             c, s = _phases(times[block, None], energies[:, None, :])  # sectors x times x energies
-            plus, minus = (c[..., :h], s[..., :h]), (c[..., h:], s[..., h:])
-            diag = [
-                _form(plus, kernel[:, :h, :h], plus) + _form(minus, kernel[:, h:, h:], minus) for kernel in stack_kernels
-            ]
-            cross = [2.0 * _form(plus, kernel[:, :h, h:], minus) for kernel in stack_kernels]
-            out[0, block] += diag[0] + cross[0]
-            out[1, block] += diag[-1] - cross[-1]
+            for rows, cols, kernel, weights in terms:
+                out[:, block] += np.outer(weights, _form((c[..., rows], s[..., rows]), kernel, (c[..., cols], s[..., cols])))
     return out
 
 
@@ -716,7 +712,7 @@ def heat_changes_numeric(
     sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig, t: float
 ) -> HeatReport:
     """dQ_c = tr(H_c rho(t)) - tr(H_c rho(0)) from the cached sector kernels."""
-    return heat_series_numeric(sys, prep, cfg, [t])[0]
+    return heat_series_numeric(sys, prep, cfg, [_checked(t, "time", scalar=True)])[0]
 
 
 def heat_series_numeric(
@@ -776,7 +772,7 @@ def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg:
     between the states of its sector n.  U(t) vanishes between sectors, and
     the gauge drops out of |U|."""
     w = thermal_product_state(sys, prep, cfg)
-    t = _checked(t, "time")
+    t = _checked(t, "time", scalar=True)
     return w, [
         (index, _probabilities(*_sector_parts(energies, vectors, t)))
         for index, energies, vectors, *_ in eigensystem(sys, cfg)
@@ -920,7 +916,7 @@ def entropy_production(
     Diagonalising the composite product directly would drown its deep
     eigenvalue products (below ~1e-30) in eigensolver noise.
     """
-    t = _checked(t, "time")  # before the eigensystem, so a bad time costs nothing
+    t = _checked(t, "time", scalar=True)  # before the eigensystem, so a bad time costs nothing
     w = thermal_product_state(sys, prep, cfg)
     rho_a_t, rho_b_t = _partial_traces(eigensystem(sys, cfg), t, w, cfg.n_a, cfg.n_b)
     s_a_t = von_neumann_entropy(rho_a_t)
@@ -966,7 +962,7 @@ def true_heat_transfer_identity(
     sector, a route independent of the spectral kernel behind the bare-energy
     report.
     """
-    t_checked = _checked(t, "time")  # before the eigensystem, so a bad time costs nothing
+    t_checked = _checked(t, "time", scalar=True)  # before the eigensystem, so a bad time costs nothing
     w = thermal_product_state(sys, prep, cfg)
     parts = build_hamiltonian(sys, cfg)
     # H - H_b and H - H_a differ only on the diagonal: one set of entries of rho(t) serves both
@@ -1004,7 +1000,7 @@ def effective_hamiltonian(
     ``interaction`` overrides the system's own V (the state still evolves
     under H0 + interaction), which is how non-linear couplings are probed.
     """
-    t = _checked(t, "time")
+    t = _checked(t, "time", scalar=True)
     w = thermal_product_state(sys, prep, cfg)
     if interaction is None:
         parts = build_hamiltonian(sys, cfg)
@@ -1048,8 +1044,8 @@ def spectrum_match(
         sys_b.omega_b,
     ):
         raise ModelError("spectrum_match needs identical m, q and frequencies")
-    if k < 1:
-        raise ModelError(f"spectrum_match needs k >= 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ModelError(f"spectrum_match needs an integer k >= 1, got {k!r}")
     if k > cfg.dim // 4:
         raise TruncationError(
             f"k={k} reaches into the truncation-contaminated band (limit {cfg.dim // 4})"

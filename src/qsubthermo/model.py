@@ -192,15 +192,18 @@ class HeatReport:
         )
 
 
-def _checked(values, what: str, positive: bool = False):
-    """A scalar or 1-D array of finite times (windows: positive ones) as floats.
+def _checked(values, what: str, positive: bool = False, scalar: bool = False):
+    """A scalar or 1-D array of finite times (windows: positive ones) as floats,
+    or with scalar a single time alone.
 
     Both routes take their times through here, so they reject the same inputs.
-    The error names the first bad value, so it stays one line for any grid.
+    An oracle call that evolves to one time asks for a scalar: an array of
+    times would broadcast against its energies instead.  The error names the
+    first bad value, so it stays one line for any grid.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim > 1:
-        raise ModelError(f"{what} must be a scalar or a one-dimensional array")
+    if arr.ndim > (0 if scalar else 1):
+        raise ModelError(f"{what} must be a scalar" + ("" if scalar else " or a one-dimensional array"))
     bad = arr[~((arr > 0.0 if positive else arr >= 0.0) & (arr < np.inf))]  # NaN fails both
     if bad.size:
         raise ModelError(f"{what} must be finite and {'positive' if positive else 'non-negative'}, got {bad[0]}")

@@ -58,8 +58,8 @@ ORACLE_ALGEBRA = [
 ]
 
 
-@pytest.mark.parametrize("function", ORACLE_ALGEBRA)
-def test_oracle_algebra_never_reads_the_coupling_type(function):
+def names_read(function: str) -> set[str]:
+    """Every name, attribute and argument in the body of a function of fock."""
     module = importlib.import_module("qsubthermo.fock")
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
@@ -71,7 +71,19 @@ def test_oracle_algebra_never_reads_the_coupling_type(function):
             read.add(node.attr)
         elif isinstance(node, ast.arg):
             read.add(node.arg)
-    assert read & {"kind", "InteractionKind", "MINIMAL_KINDS"} == set()
+    return read
+
+
+@pytest.mark.parametrize("function", ORACLE_ALGEBRA)
+def test_oracle_algebra_never_reads_the_coupling_type(function):
+    assert names_read(function) & {"kind", "InteractionKind", "MINIMAL_KINDS"} == set()
+
+
+@pytest.mark.parametrize("function", ["_expectations", "_form"])
+def test_heat_contraction_never_reads_the_exchange_split(function):
+    # _heat_kernel alone lays a kernel out on a stack's split h, as blocks
+    # with weights, so the contraction takes every term one way
+    assert "h" not in names_read(function)
 
 
 @pytest.mark.parametrize("path", sorted(Path(qsubthermo.__file__).parent.glob("[!_]*.py")), ids=lambda p: p.stem)

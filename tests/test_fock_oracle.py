@@ -108,64 +108,75 @@ class TestHeatNumeric:
             expected = 2.0 * (x_a - x_b) * math.sin(0.1 * t) ** 2
             assert report.dq_ab == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
-    @pytest.mark.parametrize("omega_b,per_stack", [(1.0, 1), (1.3, 2)], ids=["split", "detuned"])
-    def test_series_blocks_match_pointwise_loop(self, omega_b, per_stack):
+    @pytest.mark.parametrize("omega_b,terms_per_stack", [(1.0, 3), (1.3, 2)], ids=["split", "detuned"])
+    def test_series_blocks_match_pointwise_loop(self, omega_b, terms_per_stack):
         # the blocked series against the one-time-at-a-time contraction of the
         # same kernels, across several blocks and a ragged last block: first
         # the cached kernels, which are real, then complex Hermitian kernels
         # made from them by a diagonal unitary, as a complex eigenbasis gives.
-        # A stack split by the mode exchange at h keeps K_a alone, and its
-        # K_b is S K_a S for S = +1 on the first h energies and -1 on the
-        # rest; detuned modes have no exchange and keep both kernels
+        # A stack split by the mode exchange keeps three blocks of K_a, and
+        # its K_b is S K_a S; detuned modes have no exchange and keep K_a and
+        # K_b whole
         sys_ = OscillatorSystem(1.0, omega_b, InteractionKind.LINEAR, g=0.3)
         times = np.linspace(0.0, 12.0, 301)
         kernels, q_a0, q_b0 = _heat_kernel(sys_, PREP, CFG24)
 
-        def stack_kernel(h, stack_kernels, which):
-            if which == 0 or len(stack_kernels) == 2:
-                return stack_kernels[which]
-            signs = np.where(np.arange(stack_kernels[0].shape[-1]) < h, 1.0, -1.0)
-            return signs[:, None] * stack_kernels[0] * signs
+        def whole(energies, terms, which):
+            # the stack's kernel for tr(H_a rho) (which = 0) or tr(H_b rho)
+            # (which = 1): its terms put in place with their weights, then
+            # made Hermitian, which spreads a doubled (+, -) block over (+, -)
+            # and (-, +) and leaves every real contraction as it was
+            folded = np.zeros(energies.shape + energies.shape[-1:], dtype=terms[0][2].dtype)
+            for rows, cols, kernel, weights in terms:
+                folded[:, rows, cols] += weights[which] * kernel
+            return (folded + folded.conj().swapaxes(1, 2)) / 2.0
 
-        def contract(kernels, t, which):
-            # the sector kernels one time at a time, summed over every
+        def pointwise(kernels, which):
+            # the whole sector kernels one time at a time, summed over every
             # sector of every stack
-            total = 0.0
-            for energies, h, *stack_kernels in kernels:
-                for sector_energies, kernel in zip(energies, stack_kernel(h, stack_kernels, which), strict=True):
-                    phases = np.exp(-1j * sector_energies * t)
-                    total += float(np.real(phases @ kernel @ phases.conj()))
-            return total
+            stacks = [(energies, whole(energies, terms, which)) for energies, terms in kernels]
+            totals = []
+            for t in times:
+                total = 0.0
+                for energies, stack in stacks:
+                    for sector_energies, kernel in zip(energies, stack, strict=True):
+                        phases = np.exp(-1j * sector_energies * t)
+                        total += float(np.real(phases @ kernel @ phases.conj()))
+                totals.append(total)
+            return totals
 
-        # K_b, read from the stack or as S K_a S, is K_b from the eigenvectors
+        # the terms make K_a and K_b from the eigenvectors
         stacks = eigensystem(sys_, CFG24)
-        assert [len(stack_kernels) for _, _, *stack_kernels in kernels] == [per_stack] * 2
+        assert [len(terms) for _, terms in kernels] == [terms_per_stack] * 2
         w = thermal_product_state(sys_, PREP, CFG24)
-        d_b = np.tile(omega_b * np.arange(CFG24.n_b), CFG24.n_a)
-        for (index, _, vectors, _, _), (_, h, *stack_kernels) in zip(stacks, kernels, strict=True):
+        levels = np.repeat(np.arange(CFG24.n_a), CFG24.n_b), np.tile(omega_b * np.arange(CFG24.n_b), CFG24.n_a)
+        for (index, _, vectors, _, _), (energies, terms) in zip(stacks, kernels, strict=True):
             v_t = vectors.swapaxes(1, 2)
-            k_b = (v_t @ (d_b[index][..., None] * vectors)).swapaxes(1, 2) * (v_t @ (w[index][..., None] * vectors))
-            assert np.abs(stack_kernel(h, stack_kernels, 1) - k_b).max() < 1e-14 * np.abs(k_b).max()
+            rho = v_t @ (w[index][..., None] * vectors)
+            for which, d in enumerate(levels):
+                expected = (v_t @ (d[index][..., None] * vectors)).swapaxes(1, 2) * rho
+                assert np.abs(whole(energies, terms, which) - expected).max() < 1e-14 * np.abs(expected).max()
 
-        assert all(np.isrealobj(kernel) for _, _, *stack_kernels in kernels for kernel in stack_kernels)
-        for report, t in zip(heat_series_numeric(sys_, PREP, CFG24, times), times):
-            dq_a = contract(kernels, t, 0) - q_a0
-            dq_b = contract(kernels, t, 1) - q_b0
+        assert all(np.isrealobj(kernel) for _, terms in kernels for _, _, kernel, _ in terms)
+        series = heat_series_numeric(sys_, PREP, CFG24, times)
+        for report, t, e_a, e_b in zip(series, times, pointwise(kernels, 0), pointwise(kernels, 1), strict=True):
             assert report.t == t
-            assert report.dq_a == pytest.approx(dq_a, rel=1e-12, abs=1e-12)
-            assert report.dq_b == pytest.approx(dq_b, rel=1e-12, abs=1e-12)
+            assert report.dq_a == pytest.approx(e_a - q_a0, rel=1e-12, abs=1e-12)
+            assert report.dq_b == pytest.approx(e_b - q_b0, rel=1e-12, abs=1e-12)
             assert report.dq_ab == report.dq_b - report.dq_a
 
         rng = np.random.default_rng(3)
         twisted = []
-        for energies, h, *stack_kernels in kernels:
+        for energies, terms in kernels:
             z = np.exp(2j * np.pi * rng.random(energies.shape))
             twisted.append(
-                (energies, h, *(z.conj()[..., :, None] * kernel * z[..., None, :] for kernel in stack_kernels))
+                (
+                    energies,
+                    [(rows, cols, z.conj()[:, rows, None] * kernel * z[:, None, cols], weights) for rows, cols, kernel, weights in terms],
+                )
             )
-        for t, e_a, e_b in zip(times, *_expectations(twisted, times)):
-            assert e_a == pytest.approx(contract(twisted, t, 0), rel=1e-12, abs=1e-12)
-            assert e_b == pytest.approx(contract(twisted, t, 1), rel=1e-12, abs=1e-12)
+        for got, want in zip(_expectations(twisted, times), (pointwise(twisted, 0), pointwise(twisted, 1)), strict=True):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_single_time_matches_series(self):
         sys_ = linear_system(g=0.3)
@@ -266,6 +277,41 @@ def test_oracle_rejects_bad_times(call, t, cfg_small):
         call(t, linear_system(g=0.2), PREP, cfg_small)
     if t != 1e308:  # only the overflow needs the energies to show
         assert eigensystem.cache_info().misses == 0
+
+
+# Every oracle call that takes one value: the calls that evolve to one time,
+# and spectrum_match with its k in place of the time.
+SCALAR_CALLS = {
+    **{name: call for name, call in ORACLE_ENTRY_POINTS.items() if name != "heat_series_numeric"},
+    "spectrum_match": lambda k, s, p, c: spectrum_match(
+        OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.0, q=0.2),
+        OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_B, m=1.0, q=0.2),
+        c,
+        k,
+    ),
+}
+SCALAR_CASES = {
+    **{
+        f"{name}-{size}-times": (name, np.linspace(0.1, 1.0, size))
+        for name in SCALAR_CALLS
+        if name != "spectrum_match"
+        for size in (2, 32)
+    },
+    "spectrum_match-k=2.5": ("spectrum_match", 2.5),
+}
+
+
+@pytest.mark.parametrize("name,value", SCALAR_CASES.values(), ids=SCALAR_CASES.keys())
+def test_single_value_calls_reject_arrays_and_fractions(name, value):
+    # an array of times would fail deep in the products (2 times) or, at the
+    # sector size (LINEAR at 8 levels has two sectors of 32 states),
+    # broadcast against a sector's energies into a wrong value, and a
+    # fractional k would fail as a slice bound: each is a ModelError before
+    # any eigendecomposition
+    eigensystem.cache_clear()
+    with pytest.raises(ModelError, match="must be a scalar|integer k"):
+        SCALAR_CALLS[name](value, linear_system(g=0.2), PREP, FockConfig(8, 8, tail_tol=0.1))
+    assert eigensystem.cache_info().misses == 0
 
 
 def test_infeasible_cutoff_fails_before_eigh():

@@ -35,6 +35,7 @@ from qsubthermo.fock import (
     _heat_kernel,
     _nonzero_entries,
     _partial_traces,
+    _probabilities,
     _quadratures,
     destroy,
     eigensystem,
@@ -579,13 +580,9 @@ PEAK_CALLS = {
 }
 
 
-@pytest.mark.parametrize(
-    "kind,call",
-    [(kind, call) for kind in PEAK_SYSTEMS for call in PEAK_CALLS if call != "spectrum_match" or kind == "minimal-a"],
-)
-def test_oracle_calls_stay_below_one_dense_hamiltonian(kind, call):
-    # each call alone: the eigensystem cold when it is the call, warm
-    # otherwise, and the heat kernel cold
+def traced_peak(kind: str, call: str) -> int:
+    """tracemalloc peak of one call alone: the eigensystem cold when it is the
+    call, warm otherwise, and the heat kernel cold."""
     sys_ = PEAK_SYSTEMS[kind]
     if call == "eigensystem":
         eigensystem.cache_clear()
@@ -595,8 +592,34 @@ def test_oracle_calls_stay_below_one_dense_hamiltonian(kind, call):
     tracemalloc.start()
     try:
         PEAK_CALLS[call](sys_)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         _heat_kernel.cache_clear()
-    assert peak < 16 * CFG48.dim**2
+
+
+@pytest.mark.parametrize(
+    "kind,call",
+    [(kind, call) for kind in PEAK_SYSTEMS for call in PEAK_CALLS if call != "spectrum_match" or kind == "minimal-a"],
+)
+def test_oracle_calls_stay_below_one_dense_hamiltonian(kind, call):
+    assert traced_peak(kind, call) < 16 * CFG48.dim**2
+
+
+def test_split_heat_kernel_forms_blocks_from_half_the_eigenvectors():
+    # each LINEAR parity sector (1152 states, 10.1 MiB per real square) splits
+    # into halves of 576, and its kernel is three half-size blocks of K_a,
+    # each formed from column slices of the eigenvectors: whole-sector
+    # products of V^T diag(w) V and V^T diag(d_a) V would hold four squares
+    assert traced_peak("linear", "_heat_kernel") < 32 * 2**20
+
+
+def test_probabilities_of_complex_parts():
+    # a stack whose gauged blocks stay complex has complex c and s in
+    # U = c + i s, so |U|^2 mixes their real and imaginary parts
+    rng = np.random.default_rng(5)
+    c, s = (rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)) for _ in range(2))
+    expected = np.abs(c + 1j * s) ** 2
+    got = _probabilities(c.copy(), s.copy())
+    assert np.isrealobj(got)
+    assert np.abs(got - expected).max() < 1e-14 * expected.max()
