@@ -22,8 +22,11 @@ gauged block up to signs, as on resonance with equal cutoffs for the exchange
 and linear couplings, and such a sector is diagonalised as its two halves of
 exchange parity +1 and -1.  Sectors of one size, split and type share a stack
 of at most max(dim, k_max^2) entries for the largest sector size k_max; each
-stack is cut straight from the edge list and diagonalised with one eigh per
-half, in real arithmetic wherever the gauged imaginary parts are exactly zero.
+stack is cut straight from the gauged edge list and diagonalised with one eigh
+per half.  Every H built here gauges real (each entry is purely real or
+imaginary, i^{N_a} or i^{N_b} is a real gauge, and the pass's phases are
+exactly +-1 or +-i), so the heat and transition routes are real; only an
+``interaction`` override's complex stacks take the generic rho(t) routes.
 Time evolution reuses those eigendecompositions, never a generic matrix
 exponential: the phases e^{-iEt} enter as the real pair cos(Et), sin(Et),
 and every route takes batched products one stack at a time.  The heat kernel
@@ -395,9 +398,13 @@ def _mode_exchange(parts: HamiltonianParts, gauged, tree, sector):
 
 def sector_blocks(parts: HamiltonianParts):
     """(index, z, blocks, h, sign) for each stack of sectors of H, filled
-    straight from the edge list: index (m, k) holds m sectors of k states, z
-    (m, k) their gauge, and blocks (m, k, k) the gauged blocks B = conj(z) H z,
-    real where no gauged entry of the stack has an imaginary part.
+    straight from the gauged edge list: index (m, k) holds m sectors of k
+    states, z (m, k) their gauge, and blocks (m, k, k) the gauged blocks B =
+    conj(z) H z.  This is the one place that tells real from complex: a
+    stack is float64 where no gauged entry has an imaginary part, as for
+    every system (each entry of H is purely real or imaginary, i^{N_a} or
+    i^{N_b} is a real gauge, and z is exactly 1, -1, i or -i), and
+    complex128 where an ``interaction`` override leaves one.
 
     A sector with the mode exchange of ``_mode_exchange`` lists its states as
     [F+ | H | F- | M]: the fixed points of sign +1, the pair heads (each
@@ -433,18 +440,15 @@ def sector_blocks(parts: HamiltonianParts):
         alike = np.flatnonzero((sizes == k) & (halves == h) & (heads == n) & (complex_sector == is_complex))
         for chunk in np.split(alike, range(cap // k**2, len(alike), cap // k**2)):
             plan.append((order[starts[chunk, None] + np.arange(k)], h, n, is_complex))
-    del tree, gauged, sector, mirror, state, part  # dead while the caller diagonalises each stack
+    del tree, sector, mirror, state, part  # dead while the caller diagonalises each stack
     stack, member, local = _stack_layout([index for index, *_ in plan], parts.dim)
     # no edge joins two sectors, so each belongs to the stack and member of its row
     for (index, h, n, is_complex), edges in zip(plan, _grouped(stack[rows], len(plan))):
         r, c = rows[edges], cols[edges]
-        blocks = np.zeros(index.shape + index.shape[1:], dtype=np.complex128)
-        blocks[member[r], local[r], local[c]] = parts.vals[edges]
-        # gauged whole, zeros too, so that eigh sees the signed zeros the per-sector gauge made
-        phases = z[index]
-        blocks *= phases[:, None, :]
-        blocks *= phases.conj()[:, :, None]
-        yield index, phases, blocks if is_complex else blocks.real, h, sign[index[:, h - n : h]]
+        values = gauged[edges] if is_complex else gauged.real[edges]
+        blocks = np.zeros(index.shape + index.shape[1:], dtype=values.dtype)
+        blocks[member[r], local[r], local[c]] = values
+        yield index, z[index], blocks, h, sign[index[:, h - n : h]]
 
 
 def _eigh_stack(blocks, h: int, sign):
@@ -635,8 +639,9 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     rho(0) and H_c are diagonal and H is block-diagonal, so tr(X rho(t)) is a
     sum over sectors.  With rho and X in a sector's eigenbasis, its term is
     sum_jk e^{-i E_j t} K_jk e^{i E_k t} for the Hermitian kernel K = X^T * rho
-    (elementwise).  The sector's gauge cancels from a number-diagonal X, so K
-    is real wherever the eigenvectors are.  Returns (kernels, tr(H_a rho(0)),
+    (elementwise).  The gauge cancels from a number-diagonal X, and every
+    system has real eigenvectors V (``sector_blocks``), so X = V^T diag V is
+    symmetric and K = X * rho real.  Returns (kernels, tr(H_a rho(0)),
     tr(H_b rho(0))) with kernels a tuple of (energies, terms), one per stack
     of sectors, and terms a tuple of (rows, cols, K, weights): the block
     K[rows, cols] of a kernel, built from the columns rows and cols of the
@@ -655,8 +660,8 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     d_a, d_b = _bare_levels(sys, cfg)
 
     def product(vectors, diag, rows, cols):
-        # V[:, rows]^dag diag V[:, cols] for each eigenvector matrix V of a stack
-        return vectors[..., rows].conj().swapaxes(-1, -2) @ (diag[..., None] * vectors[..., cols])
+        # V[:, rows]^T diag V[:, cols] for each real eigenvector matrix V of a stack
+        return vectors[..., rows].swapaxes(-1, -2) @ (diag[..., None] * vectors[..., cols])
 
     kernels = []
     for index, energies, vectors, _, h in eigensystem(sys, cfg):
@@ -669,8 +674,7 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
         for rows, cols, levels in layout:
             rho = product(vectors, w[index], rows, cols)
             for d, weights in levels:
-                # the block (rows, cols) of X^T is the transpose of the block (cols, rows) of X
-                kernel = product(vectors, d[index], cols, rows).swapaxes(-1, -2) * rho
+                kernel = product(vectors, d[index], rows, cols) * rho
                 kernel.setflags(write=False)
                 terms.append((rows, cols, kernel, weights))
         kernels.append((energies, tuple(terms)))
@@ -678,18 +682,11 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
 
 
 def _form(left, kernel, right):
-    """Re sum_jk e_j K_jk conj(e_k) per time for one block K of a stack of
-    kernels, with the phases e = c - i s of its rows (left) and columns (right).
-
-    That is Re(cKc + sKs) - Im(cKs) + Im(sKc): the products c K and s K, and
-    no imaginary parts for a real kernel.
-    """
+    """Re sum_jk e_j K_jk conj(e_k) per time for one real block K of a stack
+    of kernels, with the phases e = c - i s of its rows (left) and columns
+    (right): cKc + sKs, from the products c K and s K."""
     (c, s), (c_right, s_right) = left, right
-    ck, sk = c @ kernel, s @ kernel
-    total = np.einsum("mtj,mtj->t", ck, c_right) + np.einsum("mtj,mtj->t", sk, s_right)
-    if np.iscomplexobj(kernel):
-        total = total.real + np.einsum("mtj,mtj->t", sk, c_right).imag - np.einsum("mtj,mtj->t", ck, s_right).imag
-    return total
+    return np.einsum("mtj,mtj->t", c @ kernel, c_right) + np.einsum("mtj,mtj->t", s @ kernel, s_right)
 
 
 def _expectations(kernels, times) -> NDArray[np.float64]:
@@ -757,9 +754,7 @@ def bare_amplitudes(
 
 
 def _probabilities(c, s):
-    """|c + i s|^2 elementwise, in place of c and s."""
-    if np.iscomplexobj(c):
-        c, s = c.real - s.imag, c.imag + s.real
+    """|c + i s|^2 = c^2 + s^2 elementwise for real c and s, in place of c and s."""
     c *= c
     s *= s
     c += s
@@ -787,7 +782,7 @@ def _average(f, w, transitions, d_a, d_b) -> float:
     for index, probs in transitions:
         a, b = d_a[index], d_b[index]
         total += ((probs * f(a[..., None, :], b[..., None, :], a[..., None], b[..., None])) @ w[index][..., None]).sum()
-    return float(total.real)
+    return float(total)
 
 
 def _jarzynski(w, transitions) -> float:
@@ -908,7 +903,8 @@ def entropy_production(
     t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig
 ) -> EntropyProduction:
     """Split dS_a into entropy production S(rho(t) || rho_a(t) (x) rho_b(0))
-    and the reversible flux -beta_b dQ_b(t).
+    and the reversible flux -beta_b dQ_b(t), dQ_b read from the diagonal of
+    rho_b(t) without the heat kernel.
 
     The relative entropy is evaluated through the product structure of its
     second argument: ln(rho_a(t) (x) rho_b(0)) splits into a clean mode-a
@@ -930,7 +926,8 @@ def entropy_production(
     tr_rho_ln_sigma = -s_a_t + float(log_w_b @ rho_b_t_diag)
     # Unitary evolution keeps the spectrum: S(rho(t)) = S(rho(0)) = -sum w ln w.
     ds_i_a = -_shannon(w) - tr_rho_ln_sigma
-    ds_e_a = -prep.beta_b * heat_changes_numeric(sys, prep, cfg, t).dq_b
+    dq_b = sys.omega_b * np.arange(cfg.n_b) @ (rho_b_t_diag - np.exp(log_w_b))
+    ds_e_a = -prep.beta_b * float(dq_b)
     return EntropyProduction(ds_a=ds_a, ds_i_a=ds_i_a, ds_e_a=ds_e_a)
 
 

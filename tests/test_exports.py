@@ -86,6 +86,13 @@ def test_heat_contraction_never_reads_the_exchange_split(function):
     assert "h" not in names_read(function)
 
 
+@pytest.mark.parametrize("function", ["_heat_kernel", "_expectations", "_form", "_probabilities", "_transitions"])
+def test_kernels_and_transitions_never_decide_real_or_complex(function):
+    # sector_blocks alone decides whether a stack is real, and every system
+    # gauges real, so the heat and transition routes take real arithmetic only
+    assert names_read(function) & {"iscomplexobj", "imag", "conj"} == set()
+
+
 @pytest.mark.parametrize("path", sorted(Path(qsubthermo.__file__).parent.glob("[!_]*.py")), ids=lambda p: p.stem)
 def test_every_import_is_read(path):
     # an import no line reads is dead code, and it hides which module a name

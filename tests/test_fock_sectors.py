@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_state
 from qsubthermo import (
@@ -35,7 +37,6 @@ from qsubthermo.fock import (
     _heat_kernel,
     _nonzero_entries,
     _partial_traces,
-    _probabilities,
     _quadratures,
     destroy,
     eigensystem,
@@ -157,7 +158,9 @@ def assert_gauge_is_per_block_search(parts):
         reference = h[np.ix_(index, index)]
         assert z.tobytes() == per_block_gauge(reference).tobytes()
         want = gauged(reference, z)
-        assert block.tobytes() == (want if np.iscomplexobj(block) else want.real).tobytes()
+        # bit for bit up to the sign of a zero: the stacks write their zeros
+        # instead of gauging them, and + 0.0 makes every zero +0.0
+        assert (block + 0.0).tobytes() == ((want if np.iscomplexobj(block) else want.real) + 0.0).tobytes()
     return members
 
 
@@ -465,6 +468,32 @@ def test_gauged_sector_blocks_are_exactly_real(kind, cfg):
         assert np.all(np.abs(z) == 1.0)
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(InteractionKind),
+    st.floats(0.2, 3.0),
+    st.floats(0.2, 3.0),
+    st.integers(2, 9),
+    st.integers(2, 9),
+    st.floats(0.0, 2.0),
+    st.floats(0.1, 3.0),
+    st.floats(0.0, 2.0),
+)
+def test_every_system_gauges_to_real_stacks(kind, omega_a, omega_b, n_a, n_b, g, m, q):
+    # the invariant behind the oracle's real kernels and transitions: each
+    # entry of H is purely real or purely imaginary and i^{N_a} or i^{N_b} is
+    # a real gauge, so on or off resonance, with equal or unequal cutoffs and
+    # g on either side of omega / 2, every stack is float64 and the one
+    # pass's phases are exact quarter turns
+    if kind in MINIMAL_KINDS:
+        sys_ = OscillatorSystem(omega_a, omega_b, kind, m=m, q=q)
+    else:
+        sys_ = OscillatorSystem(omega_a, omega_b, kind, g=0.0 if kind is InteractionKind.NONE else g)
+    for _, z, blocks, _, _ in sector_blocks(build_hamiltonian(sys_, FockConfig(n_a, n_b))):
+        assert blocks.dtype == np.float64
+        assert np.isin(z, [1.0, -1.0, 1j, -1j]).all()
+
+
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_unitary_matches_matrix_exponential(kind):
     sys_, t = SYSTEMS[kind], 1.7
@@ -580,6 +609,17 @@ PEAK_CALLS = {
 }
 
 
+# Real stacks are filled straight from the gauged edge list, with no complex
+# stack-sized array: a cold eigensystem holds one real block of a parity
+# sector (1152 states, 10.1 MiB), its eigenvectors and those of the stack
+# before it, and spectrum_match keeps no eigenvectors at all.
+TIGHTER_PEAKS = {
+    ("linear", "eigensystem"): 44 * 2**20,
+    ("minimal-a", "eigensystem"): 44 * 2**20,
+    ("minimal-a", "spectrum_match"): 32 * 2**20,
+}
+
+
 def traced_peak(kind: str, call: str) -> int:
     """tracemalloc peak of one call alone: the eigensystem cold when it is the
     call, warm otherwise, and the heat kernel cold."""
@@ -603,7 +643,7 @@ def traced_peak(kind: str, call: str) -> int:
     [(kind, call) for kind in PEAK_SYSTEMS for call in PEAK_CALLS if call != "spectrum_match" or kind == "minimal-a"],
 )
 def test_oracle_calls_stay_below_one_dense_hamiltonian(kind, call):
-    assert traced_peak(kind, call) < 16 * CFG48.dim**2
+    assert traced_peak(kind, call) < TIGHTER_PEAKS.get((kind, call), 16 * CFG48.dim**2)
 
 
 def test_split_heat_kernel_forms_blocks_from_half_the_eigenvectors():
@@ -612,14 +652,3 @@ def test_split_heat_kernel_forms_blocks_from_half_the_eigenvectors():
     # each formed from column slices of the eigenvectors: whole-sector
     # products of V^T diag(w) V and V^T diag(d_a) V would hold four squares
     assert traced_peak("linear", "_heat_kernel") < 32 * 2**20
-
-
-def test_probabilities_of_complex_parts():
-    # a stack whose gauged blocks stay complex has complex c and s in
-    # U = c + i s, so |U|^2 mixes their real and imaginary parts
-    rng = np.random.default_rng(5)
-    c, s = (rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)) for _ in range(2))
-    expected = np.abs(c + 1j * s) ** 2
-    got = _probabilities(c.copy(), s.copy())
-    assert np.isrealobj(got)
-    assert np.abs(got - expected).max() < 1e-14 * expected.max()

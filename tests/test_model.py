@@ -3,11 +3,16 @@ import math
 import pytest
 
 from qsubthermo import (
+    FockConfig,
     InteractionKind,
     ModelError,
     OscillatorSystem,
     ThermalPreparation,
     csl_compliant,
+    heat_series_numeric,
+    heat_transfer,
+    spectrum_match,
+    thermal_state,
 )
 
 
@@ -89,3 +94,37 @@ def test_temperature_constructor_and_swap():
 def test_csl_compliance_sign_rule(dq_ab, beta_a, beta_b, expected):
     prep = ThermalPreparation(beta_a, beta_b)
     assert csl_compliant(dq_ab, prep, omega=1.0) is expected
+
+
+LINEAR = OscillatorSystem(1.0, 1.0, InteractionKind.LINEAR, g=0.2)
+MINIMAL_A = OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.0, q=0.2)
+REFUSALS = {
+    "negative-charge": (
+        lambda: OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.0, q=-0.1),
+        "kind=minimal-a requires a coupling q >= 0",
+    ),
+    "none-with-coupling": (lambda: OscillatorSystem(1.0, 1.0, InteractionKind.NONE, g=0.3), "kind=none requires g == 0"),
+    "zero-temperature": (lambda: ThermalPreparation.from_temperatures(0.0, 1.0), "temperatures must be positive"),
+    "zero-beta-thermal-state": (lambda: thermal_state(0.0, 1.0, 4), "thermal state needs beta > 0 and omega > 0"),
+    "scalar-series-time": (
+        lambda: heat_series_numeric(LINEAR, ThermalPreparation(1.0, 2.0), FockConfig(4, 4, tail_tol=0.5), 1.0),
+        "evaluation times must be a one-dimensional sequence",
+    ),
+    "spectrum-match-of-linear": (
+        lambda: spectrum_match(LINEAR, LINEAR, FockConfig(4, 4), 1),
+        "spectrum_match compares kind=minimal-a against kind=minimal-b",
+    ),
+    "closed-form-of-minimal": (
+        lambda: heat_transfer(1.0, MINIMAL_A, ThermalPreparation(1.0, 2.0)),
+        "no closed-form propagator for kind=minimal-a; use the Fock oracle",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_name_their_rule(call, message):
+    # each refusal is a ModelError whose message says which rule the input broke
+    with pytest.raises(ModelError) as refused:
+        call()
+    assert type(refused.value) is ModelError
+    assert str(refused.value) == message
