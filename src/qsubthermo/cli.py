@@ -1,34 +1,43 @@
 """Command-line front end: figure CSVs, parameter sweeps, oracle comparison, audits.
 
 Output files are plain CSV (UTF-8, ``\\n`` newlines, 17-significant-digit
-floats, so every value round-trips exactly).  Exit codes: 0 success, 2 bad
-parameters or infeasible truncation, 3 singular coupling (g = omega/2),
-4 tolerance breach in ``compare`` (a NaN deviation breaches it too).
+floats, so every value round-trips exactly).  A figure is evaluated and written
+``_BLOCK_ROWS`` rows at a time.  ``--out`` is written to a temporary sibling
+that replaces it only on success; on stdout, blocks written before a failing
+one stay printed.  Exit codes: 0 success, 2 bad parameters, infeasible
+truncation, an unreadable ``--config`` or an unwritable ``--out``, 3 singular
+coupling (g = omega/2), 4 tolerance breach in ``compare`` (a NaN deviation
+breaches it too).  Only ``compare`` and ``audit`` load the Fock oracle.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
+import os
 import sys as _sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
 from . import __version__
 from .analytic import heat_transfer, time_averaged_heat
 from .diagnostics import decomposition_audit, scan_violations
-from .fock import TAIL_TOL_DEFAULT, FockConfig, heat_series_numeric
 from .model import (
     MINIMAL_KINDS,
+    TAIL_TOL_DEFAULT,
     InteractionKind,
     ModelError,
     OscillatorSystem,
     SingularCouplingError,
     ThermalPreparation,
 )
+
+if TYPE_CHECKING:
+    from .fock import FockConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,20 +58,55 @@ COMPARE_BETAS = (1.0, 2.0)
 AUDIT_LEVELS = 24
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# Grid points evaluated, formatted and written at a time by a figure: bounds
+# the curve held in memory while keeping each evaluation vectorised.
+_BLOCK_ROWS = 1024
 
 
-def write_csv(path: Path | None, header: list[str], rows, footer: str | None = None) -> None:
-    """Stream the lines out, so a long curve is never held as one text."""
-    body = (",".join(_fmt(v) for v in row) for row in rows)
-    lines = itertools.chain([",".join(header)], body, [] if footer is None else [footer])
-    with open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext(_sys.stdout) as out:
-        out.writelines(line + "\n" for line in lines)
+@functools.cache
+def _row_format(types: tuple[type, ...]) -> str:
+    """The %-format of one CSV line of values of these types: 17 significant
+    digits for a float (numpy's included), 1/0 for a bool, str() for the rest."""
+    return ",".join("%d" if issubclass(t, bool) else "%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+
+
+def write_csv(out: TextIO, header: list[str], blocks: Iterable[Iterable[tuple]], footer: str | None = None) -> None:
+    """Write each block of row tuples as it is computed, so a long curve is never
+    held whole; the header waits for the first block, so input that fails there
+    writes nothing."""
+    blocks = iter(blocks)
+    first = next(blocks, ())
+    out.write(",".join(header) + "\n")
+    for rows in itertools.chain([first], blocks):
+        out.write("".join([_row_format(tuple(map(type, row))) % row for row in rows]))
+    if footer is not None:
+        out.write(footer + "\n")
+
+
+@contextlib.contextmanager
+def _output(path: Path | None) -> Iterator[TextIO]:
+    """Stdout, or a temporary sibling of ``path`` (through symlinks) that replaces
+    it only on success; a command opens it before it evaluates anything.  An
+    existing path that is no regular file (a device, a pipe) is written as is."""
+    if path is None:
+        yield _sys.stdout
+        return
+    target = Path(os.path.realpath(path))
+    staged = target.is_file() or not target.exists()
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp") if staged else target
+    try:
+        out = open(temp, "x" if staged else "w", encoding="utf-8")
+    except OSError as exc:
+        raise ModelError(f"cannot write --out {path}: {exc.strerror}") from None
+    try:
+        with out:
+            yield out
+        if staged:
+            os.replace(temp, target)
+    except BaseException:
+        if staged:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 def positive_int(text: str) -> int:
@@ -135,8 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: Path) -> dict[str, object]:
     """Flat key=value lines ('#' starts a comment), each value checked as its flag would be."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelError(f"cannot read --config: {exc}") from None
     values = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -189,6 +237,8 @@ def _system(args: argparse.Namespace) -> OscillatorSystem:
 
 
 def _fock_config(args: argparse.Namespace, sys_: OscillatorSystem, prep: ThermalPreparation) -> FockConfig:
+    from .fock import FockConfig
+
     if args.fock_n is not None:
         return FockConfig(args.fock_n, args.fock_n, tail_tol=args.tail_tol)
     return FockConfig.auto(sys_, prep, tail_tol=args.tail_tol)
@@ -200,38 +250,49 @@ def run_figure(args: argparse.Namespace) -> int:
     samples = args.samples if args.samples is not None else (1000 if number <= 3 else 200)
     hot_a = ThermalPreparation.from_temperatures(TEMP_HOT, TEMP_COLD)
     hot_b = hot_a.swapped()
-    times = np.linspace(0.0, t_max, samples)
     if number == 1:
         sys_ = OscillatorSystem(omega, omega, InteractionKind.RWA, g=0.1 * omega)
         header = ["t", "dQ_ab_hot_a", "dQ_ab_hot_b"]
-        columns = [times] + [heat_transfer(times, sys_, prep).dq_ab for prep in (hot_a, hot_b)]
+
+        def columns(times):
+            return [times] + [heat_transfer(times, sys_, prep).dq_ab for prep in (hot_a, hot_b)]
     elif number == 2:
         linear = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.1 * omega)
         rwa = OscillatorSystem(omega, omega, InteractionKind.RWA, g=0.1 * omega)
         header = ["t", "dQ_a_linear_hot_a", "dQ_a_linear_hot_b", "dQ_a_rwa_hot_a", "dQ_a_rwa_hot_b"]
-        columns = [times] + [
-            heat_transfer(times, sys_, prep).dq_a for sys_ in (linear, rwa) for prep in (hot_a, hot_b)
-        ]
+
+        def columns(times):
+            return [times] + [heat_transfer(times, sys_, prep).dq_a for sys_ in (linear, rwa) for prep in (hot_a, hot_b)]
     elif number == 3:
         sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.49 * omega)
-        rep = heat_transfer(times, sys_, hot_a)
         header = ["t", "dQ_a", "dQ_b", "dQ_ab", "dS0", "csl_ok"]
-        columns = [rep.t, rep.dq_a, rep.dq_b, rep.dq_ab, rep.ds0, rep.csl_ok]
+
+        def columns(times):
+            rep = heat_transfer(times, sys_, hot_a)
+            return [rep.t, rep.dq_a, rep.dq_b, rep.dq_ab, rep.ds0, rep.csl_ok]
     else:
         g = 0.49 * omega if number == 4 else 0.51 * omega
-        linear = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
-        taus = np.arange(1, samples + 1) * (t_max / samples)
+        systems = [OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)]
         header = ["tau", "avg_dQ_ab"]
-        columns = [taus, time_averaged_heat(linear, hot_a, taus)]
         if number == 4:
-            rwa = OscillatorSystem(omega, omega, InteractionKind.RWA, g=g)
+            systems.append(OscillatorSystem(omega, omega, InteractionKind.RWA, g=g))
             header = ["tau", "avg_dQ_ab_linear", "avg_dQ_ab_rwa"]
-            columns.append(time_averaged_heat(rwa, hot_a, taus))
-    write_csv(args.out, header, zip(*(column.tolist() for column in columns)))
+
+        def columns(taus):
+            return [taus] + [time_averaged_heat(sys_, hot_a, taus) for sys_ in systems]
+    grid = np.linspace(0.0, t_max, samples) if number <= 3 else np.arange(1, samples + 1) * (t_max / samples)
+    blocks = (
+        zip(*(column.tolist() for column in columns(grid[start:start + _BLOCK_ROWS])))
+        for start in range(0, samples, _BLOCK_ROWS)
+    )
+    with _output(args.out) as out:
+        write_csv(out, header, blocks)
     return EXIT_OK
 
 
 def run_compare(args: argparse.Namespace) -> int:
+    from .fock import heat_series_numeric
+
     if all(getattr(args, key) is None for key in ("beta_a", "beta_b", "temp_a", "temp_b")):
         args.beta_a, args.beta_b = COMPARE_BETAS
     sys_ = _system(args)
@@ -240,17 +301,18 @@ def run_compare(args: argparse.Namespace) -> int:
     t_max = args.t_max if args.t_max is not None else 20.0
     samples = args.samples if args.samples is not None else 81
     times = np.linspace(0.0, t_max, samples)
-    analytic = heat_transfer(times, sys_, prep)
-    oracle = heat_series_numeric(sys_, prep, cfg, times)
-    pairs = [(getattr(analytic, k), np.array([getattr(r, k) for r in oracle])) for k in ("dq_a", "dq_b", "ds0")]
-    # np.max, unlike max(), keeps a NaN deviation, and the gate below fails on it
-    worst = float(np.max([(abs(x - y) / np.maximum(1.0, abs(x))).max(initial=0.0) for x, y in pairs]))
-    write_csv(
-        args.out,
-        ["t", "dQ_a_analytic", "dQ_a_oracle", "dQ_b_analytic", "dQ_b_oracle", "dS0_analytic", "dS0_oracle"],
-        zip(times.tolist(), *(column.tolist() for pair in pairs for column in pair)),
-        footer=f"# max_relative_deviation,{_fmt(worst)}",
-    )
+    with _output(args.out) as out:
+        analytic = heat_transfer(times, sys_, prep)
+        oracle = heat_series_numeric(sys_, prep, cfg, times)
+        pairs = [(getattr(analytic, k), np.array([getattr(r, k) for r in oracle])) for k in ("dq_a", "dq_b", "ds0")]
+        # np.max, unlike max(), keeps a NaN deviation, and the gate below fails on it
+        worst = float(np.max([(abs(x - y) / np.maximum(1.0, abs(x))).max(initial=0.0) for x, y in pairs]))
+        write_csv(
+            out,
+            ["t", "dQ_a_analytic", "dQ_a_oracle", "dQ_b_analytic", "dQ_b_oracle", "dS0_analytic", "dS0_oracle"],
+            [zip(times.tolist(), *(column.tolist() for pair in pairs for column in pair))],
+            footer=f"# max_relative_deviation,{worst:.17g}",
+        )
     if not worst <= args.tol:
         print(f"deviation {worst:.3e} exceeds tolerance {args.tol:.3e}", file=_sys.stderr)
         return EXIT_TOLERANCE
@@ -277,17 +339,18 @@ def run_sweep(args: argparse.Namespace) -> int:
     samples = args.samples if args.samples is not None else 512
     g_grid = args.g_grid if args.g_grid is not None else [f * omega for f in (0.1, 0.3, 0.49, 0.5, 0.51)]
     dbeta_grid = args.dbeta_grid if args.dbeta_grid is not None else [0.005, 0.01]
-    rows = []
-    for g in g_grid:
-        for dbeta in dbeta_grid:
-            if g == 0.5 * omega:
-                rows.append((g, dbeta, "", "gap"))
-                continue
-            sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
-            prep = ThermalPreparation(base_beta, base_beta + dbeta)
-            profile = scan_violations(sys_, prep, t_max, samples)
-            rows.append((g, dbeta, len(profile.violations), profile.classification.value))
-    write_csv(args.out, ["g", "dbeta", "violations", "classification"], rows)
+    with _output(args.out) as out:
+        rows = []
+        for g in g_grid:
+            for dbeta in dbeta_grid:
+                if g == 0.5 * omega:
+                    rows.append((g, dbeta, "", "gap"))
+                    continue
+                sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
+                prep = ThermalPreparation(base_beta, base_beta + dbeta)
+                profile = scan_violations(sys_, prep, t_max, samples)
+                rows.append((g, dbeta, len(profile.violations), profile.classification.value))
+        write_csv(out, ["g", "dbeta", "violations", "classification"], [rows])
     return EXIT_OK
 
 

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .analytic import heat_transfer, time_averaged_heat
-from .fock import FockConfig, build_hamiltonian
 from .model import ModelError, OscillatorSystem, ThermalPreparation, _checked, csl_compliant
+
+if TYPE_CHECKING:
+    from .fock import FockConfig
 
 __all__ = [
     "Classification",
@@ -99,6 +102,8 @@ def decomposition_audit(sys: OscillatorSystem, cfg: FockConfig) -> Decomposition
     from the edge list of H; csl_safe reports whether it vanishes, which is
     the sufficient condition for the Clausius sign rule.
     """
+    from .fock import build_hamiltonian  # loaded on first use, so the scans never compile the oracle
+
     parts = build_hamiltonian(sys, cfg)
     # H0 is diagonal, so [H0, X]_ij = (d_i - d_j) X_ij needs no product, and
     # the gaps vanish on the diagonal, where alone V and H differ.

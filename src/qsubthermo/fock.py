@@ -55,6 +55,7 @@ from .model import (
     ModelError,
     OscillatorSystem,
     PositivityError,
+    TAIL_TOL_DEFAULT,
     ThermalPreparation,
     TruncationError,
     _checked,
@@ -90,7 +91,6 @@ __all__ = [
 
 Matrix = NDArray[np.complex128]
 
-TAIL_TOL_DEFAULT = 1e-12
 _DIM_CAP = 64
 
 # Times evaluated per GEMM in a heat series: bounds the (block x sector size)

@@ -146,6 +146,11 @@ def free_entropy_change(dq_a: float, dq_b: float, prep: ThermalPreparation) -> f
     return prep.beta_a * dq_a + prep.beta_b * dq_b
 
 
+#: Default thermal tail tolerance of the Fock oracle's cutoffs; kept here, so
+#: the command line names it without loading the oracle.
+TAIL_TOL_DEFAULT = 1e-12
+
+
 #: Transfer within this (times omega) of zero is compliant: it absorbs exact
 #: sin^2-type zeros and floating-point noise, which are not violations.
 VIOLATION_TOL_SCALE = 1e-12

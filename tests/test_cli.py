@@ -1,17 +1,27 @@
 import argparse
 import csv
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qsubthermo
-from qsubthermo import HeatReport, InteractionKind, OscillatorSystem, ThermalPreparation, cli, heat_transfer
+from qsubthermo import (
+    HeatReport,
+    InteractionKind,
+    OscillatorSystem,
+    ThermalPreparation,
+    cli,
+    heat_transfer,
+    time_averaged_heat,
+)
 from qsubthermo.cli import EXIT_SINGULAR, EXIT_TOLERANCE, EXIT_VALIDATION, main
 
 
@@ -26,12 +36,13 @@ def read_footer(path):
     return [line for line in lines if line.startswith("#")]
 
 
-def run_fresh(argv):
-    """The CLI in a fresh interpreter, so stderr is exactly what a user sees,
-    numpy warnings included."""
+def run_fresh(argv, code=None):
+    """The CLI (or a script given as code) in a fresh interpreter, so stderr and
+    the loaded modules are exactly what a user gets, numpy warnings included."""
     src = str(Path(qsubthermo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "qsubthermo.cli", *argv], capture_output=True, text=True, env=env)
+    command = ["-m", "qsubthermo.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *command, *argv], capture_output=True, text=True, env=env)
 
 
 class TestFigureCommand:
@@ -210,7 +221,7 @@ class TestCompareCommand:
         def nan_series(sys_, prep, cfg, times):
             return [HeatReport(t, math.nan, math.nan, math.nan, math.nan, False) for t in times]
 
-        monkeypatch.setattr(cli, "heat_series_numeric", nan_series)
+        monkeypatch.setattr(qsubthermo.fock, "heat_series_numeric", nan_series)
         out = tmp_path / "nan.csv"
         assert main(["--out", str(out), "--kind", "rwa", "--samples", "3", "compare"]) == EXIT_TOLERANCE
         assert read_footer(out) == ["# max_relative_deviation,nan"]
@@ -343,6 +354,119 @@ class TestConfigFile:
                      "audit"]) == EXIT_VALIDATION
         assert main(["--beta-a", "0.5", "--temp-a", "100", "--temp-b", "50",
                      "--kind", "rwa", "--fock-n", "12", "audit"]) == EXIT_VALIDATION
+
+
+def file_error_argv(case, tmp_path):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("kind = linear  # caf\xe9\n".encode("latin-1"))
+    return {
+        "out-in-missing-directory": ["--out", str(tmp_path / "missing" / "x.csv"), "figure", "4"],
+        "out-is-a-directory": ["--out", str(tmp_path), "figure", "4"],
+        "missing-config": ["--config", str(tmp_path / "missing.cfg"), "figure", "4"],
+        "config-not-utf8": ["--config", str(latin1), "figure", "4"],
+    }[case]
+
+
+def whole_grid_rows(number, samples):
+    """Figure 3 or 4 evaluated on the whole grid at once and formatted value by value."""
+    omega, t_max = 1.0, 50.0
+    hot_a = ThermalPreparation.from_temperatures(cli.TEMP_HOT, cli.TEMP_COLD)
+    if number == 3:
+        times = np.linspace(0.0, t_max, samples)
+        rep = heat_transfer(times, OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.49), hot_a)
+        columns = [rep.t, rep.dq_a, rep.dq_b, rep.dq_ab, rep.ds0, rep.csl_ok]
+    else:
+        taus = np.arange(1, samples + 1) * (t_max / samples)
+        columns = [taus] + [time_averaged_heat(OscillatorSystem(omega, omega, kind, g=0.49), hot_a, taus)
+                            for kind in (InteractionKind.LINEAR, InteractionKind.RWA)]
+    text = lambda v: ("1" if v else "0") if isinstance(v, bool) else format(v, ".17g")  # noqa: E731
+    return [[text(v) for v in row] for row in zip(*(column.tolist() for column in columns))]
+
+
+class TestOutput:
+    @pytest.mark.parametrize("case", ["out-in-missing-directory", "out-is-a-directory", "missing-config",
+                                      "config-not-utf8"])
+    def test_file_error_is_one_line_exit_2(self, tmp_path, capsys, case):
+        # each of these once ended in a traceback and exit 1
+        assert main(file_error_argv(case, tmp_path)) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid configuration: "), lines
+        assert [p.name for p in tmp_path.iterdir()] == ["latin1.cfg"]  # no temporary file left behind
+
+    def test_unwritable_out_fails_before_the_oracle(self, tmp_path, monkeypatch):
+        def no_series(*args):
+            raise AssertionError("the oracle ran before --out was opened")
+
+        monkeypatch.setattr(qsubthermo.fock, "heat_series_numeric", no_series)
+        assert main(["--out", str(tmp_path / "missing" / "x.csv"), "--kind", "rwa", "compare"]) == EXIT_VALIDATION
+
+    def test_failing_figure_keeps_the_old_file(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["--t-max", "3000", "figure", "5"]  # the window averages overflow
+        assert main(["--out", str(out), *argv]) == EXIT_VALIDATION
+        assert list(tmp_path.iterdir()) == []
+        out.write_bytes(b"old,bytes\n")
+        assert main(["--out", str(out), *argv]) == EXIT_VALIDATION
+        assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == b"old,bytes\n"
+        # on stdout the header waits for the first block, where this run fails
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+
+    def test_out_through_a_symlink_keeps_the_link(self, tmp_path):
+        # the temporary file replaces the link's target, not the link
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target)
+        assert main(["--out", str(link), "--samples", "3", "figure", "4"]) == 0
+        assert link.is_symlink() and read_csv(target)[0] == ["tau", "avg_dQ_ab_linear", "avg_dQ_ab_rwa"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    @pytest.mark.parametrize("number", [3, 4])
+    def test_blocked_curve_matches_the_whole_grid(self, tmp_path, number):
+        samples = 2 * cli._BLOCK_ROWS + 1
+        out = tmp_path / "curve.csv"
+        assert main(["--out", str(out), "--samples", str(samples), "figure", str(number)]) == 0
+        assert read_csv(out)[1] == whole_grid_rows(number, samples)
+
+    def test_writer_bytes_match_the_old_formatter(self):
+        # 17 significant digits for every float, numpy's included; 1/0 for bools; str() for the rest
+        rows = [
+            (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, np.float64(0.1)),
+            (True, False, 7, -3, 2**70, "", "gap", np.float64(-0.0)),
+        ]
+        buffer = io.StringIO()
+        cli.write_csv(buffer, ["a", "b"], [rows[:1], rows[1:]], footer="# end")
+        assert buffer.getvalue() == (
+            "a,b\n"
+            "nan,inf,-inf,-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,0.10000000000000001\n"
+            "1,0,7,-3,1180591620717411303424,,gap,-0\n"
+            "# end\n"
+        )
+
+    def test_closed_form_commands_never_load_the_oracle(self, tmp_path):
+        script = """if True:
+            import sys
+            import qsubthermo
+            from qsubthermo.cli import main
+            for argv in (["figure", "3"], ["figure", "4"], ["sweep"]):
+                assert main(["--out", sys.argv[1], *argv]) == 0
+            assert "qsubthermo.fock" not in sys.modules
+            assert main(["--kind", "rwa", "--fock-n", "12", "audit"]) == 0
+            fock = sys.modules["qsubthermo.fock"]
+            assert qsubthermo.fock is fock and qsubthermo.heat_series_numeric is fock.heat_series_numeric
+        """
+        proc = run_fresh([str(tmp_path / "x.csv")], code=script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_long_curve_is_never_held_whole(self, tmp_path):
+        tracemalloc.start()
+        try:
+            assert main(["--t-max", "45", "--samples", "200000", "--out", str(tmp_path / "x.csv"), "figure", "3"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def long_options(parser):

@@ -25,6 +25,13 @@ def test_package_exports_are_the_module_exports():
     assert set(qsubthermo.__all__) == union | {"__version__", "adaptive_simpson"}
 
 
+def test_star_import_binds_every_exported_name():
+    # the oracle's names reach the package namespace through its __getattr__
+    namespace = {}
+    exec("from qsubthermo import *", namespace)
+    assert set(qsubthermo.__all__) <= namespace.keys()
+
+
 @pytest.mark.parametrize("name", ["analytic", "fock"])
 def test_routes_import_only_model(name):
     # the closed forms and the oracle cross-validate each other, so what they
