@@ -1,10 +1,11 @@
 """Command-line front end: figure CSVs, parameter sweeps, oracle comparison, audits.
 
 Output files are plain CSV (UTF-8, ``\\n`` newlines, 17-significant-digit
-floats, so every value round-trips exactly).  A figure is evaluated and written
-``_BLOCK_ROWS`` rows at a time.  ``--out`` is written to a temporary sibling
-that replaces it only on success; on stdout, blocks written before a failing
-one stay printed.  Exit codes: 0 success, 2 bad parameters, infeasible
+floats, so every value round-trips exactly).  ``main`` opens ``--out`` for
+every command, ``audit`` included, before the command evaluates anything, as a
+temporary sibling that replaces it only on success.  A figure is evaluated and
+written ``_BLOCK_ROWS`` rows at a time; on stdout, blocks written before a
+failing one stay printed.  Exit codes: 0 success, 2 bad parameters, infeasible
 truncation, an unreadable ``--config`` or an unwritable ``--out``, 3 singular
 coupling (g = omega/2), 4 tolerance breach in ``compare`` (a NaN deviation
 breaches it too).  Only ``compare`` and ``audit`` load the Fock oracle.
@@ -86,7 +87,7 @@ def write_csv(out: TextIO, header: list[str], blocks: Iterable[Iterable[tuple]],
 @contextlib.contextmanager
 def _output(path: Path | None) -> Iterator[TextIO]:
     """Stdout, or a temporary sibling of ``path`` (through symlinks) that replaces
-    it only on success; a command opens it before it evaluates anything.  An
+    it only on success; ``main`` opens it before a command evaluates anything.  An
     existing path that is no regular file (a device, a pipe) is written as is."""
     if path is None:
         yield _sys.stdout
@@ -244,7 +245,7 @@ def _fock_config(args: argparse.Namespace, sys_: OscillatorSystem, prep: Thermal
     return FockConfig.auto(sys_, prep, tail_tol=args.tail_tol)
 
 
-def run_figure(args: argparse.Namespace) -> int:
+def run_figure(args: argparse.Namespace, out: TextIO) -> int:
     omega, number = OscillatorSystem(args.omega, args.omega).omega_a, args.number  # checked before 50/omega
     t_max = args.t_max if args.t_max is not None else 50.0 / omega
     samples = args.samples if args.samples is not None else (1000 if number <= 3 else 200)
@@ -285,12 +286,11 @@ def run_figure(args: argparse.Namespace) -> int:
         zip(*(column.tolist() for column in columns(grid[start:start + _BLOCK_ROWS])))
         for start in range(0, samples, _BLOCK_ROWS)
     )
-    with _output(args.out) as out:
-        write_csv(out, header, blocks)
+    write_csv(out, header, blocks)
     return EXIT_OK
 
 
-def run_compare(args: argparse.Namespace) -> int:
+def run_compare(args: argparse.Namespace, out: TextIO) -> int:
     from .fock import heat_series_numeric
 
     if all(getattr(args, key) is None for key in ("beta_a", "beta_b", "temp_a", "temp_b")):
@@ -301,56 +301,53 @@ def run_compare(args: argparse.Namespace) -> int:
     t_max = args.t_max if args.t_max is not None else 20.0
     samples = args.samples if args.samples is not None else 81
     times = np.linspace(0.0, t_max, samples)
-    with _output(args.out) as out:
-        analytic = heat_transfer(times, sys_, prep)
-        oracle = heat_series_numeric(sys_, prep, cfg, times)
-        pairs = [(getattr(analytic, k), np.array([getattr(r, k) for r in oracle])) for k in ("dq_a", "dq_b", "ds0")]
-        # np.max, unlike max(), keeps a NaN deviation, and the gate below fails on it
-        worst = float(np.max([(abs(x - y) / np.maximum(1.0, abs(x))).max(initial=0.0) for x, y in pairs]))
-        write_csv(
-            out,
-            ["t", "dQ_a_analytic", "dQ_a_oracle", "dQ_b_analytic", "dQ_b_oracle", "dS0_analytic", "dS0_oracle"],
-            [zip(times.tolist(), *(column.tolist() for pair in pairs for column in pair))],
-            footer=f"# max_relative_deviation,{worst:.17g}",
-        )
+    analytic = heat_transfer(times, sys_, prep)
+    oracle = heat_series_numeric(sys_, prep, cfg, times)
+    pairs = [(getattr(analytic, k), np.array([getattr(r, k) for r in oracle])) for k in ("dq_a", "dq_b", "ds0")]
+    # np.max, unlike max(), keeps a NaN deviation, and the gate below fails on it
+    worst = float(np.max([(abs(x - y) / np.maximum(1.0, abs(x))).max(initial=0.0) for x, y in pairs]))
+    write_csv(
+        out,
+        ["t", "dQ_a_analytic", "dQ_a_oracle", "dQ_b_analytic", "dQ_b_oracle", "dS0_analytic", "dS0_oracle"],
+        [zip(times.tolist(), *(column.tolist() for pair in pairs for column in pair))],
+        footer=f"# max_relative_deviation,{worst:.17g}",
+    )
     if not worst <= args.tol:
         print(f"deviation {worst:.3e} exceeds tolerance {args.tol:.3e}", file=_sys.stderr)
         return EXIT_TOLERANCE
     return EXIT_OK
 
 
-def run_audit(args: argparse.Namespace) -> int:
+def run_audit(args: argparse.Namespace, out: TextIO) -> int:
     sys_ = _system(args)
     prep = _preparation(args)  # the norms ignore it, but bad temperature flags still fail
     if args.fock_n is None:
         args.fock_n = AUDIT_LEVELS
     audit = decomposition_audit(sys_, _fock_config(args, sys_, prep))
-    print(f"norm_H0V={audit.norm_h0v:.6e}")
-    print(f"norm_HV={audit.norm_hv:.6e}")
-    print(f"norm_H0H={audit.norm_h0h:.6e}")
-    print(f"csl_safe={'true' if audit.csl_safe else 'false'}")
+    print(f"norm_H0V={audit.norm_h0v:.6e}", file=out)
+    print(f"norm_HV={audit.norm_hv:.6e}", file=out)
+    print(f"norm_H0H={audit.norm_h0h:.6e}", file=out)
+    print(f"csl_safe={'true' if audit.csl_safe else 'false'}", file=out)
     return EXIT_OK
 
 
-def run_sweep(args: argparse.Namespace) -> int:
+def run_sweep(args: argparse.Namespace, out: TextIO) -> int:
     omega = OscillatorSystem(args.omega, args.omega).omega_a  # checked before 50/omega
     base_beta = args.beta_a if args.beta_a is not None else 1.0 / TEMP_HOT
     t_max = args.t_max if args.t_max is not None else 50.0 / omega
     samples = args.samples if args.samples is not None else 512
     g_grid = args.g_grid if args.g_grid is not None else [f * omega for f in (0.1, 0.3, 0.49, 0.5, 0.51)]
     dbeta_grid = args.dbeta_grid if args.dbeta_grid is not None else [0.005, 0.01]
-    with _output(args.out) as out:
-        rows = []
-        for g in g_grid:
-            for dbeta in dbeta_grid:
-                if g == 0.5 * omega:
-                    rows.append((g, dbeta, "", "gap"))
-                    continue
-                sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
-                prep = ThermalPreparation(base_beta, base_beta + dbeta)
-                profile = scan_violations(sys_, prep, t_max, samples)
-                rows.append((g, dbeta, len(profile.violations), profile.classification.value))
-        write_csv(out, ["g", "dbeta", "violations", "classification"], [rows])
+    rows = []
+    for g, dbeta in itertools.product(g_grid, dbeta_grid):
+        sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)
+        prep = ThermalPreparation(base_beta, base_beta + dbeta)
+        try:
+            profile = scan_violations(sys_, prep, t_max, samples)
+            rows.append((g, dbeta, len(profile.violations), profile.classification.value))
+        except SingularCouplingError:  # g = omega/2: the closed forms have no propagator there
+            rows.append((g, dbeta, "", "gap"))
+    write_csv(out, ["g", "dbeta", "violations", "classification"], [rows])
     return EXIT_OK
 
 
@@ -361,7 +358,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args = _resolve(args)
-        return _RUNNERS[args.command](args)
+        with _output(args.out) as out:
+            return _RUNNERS[args.command](args, out)
     except SingularCouplingError as exc:
         print(f"singular configuration: {exc}", file=_sys.stderr)
         return EXIT_SINGULAR

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,6 +107,8 @@ class FockConfig:
     tail_tol: float = TAIL_TOL_DEFAULT
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (self.n_a, self.n_b)):
+            raise ModelError(f"Fock cutoffs must be integers, got n_a={self.n_a!r}, n_b={self.n_b!r}")
         if self.n_a < 2 or self.n_b < 2:
             raise ModelError("each mode needs at least two Fock levels")
         if not 0.0 < self.tail_tol < 1.0:  # NaN fails too
@@ -726,10 +728,8 @@ def heat_series_numeric(
         return []
     kernels, q_a0, q_b0 = _heat_kernel(sys, prep, cfg)
     e_a, e_b = _expectations(kernels, times)
-    return [
-        HeatReport.from_heats(t, dq_a, dq_b, prep, sys)
-        for t, dq_a, dq_b in zip(times.tolist(), (e_a - q_a0).tolist(), (e_b - q_b0).tolist())
-    ]
+    series = HeatReport.from_heats(times, e_a - q_a0, e_b - q_b0, prep, sys)  # one array call for every verdict
+    return [HeatReport(*row) for row in zip(*(getattr(series, field.name).tolist() for field in fields(HeatReport)))]
 
 
 @dataclass(frozen=True)
@@ -1041,7 +1041,7 @@ def spectrum_match(
         sys_b.omega_b,
     ):
         raise ModelError("spectrum_match needs identical m, q and frequencies")
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ModelError(f"spectrum_match needs an integer k >= 1, got {k!r}")
     if k > cfg.dim // 4:
         raise TruncationError(

@@ -259,6 +259,23 @@ class TestAuditCommand:
         assert "csl_safe=false" in out
         assert "norm_H0V" in out and "norm_HV" in out and "norm_H0H" in out
 
+    def test_audit_writes_to_out(self, tmp_path, capsys):
+        assert main(["--fock-n", "12", "audit"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "audit.txt"
+        assert main(["--out", str(out), "--fock-n", "12", "audit"]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed and len(printed.splitlines()) == 4
+
+    def test_unwritable_out_fails_before_the_audit(self, tmp_path, monkeypatch, capsys):
+        def no_audit(*args):
+            raise AssertionError("the audit ran before --out was opened")
+
+        monkeypatch.setattr(cli, "decomposition_audit", no_audit)
+        assert main(["--out", str(tmp_path / "missing" / "x.txt"), "audit"]) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid configuration: cannot write --out"), lines
+
 
 class TestSweepCommand:
     def test_gap_row_at_critical_coupling(self, tmp_path):
@@ -276,6 +293,11 @@ class TestSweepCommand:
         assert by_g[0.5][3] == "gap"
         assert by_g[0.49][3] in {"transient", "persistent"}
         assert len(rows) == 2  # the gap row is recorded, not dropped
+
+    def test_gap_cell_still_checks_the_preparation(self, capsys):
+        # g = omega/2 is a gap only once the cell's system and preparation hold
+        assert main(["sweep", "--g-grid", "0.5", "--dbeta-grid=-1"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("invalid configuration: inverse temperatures")
 
 
 class TestConfigFile:

@@ -100,6 +100,20 @@ def test_kernels_and_transitions_never_decide_real_or_complex(function):
     assert names_read(function) & {"iscomplexobj", "imag", "conj"} == set()
 
 
+def test_only_main_opens_the_output():
+    # one place opens --out, before any command evaluates, so no command can
+    # open it late or not at all
+    module = importlib.import_module("qsubthermo.cli")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    callers = [
+        function.name
+        for function in tree.body if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_output"
+    ]
+    assert callers == ["main"]
+
+
 @pytest.mark.parametrize("path", sorted(Path(qsubthermo.__file__).parent.glob("[!_]*.py")), ids=lambda p: p.stem)
 def test_every_import_is_read(path):
     # an import no line reads is dead code, and it hides which module a name

@@ -37,6 +37,15 @@ class TestFockConfig:
         with pytest.raises(ModelError):
             FockConfig(1, 8)
 
+    @pytest.mark.parametrize("n_a,n_b", [(4.5, 4), (4, 4.0), ("4", 4), (True, 4), (4, np.float64(6))],
+                             ids=["float", "float-n_b", "str", "bool", "numpy-float"])
+    def test_rejects_non_integer_cutoffs(self, n_a, n_b):
+        # a float or string cutoff would fail as a TypeError or IndexError deep
+        # in the assembly, and True would count as one level
+        with pytest.raises(ModelError, match="must be integers"):
+            FockConfig(n_a, n_b)
+        assert FockConfig(np.int64(6), 6).dim == 36
+
     @pytest.mark.parametrize("tail_tol", [0.0, math.nan, math.inf, 1.0, 2.0, -1.0])
     def test_rejects_bad_tail_tolerance(self, tail_tol):
         # checked before auto sizes anything; 1 and above would switch the check off

@@ -9,6 +9,7 @@ import pytest
 from conftest import dense_state, linear_system, rwa_system
 from qsubthermo import (
     FockConfig,
+    HeatReport,
     InteractionKind,
     ModelError,
     OscillatorSystem,
@@ -170,6 +171,22 @@ class TestHeatNumeric:
             assert single.dq_a == pytest.approx(report.dq_a, rel=1e-12, abs=1e-12)
             assert single.dq_b == pytest.approx(report.dq_b, rel=1e-12, abs=1e-12)
 
+    def test_series_verdicts_come_from_one_array_call(self, monkeypatch):
+        # every report of the series is the one from_heats gives at its own
+        # time, down to Python float and bool fields, yet the series makes a
+        # single call on the arrays
+        sys_ = linear_system(g=0.49)
+        times = np.linspace(0.0, 20.0, 401)
+        expected = [HeatReport.from_heats(r.t, r.dq_a, r.dq_b, PREP, sys_)
+                    for r in heat_series_numeric(sys_, PREP, CFG24, times)]
+        assert 0 < sum(not r.csl_ok for r in expected) < len(times)
+        calls, from_heats = [], HeatReport.from_heats
+        monkeypatch.setattr(HeatReport, "from_heats", lambda *args, **kwargs: calls.append(args) or from_heats(*args, **kwargs))
+        series = heat_series_numeric(sys_, PREP, CFG24, times)
+        assert len(calls) == 1
+        for report, want in zip(series, expected, strict=True):
+            assert report == want and tuple(map(type, vars(report).values())) == (float,) * 5 + (bool,)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(ModelError, match="finite"):
@@ -282,6 +299,7 @@ SCALAR_CASES = {
         for size in (2, 32)
     },
     "spectrum_match-k=2.5": ("spectrum_match", 2.5),
+    "spectrum_match-k=True": ("spectrum_match", True),
 }
 
 
@@ -289,9 +307,9 @@ SCALAR_CASES = {
 def test_single_value_calls_reject_arrays_and_fractions(name, value):
     # an array of times would fail deep in the products (2 times) or, at the
     # sector size (LINEAR at 8 levels has two sectors of 32 states),
-    # broadcast against a sector's energies into a wrong value, and a
-    # fractional k would fail as a slice bound: each is a ModelError before
-    # any eigendecomposition
+    # broadcast against a sector's energies into a wrong value, a fractional
+    # k would fail as a slice bound and True would pass as k = 1: each is a
+    # ModelError before any eigendecomposition
     eigensystem.cache_clear()
     with pytest.raises(ModelError, match="must be a scalar|integer k"):
         SCALAR_CALLS[name](value, linear_system(g=0.2), PREP, FockConfig(8, 8, tail_tol=0.1))
