@@ -5,7 +5,9 @@ floats, so every value round-trips exactly).  ``main`` opens ``--out`` for
 every command, ``audit`` included, before the command evaluates anything, as a
 temporary sibling that replaces it only on success.  A figure is evaluated and
 written ``_BLOCK_ROWS`` rows at a time; on stdout, blocks written before a
-failing one stay printed.  Exit codes: 0 success, 2 bad parameters, infeasible
+failing one stay printed.  Exit codes: 0 success, 2 bad parameters (a coupling
+the kind does not take, an empty sweep grid, a NaN or negative ``--tol``
+included), a flag or config key the command does not read, infeasible
 truncation, an unreadable ``--config`` or an unwritable ``--out``, 3 singular
 coupling (g = omega/2), 4 tolerance breach in ``compare`` (a NaN deviation
 breaches it too).  Only ``compare`` and ``audit`` load the Fock oracle.
@@ -117,7 +119,18 @@ def positive_int(text: str) -> int:
 
 
 def float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+    return values
+
+
+def _tolerance(text: str) -> float:
+    """compare's --tol: a number, inf included, that is neither NaN nor negative."""
+    with contextlib.suppress(ValueError):
+        if float(text) >= 0.0:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
 
 
 class _Param(NamedTuple):
@@ -125,28 +138,30 @@ class _Param(NamedTuple):
     convert: Callable[[str], object]
     builtin: object  # the value given by neither flag nor file; None leaves it to the command
     help: str
+    reads: tuple[str, ...]  # the commands that read it; the others refuse it, and one reader alone owns its flag
     choices: tuple[str, ...] | None = None
-    command: str | None = None  # the one command that takes it; None for a global flag
 
 
-# Every parameter a config file may set, by config key: its flag, check, built-in value and help.
+# Readers: the two commands that build an oracle system, the three on a time grid.
+_ORACLE, _TIMED = ("audit", "compare"), ("figure", "sweep", "compare")
+# Every parameter a config file may set, by config key: its flag, check, built-in value, help and readers.
 _PARAMS = {param.key: param for param in (
-    _Param("omega", float, 1.0, "common oscillator frequency"),
-    _Param("g", float, None, "coupling strength (default 0.1, 0 for kind none; figures and sweep set their own)"),
-    _Param("kind", str, InteractionKind.LINEAR.value, "interaction kind", tuple(k.value for k in InteractionKind)),
-    _Param("mass", float, 1.0, "mass for minimal-coupling kinds"),
-    _Param("charge", float, 0.0, "coupling q for minimal-coupling kinds"),
-    _Param("beta_a", float, None, "inverse temperature of oscillator a"),
-    _Param("beta_b", float, None, "inverse temperature of oscillator b"),
-    _Param("temp_a", float, None, "temperature of a (k_B = 1; excludes --beta-a)"),
-    _Param("temp_b", float, None, "temperature of b (excludes --beta-b)"),
-    _Param("t_max", float, None, "largest time on the grid (default 20 for compare, 50/omega otherwise)"),
+    _Param("omega", float, 1.0, "common oscillator frequency", ("figure", "sweep", "audit", "compare")),
+    _Param("g", float, None, "coupling strength (default 0.1, 0 for kind none)", _ORACLE),
+    _Param("kind", str, InteractionKind.LINEAR.value, "interaction kind", _ORACLE, tuple(k.value for k in InteractionKind)),
+    _Param("mass", float, None, "mass for minimal-coupling kinds (default 1)", _ORACLE),
+    _Param("charge", float, None, "coupling q for minimal-coupling kinds (default 0)", _ORACLE),
+    _Param("beta_a", float, None, "inverse temperature of oscillator a", ("sweep", *_ORACLE)),
+    _Param("beta_b", float, None, "inverse temperature of oscillator b", _ORACLE),
+    _Param("temp_a", float, None, "temperature of a (k_B = 1; excludes --beta-a)", _ORACLE),
+    _Param("temp_b", float, None, "temperature of b (excludes --beta-b)", _ORACLE),
+    _Param("t_max", float, None, "largest time on the grid (default 20 for compare, 50/omega otherwise)", _TIMED),
     _Param("samples", positive_int, None, "grid points (default 1000 for figures 1-3, 200 for figures 4-5, "
-           "512 for sweep, 81 for compare)"),
-    _Param("fock_n", int, None, f"Fock levels per mode (default: automatic; {AUDIT_LEVELS} for audit)"),
-    _Param("tail_tol", float, TAIL_TOL_DEFAULT, "thermal tail tolerance"),
-    _Param("g_grid", float_list, None, "comma-separated couplings", command="sweep"),
-    _Param("dbeta_grid", float_list, None, "comma-separated beta_b - beta_a offsets", command="sweep"),
+           "512 for sweep, 81 for compare)", _TIMED),
+    _Param("fock_n", int, None, f"Fock levels per mode (default: automatic; {AUDIT_LEVELS} for audit)", _ORACLE),
+    _Param("tail_tol", float, TAIL_TOL_DEFAULT, "thermal tail tolerance", _ORACLE),
+    _Param("g_grid", float_list, None, "comma-separated couplings", ("sweep",)),
+    _Param("dbeta_grid", float_list, None, "comma-separated beta_b - beta_a offsets", ("sweep",)),
 )}
 
 
@@ -164,16 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     fig = commands.add_parser("figure", help="reproduce one of the five preset curves as CSV")
     fig.add_argument("number", type=int, choices=range(1, 6))
     comp = commands.add_parser("compare", help="analytic vs Fock-oracle heat curves (default beta = 1, 2)")
-    comp.add_argument("--tol", type=float, default=1e-6, help="max relative deviation allowed")
+    comp.add_argument("--tol", type=_tolerance, default=1e-6, help="max relative deviation allowed")
     commands.add_parser("audit", help="commutator norms of the decomposition")
     commands.add_parser("sweep", help="violation classification over a (g, dbeta) grid")
     # Table flags keep argparse's default None, so _resolve can tell an absent
     # flag from a given one.  Built-in values must not go into a command's
     # set_defaults: those overwrite a global flag given on the command line.
     for param in _PARAMS.values():
-        default = "" if param.builtin is None else f" (default {param.builtin})"
-        (parser if param.command is None else commands.choices[param.command]).add_argument(
-            "--" + param.key.replace("_", "-"), type=param.convert, choices=param.choices, help=param.help + default
+        notes = ("" if param.builtin is None else f" (default {param.builtin})") + "; read by " + ", ".join(param.reads)
+        (parser if len(param.reads) > 1 else commands.choices[param.reads[0]]).add_argument(
+            "--" + param.key.replace("_", "-"), type=param.convert, choices=param.choices, help=param.help + notes
         )
     return parser
 
@@ -205,11 +220,15 @@ def _read_config(path: Path) -> dict[str, object]:
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Each parameter takes its flag, else its config-file value, else its built-in value."""
+    """A parameter the command reads takes its flag, else its file value, else its built-in one; others are refused."""
     file_values = _read_config(args.config) if args.config is not None else {}
     for key, param in _PARAMS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, param.builtin))
+        flag = vars(args).pop(key, None)
+        if args.command in param.reads:
+            setattr(args, key, flag if flag is not None else file_values.get(key, param.builtin))
+        elif flag is not None or key in file_values:
+            given = "--" + key.replace("_", "-") if flag is not None else f"config key {key}"
+            raise ModelError(f"{args.command} does not read {given}")
     return args
 
 
@@ -230,11 +249,10 @@ def _preparation(args: argparse.Namespace) -> ThermalPreparation:
 
 
 def _system(args: argparse.Namespace) -> OscillatorSystem:
-    omega, kind = args.omega, InteractionKind(args.kind)
-    if kind in MINIMAL_KINDS:
-        return OscillatorSystem(omega, omega, kind, m=args.mass, q=args.charge)
-    g = args.g if args.g is not None else (0.0 if kind is InteractionKind.NONE else 0.1)
-    return OscillatorSystem(omega, omega, kind, g=g)
+    kind = InteractionKind(args.kind)  # every given coupling goes to the model, which decides what a kind takes
+    defaults = (0.0, 1.0, 0.0) if kind in MINIMAL_KINDS else (0.0 if kind is InteractionKind.NONE else 0.1, None, None)
+    g, m, q = (d if v is None else v for v, d in zip((args.g, args.mass, args.charge), defaults))
+    return OscillatorSystem(args.omega, args.omega, kind, g=g, m=m, q=q)
 
 
 def _fock_config(args: argparse.Namespace, sys_: OscillatorSystem, prep: ThermalPreparation) -> FockConfig:

@@ -72,6 +72,8 @@ def scan_violations(
     the same verdict, ``csl_compliant``.
     """
     _checked(t_max, "t_max", positive=True)
+    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
+        raise ModelError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 16:
         raise ModelError("need at least 16 samples")
     grid = np.linspace(0.0, t_max, n_samples)

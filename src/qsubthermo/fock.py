@@ -288,8 +288,6 @@ def build_hamiltonian(sys: OscillatorSystem, cfg: FockConfig) -> HamiltonianPart
         elif kind is InteractionKind.LINEAR:
             rows, cols, (vals,) = _kron_entries([(a_dag + a, b_dag - b)], cfg)
             vals *= 1j * sys.g
-        else:  # pragma: no cover - enum is closed
-            raise ModelError(f"unknown interaction kind {kind!r}")
         diag = rows == cols
         vals[diag] += (d_a + d_b)[rows[diag]]  # H = V + H0
     keep = vals != 0

@@ -81,6 +81,8 @@ class OscillatorSystem:
     q: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, InteractionKind):
+            raise ModelError(f"kind must be an InteractionKind, got {self.kind!r}")
         for name in ("omega_a", "omega_b", "g", "m", "q"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -226,6 +226,19 @@ class TestCompareCommand:
         assert main(["--out", str(out), "--kind", "rwa", "--samples", "3", "compare"]) == EXIT_TOLERANCE
         assert read_footer(out) == ["# max_relative_deviation,nan"]
 
+    def test_tol_is_a_number_neither_nan_nor_negative(self, monkeypatch, capsys):
+        # --tol nan and --tol -1 failed every run ("exceeds tolerance nan"); inf
+        # allows any finite deviation, and a NaN deviation still breaches it
+        def nan_series(sys_, prep, cfg, times):
+            return [HeatReport(t, math.nan, math.nan, math.nan, math.nan, False) for t in times]
+
+        monkeypatch.setattr(qsubthermo.fock, "heat_series_numeric", nan_series)
+        for tol in ("nan", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--kind", "rwa", "--samples", "3", "compare", "--tol", tol])
+            assert exc.value.code == EXIT_VALIDATION
+        assert main(["--kind", "rwa", "--samples", "3", "compare", "--tol", "inf"]) == EXIT_TOLERANCE
+
     def test_singular_coupling_exit_code(self, tmp_path):
         code = main(
             [
@@ -275,6 +288,20 @@ class TestAuditCommand:
         assert main(["--out", str(tmp_path / "missing" / "x.txt"), "audit"]) == EXIT_VALIDATION
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invalid configuration: cannot write --out"), lines
+
+    def test_system_takes_every_given_coupling(self, capsys):
+        # the model alone decides which couplings a kind takes; a given m, q or
+        # g is never dropped, and a given zero is not replaced by a default
+        refusals = {
+            ("--kind", "rwa", "--mass", "2"): "kind=rwa does not take m or q",
+            ("--kind", "linear", "--charge", "0"): "kind=linear does not take m or q",
+            ("--kind", "minimal-a", "--g", "0.3"): "minimal-coupling kinds use (m, q), not g",
+            ("--kind", "minimal-a", "--mass", "0"): "kind=minimal-a requires a mass m > 0",
+        }
+        for flags, message in refusals.items():
+            assert main([*flags, "--fock-n", "6", "audit"]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.splitlines() == [f"invalid configuration: {message}"]
+        assert main(["--kind", "minimal-b", "--charge", "0", "--g", "0", "--fock-n", "6", "audit"]) == 0
 
 
 class TestSweepCommand:
@@ -330,7 +357,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line,command", [("kind = foo", ["audit"]), ("samples = abc", ["figure", "4"]),
                                               ("samples = 0", ["figure", "1"]), ("g_grid = 0.1,x", ["sweep"]),
-                                              ("fock_n = 1.5", ["audit"])])
+                                              ("fock_n = 1.5", ["audit"]), ("g_grid =", ["sweep"])])
     def test_bad_config_value_is_one_error_line(self, tmp_path, line, command):
         # a file value goes through its flag's converter and choices
         cfg = tmp_path / "bad.cfg"
@@ -506,7 +533,9 @@ FLAG_ONLY = {"--help", "--version", "--config", "--out", "--tol"}
 
 # Bad flag values that argparse rejects, with its usage line, and that the model rejects, in one line.
 PARSER_REJECTS = [["--samples", "0", "figure", "4"], ["--samples", "-5", "compare"], ["--samples", "0", "figure", "1"],
-                  ["--samples", "0", "compare"], ["sweep", "--g-grid", "0.1,x"], ["sweep", "--dbeta-grid", "x"]]
+                  ["--samples", "0", "compare"], ["sweep", "--g-grid", "0.1,x"], ["sweep", "--dbeta-grid", "x"],
+                  ["compare", "--tol", "nan"], ["compare", "--tol", "-1"], ["sweep", "--g-grid", ""],
+                  ["sweep", "--dbeta-grid", ","]]
 MODEL_REJECTS = [["--tail-tol", value, "compare"] for value in ("0", "-1", "nan", "inf", "2")] + [
     ["--omega", "0", *command] for command in (["figure", "1"], ["figure", "4"], ["sweep"])]
 
@@ -537,3 +566,65 @@ class TestParameterSurface:
         else:
             assert lines[-1].startswith("qsubthermo"), proc.stderr
             assert "error: argument --" in proc.stderr
+
+
+# The parameters each command does not read; any other command refuses them, as a flag or a config key.
+UNREAD = {
+    "figure": ["g", "kind", "mass", "charge", "beta_a", "beta_b", "temp_a", "temp_b", "fock_n", "tail_tol", "g_grid",
+               "dbeta_grid"],
+    "sweep": ["g", "kind", "mass", "charge", "beta_b", "temp_a", "temp_b", "fock_n", "tail_tol"],
+    "audit": ["t_max", "samples", "g_grid", "dbeta_grid"],
+    "compare": ["g_grid", "dbeta_grid"],
+}
+# A value each parameter may take where it is read, so the refusal is the only fault.
+VALID = {"omega": "1", "g": "0.3", "kind": "rwa", "mass": "2", "charge": "0.3", "beta_a": "1", "beta_b": "2",
+         "temp_a": "5", "temp_b": "1", "t_max": "3", "samples": "20", "fock_n": "12", "tail_tol": "1e-2",
+         "g_grid": "0.3", "dbeta_grid": "0.01"}
+COMMAND_ARGV = {"figure": ["figure", "4"], "sweep": ["sweep"], "audit": ["audit"], "compare": ["compare"]}
+UNREAD_GIVEN = [(command, key, source) for command, keys in UNREAD.items() for key in keys
+                for source in ("flag", "config") if source == "config" or key not in ("g_grid", "dbeta_grid")]
+
+# Small settings on which each command runs quickly from the parameters it reads alone.
+READ_SETTINGS = {
+    "figure": {"t_max": 5.0, "samples": 20},
+    "sweep": {"t_max": 5.0, "samples": 20, "g_grid": [0.3, 0.5], "dbeta_grid": [0.01]},
+    "audit": {"kind": "rwa", "fock_n": 6},
+    "compare": {"kind": "rwa", "beta_a": 1.0, "beta_b": 2.0, "fock_n": 8, "tail_tol": 0.5, "t_max": 2.0, "samples": 3},
+}
+
+
+class TestReadOrRefused:
+    def test_readers_are_the_complement_of_the_refused(self):
+        assert sum(map(len, UNREAD.values())) == 27
+        read = {(command, key) for key, param in cli._PARAMS.items() for command in param.reads}
+        every = {(command, key) for command in COMMAND_ARGV for key in cli._PARAMS}
+        assert read == every - {(command, key) for command, keys in UNREAD.items() for key in keys}
+        assert len(read) == 33
+
+    @pytest.mark.parametrize("command,key,source", UNREAD_GIVEN, ids=lambda v: v)
+    def test_unread_parameter_is_refused(self, tmp_path, capsys, command, key, source):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg.write_text(f"{key} = {VALID[key]}\n", encoding="utf-8")
+        given = ["--" + key.replace("_", "-"), VALID[key]] if source == "flag" else ["--config", str(cfg)]
+        assert main(["--out", str(out), *given, *COMMAND_ARGV[command]]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"invalid configuration: {command} does not read "
+                                             + ("--" + key.replace("_", "-") if source == "flag" else f"config key {key}")]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("command,own", [("figure", {"number": n}) for n in range(1, 6)]
+                             + [("sweep", {}), ("audit", {}), ("compare", {"tol": math.inf})],
+                             ids=[f"figure-{n}" for n in range(1, 6)] + ["sweep", "audit", "compare"])
+    def test_runners_read_only_their_declared_parameters(self, command, own):
+        # args holds nothing but the parameters the table says the command
+        # reads, so a runner reading any other raises AttributeError
+        args = {key: READ_SETTINGS[command].get(key, param.builtin)
+                for key, param in cli._PARAMS.items() if command in param.reads}
+        buffer = io.StringIO()
+        assert cli._RUNNERS[command](argparse.Namespace(command=command, **args, **own), buffer) == 0
+        assert buffer.getvalue()
+
+    def test_resolve_leaves_unread_parameters_off_args(self):
+        args = cli._resolve(cli.build_parser().parse_args(["figure", "1"]))
+        assert {key for key in cli._PARAMS if hasattr(args, key)} == {"omega", "t_max", "samples"}

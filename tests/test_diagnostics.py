@@ -49,6 +49,13 @@ class TestScanViolations:
         with pytest.raises(ModelError):
             scan_violations(rwa_system(), HOT_A, t_max=float("nan"), n_samples=64)
 
+    @pytest.mark.parametrize("n_samples", [16.5, "20", None, True], ids=repr)
+    def test_sample_count_must_be_an_integer(self, n_samples):
+        # 16.5, "20" and None ended in a TypeError; True counted as one sample
+        with pytest.raises(ModelError, match="n_samples must be an integer"):
+            scan_violations(rwa_system(), HOT_A, t_max=10.0, n_samples=n_samples)
+        assert scan_violations(rwa_system(), HOT_A, t_max=10.0, n_samples=np.int64(16)).classification
+
     def test_singular_coupling_propagates(self):
         with pytest.raises(SingularCouplingError):
             scan_violations(linear_system(g=0.5), HOT_A, t_max=10.0, n_samples=64)

@@ -103,6 +103,13 @@ REFUSALS = {
         lambda: OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.0, q=-0.1),
         "kind=minimal-a requires a coupling q >= 0",
     ),
+    # a string kind constructed, then failed deep in either route, and a
+    # minimal one skipped the (m, q) checks altogether
+    "string-kind": (lambda: OscillatorSystem(1.0, 1.0, "rwa", g=0.1), "kind must be an InteractionKind, got 'rwa'"),
+    "string-minimal-kind": (
+        lambda: OscillatorSystem(1.0, 1.0, "minimal-a"),
+        "kind must be an InteractionKind, got 'minimal-a'",
+    ),
     "none-with-coupling": (lambda: OscillatorSystem(1.0, 1.0, InteractionKind.NONE, g=0.3), "kind=none requires g == 0"),
     "zero-temperature": (lambda: ThermalPreparation.from_temperatures(0.0, 1.0), "temperatures must be positive"),
     "zero-beta-thermal-state": (lambda: thermal_state(0.0, 1.0, 4), "thermal state needs beta > 0 and omega > 0"),
