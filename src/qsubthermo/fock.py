@@ -33,9 +33,9 @@ and every route takes batched products one stack at a time.  The heat kernel
 reads a stack's exchange split once and lays the kernel out as blocks with
 weights, which the heat series contracts all alike.  rho(t) vanishes between
 sectors, so the partial traces, traces against H and transition
-probabilities are gathered from its sector blocks; only ``unitary_at`` and
-``bare_amplitudes`` return a dense U(t).  The stacks and their gauge stay
-inside this module: other modules read H as its edge list.
+probabilities are gathered from its sector blocks, and no call returns a
+dim x dim array.  The stacks and their gauge stay inside this module: other
+modules read H as its edge list.
 """
 
 from __future__ import annotations
@@ -65,24 +65,17 @@ from .model import (
 __all__ = [
     "FockConfig",
     "HamiltonianParts",
-    "BareBasisAmplitudes",
     "EntropyProduction",
     "TrueHeatReport",
     "destroy",
     "build_hamiltonian",
-    "thermal_state",
     "heat_changes_numeric",
     "heat_series_numeric",
-    "bare_amplitudes",
     "classical_average",
     "jarzynski_identity",
     "jensen_bound",
-    "partial_trace_a",
-    "partial_trace_b",
     "von_neumann_entropy",
-    "relative_entropy",
     "entropy_production",
-    "true_energies",
     "true_heat_transfer_identity",
     "effective_hamiltonian",
     "diagonal_split",
@@ -159,11 +152,7 @@ def _quadratures(n: int, omega: float, m: float) -> tuple[Matrix, Matrix]:
 class HamiltonianParts:
     """Total Hamiltonian H on the composite space as an edge list, its exactly
     nonzero entries ``vals`` at (``rows``, ``cols``) in row-major order, and
-    the bare energies H_a, H_b as their number-basis diagonals d_a, d_b.
-
-    The dense H, V = H - H0, H_a, H_b and H0 = H_a + H_b are built only when
-    asked for.
-    """
+    the bare energies H_a, H_b as their number-basis diagonals d_a, d_b."""
 
     rows: NDArray[np.intp]
     cols: NDArray[np.intp]
@@ -188,32 +177,6 @@ class HamiltonianParts:
             np.concatenate([self.cols[off], index]),
             np.concatenate([self.vals[off], diag]),
         )
-
-    @property
-    def h(self) -> Matrix:
-        return _dense(self.dim, self.rows, self.cols, self.vals)
-
-    @property
-    def v(self) -> Matrix:
-        return _dense(self.dim, *self.entries(-(self.d_a + self.d_b)))
-
-    @property
-    def h_a(self) -> Matrix:
-        return np.diag(self.d_a.astype(np.complex128))
-
-    @property
-    def h_b(self) -> Matrix:
-        return np.diag(self.d_b.astype(np.complex128))
-
-    @property
-    def h0(self) -> Matrix:
-        return np.diag((self.d_a + self.d_b).astype(np.complex128))
-
-
-def _dense(dim: int, rows, cols, vals) -> Matrix:
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[rows, cols] = vals
-    return out
 
 
 def _nonzero_entries(mat: Matrix):
@@ -516,11 +479,6 @@ def thermal_weights(beta: float, omega: float, n: int, tail_tol: float | None = 
     return w / w.sum()
 
 
-def thermal_state(beta: float, omega: float, n: int, tail_tol: float | None = None) -> Matrix:
-    """Truncated Gibbs state: diagonal geometric weights, trace exactly one."""
-    return np.diag(thermal_weights(beta, omega, n, tail_tol)).astype(np.complex128)
-
-
 def thermal_product_state(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
     """Diagonal weights of rho_a_th (x) rho_b_th on the composite space.
 
@@ -607,16 +565,6 @@ def _evolved(stacks, t: float, w, rows, cols):
         if picked.size:
             r, c = rows[picked], cols[picked]
             out[picked] = _sector_state(energies, vectors, z, t, w[index], member[r], local[r], local[c])
-    return out
-
-
-def unitary_at(t: float, sys: OscillatorSystem, cfg: FockConfig) -> Matrix:
-    """U(t) = exp(-i H t) from the cached sector eigendecompositions of H."""
-    t = _checked(t, "time", scalar=True)
-    out = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
-    for index, energies, vectors, z, _ in eigensystem(sys, cfg):
-        c, s = _sector_parts(energies, vectors, t)
-        out[index[..., :, None], index[..., None, :]] = z[..., :, None] * (c + 1j * s) * z.conj()[..., None, :]
     return out
 
 
@@ -730,27 +678,6 @@ def heat_series_numeric(
     return [HeatReport(*row) for row in zip(*(getattr(series, field.name).tolist() for field in fields(HeatReport)))]
 
 
-@dataclass(frozen=True)
-class BareBasisAmplitudes:
-    """Transition amplitudes <p_a, q_b| U(t) |n_a, m_b> indexed (p, q, n, m)."""
-
-    amplitudes: NDArray[np.complex128]
-
-    def unitarity_defect(self) -> float:
-        """Worst deviation of any initial state's total transition probability from 1."""
-        probs = np.abs(self.amplitudes) ** 2
-        return float(np.abs(probs.sum(axis=(0, 1)) - 1.0).max())
-
-
-def bare_amplitudes(
-    t: float, sys: OscillatorSystem, cfg: FockConfig
-) -> BareBasisAmplitudes:
-    u = unitary_at(t, sys, cfg)
-    return BareBasisAmplitudes(
-        amplitudes=u.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b)
-    )
-
-
 def _probabilities(c, s):
     """|c + i s|^2 = c^2 + s^2 elementwise for real c and s, in place of c and s."""
     c *= c
@@ -829,25 +756,8 @@ def jensen_bound(
     return math.exp(_average(exponent, w, transitions, *_bare_levels(sys, cfg))), _jarzynski(w, transitions)
 
 
-def partial_trace_b(mat: Matrix, n_a: int, n_b: int) -> Matrix:
-    """Trace out mode b (a-major composite index convention)."""
-    return np.einsum("ikjk->ij", mat.reshape(n_a, n_b, n_a, n_b))
-
-
-def partial_trace_a(mat: Matrix, n_a: int, n_b: int) -> Matrix:
-    """Trace out mode a."""
-    return np.einsum("kikj->ij", mat.reshape(n_a, n_b, n_a, n_b))
-
-
 # An eigenvalue of a density matrix below this is negative, not rounding.
 _EIGENVALUE_FLOOR = -1e-10
-
-
-def _density_eigs(rho: Matrix, what: str):
-    values, vectors = np.linalg.eigh(rho)
-    if values.min(initial=0.0) < _EIGENVALUE_FLOOR:
-        raise PositivityError(f"{what} has eigenvalue {values.min():.3g} below {_EIGENVALUE_FLOOR:g}")
-    return values, vectors
 
 
 def _shannon(p) -> float:
@@ -858,34 +768,10 @@ def _shannon(p) -> float:
 
 def von_neumann_entropy(rho: Matrix) -> float:
     """-tr(rho ln rho) with 0 ln 0 = 0; rejects meaningfully negative eigenvalues."""
-    return _shannon(_density_eigs(rho, "density matrix")[0])
-
-
-# Any genuinely occupied thermal direction representable in double precision
-# sits far above this, so eigenvalues below it are "numerically zero" and mark
-# the edge of sigma's support.
-_SUPPORT_EIGENVALUE = 1e-30
-_SUPPORT_MASS = 1e-12
-_LOG_CLAMP = 1e-300
-
-
-def relative_entropy(rho: Matrix, sigma: Matrix) -> float:
-    """S(rho || sigma) = tr(rho ln rho) - tr(rho ln sigma).
-
-    sigma eigenvalues are clamped at 1e-300 for the logarithm, but only after
-    checking that rho carries no meaningful mass outside sigma's support.
-    """
-    rho_vals, _ = _density_eigs(rho, "relative-entropy first argument")
-    sig_vals, sig_vecs = _density_eigs(sigma, "relative-entropy second argument")
-    # Mass of rho in each eigendirection of sigma.
-    masses = np.real(np.einsum("ij,jk,ki->i", sig_vecs.conj().T, rho, sig_vecs))
-    outside = masses[sig_vals < _SUPPORT_EIGENVALUE]
-    if outside.size and outside.sum() > _SUPPORT_MASS:
-        raise PositivityError(
-            f"first argument has mass {outside.sum():.3g} outside the support of the second"
-        )
-    tr_rho_ln_sigma = float(masses @ np.log(np.maximum(sig_vals, _LOG_CLAMP)))
-    return -_shannon(rho_vals) - tr_rho_ln_sigma
+    values = np.linalg.eigh(rho)[0]
+    if values.min(initial=0.0) < _EIGENVALUE_FLOOR:
+        raise PositivityError(f"density matrix has eigenvalue {values.min():.3g} below {_EIGENVALUE_FLOOR:g}")
+    return _shannon(values)
 
 
 @dataclass(frozen=True)
@@ -927,12 +813,6 @@ def entropy_production(
     dq_b = sys.omega_b * np.arange(cfg.n_b) @ (rho_b_t_diag - np.exp(log_w_b))
     ds_e_a = -prep.beta_b * float(dq_b)
     return EntropyProduction(ds_a=ds_a, ds_i_a=ds_i_a, ds_e_a=ds_e_a)
-
-
-def true_energies(sys: OscillatorSystem, cfg: FockConfig) -> tuple[Matrix, Matrix]:
-    """Subsystem energies that absorb the interaction: (H - H_b, H - H_a)."""
-    parts = build_hamiltonian(sys, cfg)
-    return _dense(cfg.dim, *parts.entries(-parts.d_b)), _dense(cfg.dim, *parts.entries(-parts.d_a))
 
 
 @dataclass(frozen=True)

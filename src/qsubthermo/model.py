@@ -47,8 +47,7 @@ class TruncationError(ModelError):
 
 
 class PositivityError(ModelError):
-    """A supposed density matrix has a meaningfully negative eigenvalue or
-    unsupported relative-entropy arguments."""
+    """A supposed density matrix has a meaningfully negative eigenvalue."""
 
 
 class InteractionKind(enum.Enum):

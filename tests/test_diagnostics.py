@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import linear_system, rwa_system
+from conftest import dense, linear_system, rwa_system
 from qsubthermo import (
     Classification,
     FockConfig,
@@ -88,16 +88,18 @@ class TestDecompositionAudit:
     ])
     def test_norms_match_dense_commutators(self, sys_, cfg_small):
         parts = build_hamiltonian(sys_, cfg_small)
+        d = parts.d_a + parts.d_b
+        h, h0, v = dense(parts), np.diag(d), dense(parts, -d)
 
-        def dense(x, y):
+        def commutator_norm(x, y):
             return float(np.linalg.norm(x @ y - y @ x))
 
         audit = decomposition_audit(sys_, cfg_small)
         for got, (x, y) in zip(
             (audit.norm_h0v, audit.norm_hv, audit.norm_h0h),
-            ((parts.h0, parts.v), (parts.h, parts.v), (parts.h0, parts.h)),
+            ((h0, v), (h, v), (h0, h)),
         ):
-            assert got == pytest.approx(dense(x, y), rel=1e-12, abs=1e-10)
+            assert got == pytest.approx(commutator_norm(x, y), rel=1e-12, abs=1e-10)
 
     def test_rwa_bare_commutators_vanish_exactly(self, cfg_small):
         audit = decomposition_audit(rwa_system(g=0.3), cfg_small)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_state, linear_system, rwa_system
+from conftest import dense, dense_state, dense_unitary, linear_system, rwa_system
 from qsubthermo import (
     FockConfig,
     InteractionKind,
@@ -15,13 +15,18 @@ from qsubthermo import (
     destroy,
     effective_hamiltonian,
     thermal_occupation,
-    thermal_state,
 )
-from qsubthermo.fock import _quadratures, thermal_product_state, unitary_at
+from qsubthermo.fock import _quadratures, thermal_product_state, thermal_weights
 
 
 def commutator(x, y):
     return x @ y - y @ x
+
+
+def dense_parts(parts):
+    """H, H0 = H_a + H_b and V = H - H0 as dense matrices."""
+    d = parts.d_a + parts.d_b
+    return dense(parts), np.diag(d), dense(parts, -d)
 
 
 def composite_quadratures(n_a, n_b, m=1.0, omega=1.0):
@@ -129,29 +134,29 @@ class TestHamiltonians:
             OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_B, m=1.0, q=0.2),
         ):
             parts = build_hamiltonian(sys_, cfg_small)
-            for mat in (parts.h, parts.h0, parts.v):
+            for mat in dense_parts(parts):
                 assert np.abs(mat - mat.conj().T).max() < 1e-12
 
     def test_rwa_conserves_bare_energy(self, cfg_small):
-        parts = build_hamiltonian(rwa_system(), cfg_small)
-        assert np.linalg.norm(commutator(parts.h0, parts.v)) < 1e-12
+        _, h0, v = dense_parts(build_hamiltonian(rwa_system(), cfg_small))
+        assert np.linalg.norm(commutator(h0, v)) < 1e-12
 
     def test_linear_does_not_conserve_bare_energy(self, cfg_small):
-        parts = build_hamiltonian(linear_system(), cfg_small)
-        assert np.linalg.norm(commutator(parts.h0, parts.v)) > 0.01
+        _, h0, v = dense_parts(build_hamiltonian(linear_system(), cfg_small))
+        assert np.linalg.norm(commutator(h0, v)) > 0.01
 
     def test_interaction_is_the_coupling_operator(self, cfg_small):
         # V = H - H0 is read off H's diagonal; it must be exactly the coupling
         a, b = destroy(cfg_small.n_a), destroy(cfg_small.n_b)
-        rwa = build_hamiltonian(rwa_system(g=0.1), cfg_small).v
-        linear = build_hamiltonian(linear_system(g=0.3), cfg_small).v
+        rwa = dense_parts(build_hamiltonian(rwa_system(g=0.1), cfg_small))[2]
+        linear = dense_parts(build_hamiltonian(linear_system(g=0.3), cfg_small))[2]
         assert np.array_equal(rwa, 0.1j * (np.kron(a, b.conj().T) - np.kron(a.conj().T, b)))
         assert np.array_equal(linear, 0.3j * np.kron(a.conj().T + a, b.conj().T - b))
 
     def test_none_kind_has_zero_interaction(self, cfg_small):
-        parts = build_hamiltonian(OscillatorSystem(1.0, 1.0, InteractionKind.NONE), cfg_small)
-        assert np.abs(parts.v).max() == 0.0
-        assert np.array_equal(parts.h, parts.h0)
+        h, h0, v = dense_parts(build_hamiltonian(OscillatorSystem(1.0, 1.0, InteractionKind.NONE), cfg_small))
+        assert np.abs(v).max() == 0.0
+        assert np.array_equal(h, h0)
 
     def test_minimal_true_energy_is_mechanical_energy(self, cfg_small):
         # H - H_b equals m(xdot_a^2 + w^2 x_a^2)/2 with m xdot_a = p_a - q x_b,
@@ -165,7 +170,7 @@ class TestHamiltonians:
         velocity = (p_a - q * x_b) / m
         mechanical = 0.5 * m * (velocity @ velocity + omega**2 * (x_a @ x_a))
         shift = 0.5 * omega * np.eye(cfg_small.dim)
-        diff = (parts.h - parts.h_b) - (mechanical + shift)
+        diff = (dense(parts) - np.diag(parts.d_b)) - (mechanical + shift)
         n_a, n_b = cfg_small.n_a, cfg_small.n_b
         interior = np.array([i for i in range(cfg_small.dim) if i % n_b != n_b - 1])
         assert np.abs(diff[np.ix_(interior, interior)]).max() < 1e-12
@@ -175,29 +180,26 @@ class TestHamiltonians:
 
 class TestThermalState:
     def test_geometric_weights_at_beta_ln2(self):
-        rho = thermal_state(math.log(2.0), 1.0, 3)
-        assert np.allclose(np.diag(rho).real, [4 / 7, 2 / 7, 1 / 7], atol=1e-15)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+        w = thermal_weights(math.log(2.0), 1.0, 3)
+        assert np.allclose(w, [4 / 7, 2 / 7, 1 / 7], atol=1e-15)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_deep_cold_is_ground_projector(self):
-        rho = thermal_state(50.0, 1.0, 6)
-        expected = np.zeros((6, 6))
-        expected[0, 0] = 1.0
-        assert np.abs(rho - expected).max() < 1e-20
+        expected = np.zeros(6)
+        expected[0] = 1.0
+        assert np.abs(thermal_weights(50.0, 1.0, 6) - expected).max() < 1e-20
 
     def test_occupation_matches_closed_form(self):
         # truncation bias is ~ n * tail, so the tolerance scales with both
         n = 40
-        rho = thermal_state(0.5, 1.0, n)
-        number = np.diag(np.arange(n)).astype(complex)
-        measured = np.trace(number @ rho).real
+        measured = np.arange(n) @ thermal_weights(0.5, 1.0, n)
         tail = math.exp(-0.5 * n)
         assert measured == pytest.approx(thermal_occupation(0.5, 1.0), abs=2.0 * n * tail)
 
     def test_tail_enforcement(self):
         with pytest.raises(TruncationError):
-            thermal_state(0.5, 1.0, 8, tail_tol=1e-12)
-        thermal_state(0.5, 1.0, 8)  # no tolerance given: caller's responsibility
+            thermal_weights(0.5, 1.0, 8, tail_tol=1e-12)
+        thermal_weights(0.5, 1.0, 8)  # no tolerance given: caller's responsibility
 
 
 class TestEvolve:
@@ -205,7 +207,7 @@ class TestEvolve:
 
     def test_zero_time_is_identity(self, cfg_small):
         sys_, prep = linear_system(), ThermalPreparation(1.0, 1.0)
-        assert np.abs(unitary_at(0.0, sys_, cfg_small) - np.eye(cfg_small.dim)).max() < 1e-14
+        assert np.abs(dense_unitary(0.0, sys_, cfg_small) - np.eye(cfg_small.dim)).max() < 1e-14
         rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
         assert np.abs(dense_state(0.0, sys_, prep, cfg_small) - rho0).max() < 1e-14
 
@@ -219,8 +221,9 @@ class TestEvolve:
         parts = build_hamiltonian(sys_, cfg_small)
         rho0 = np.diag(thermal_product_state(sys_, prep, cfg_small))
         rho_t = dense_state(2.0, sys_, prep, cfg_small)
-        e0 = np.trace(parts.h @ rho0).real
-        et = np.trace(parts.h @ rho_t).real
+        h = dense(parts)
+        e0 = np.trace(h @ rho0).real
+        et = np.trace(h @ rho_t).real
         assert et == pytest.approx(e0, rel=1e-10)
 
     def test_unitarity_preserves_trace_and_purity(self, cfg_small):

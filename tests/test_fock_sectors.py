@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_state
+from conftest import dense, dense_state, dense_unitary, partial_traces
 from qsubthermo import (
     FockConfig,
     HamiltonianParts,
@@ -27,8 +27,6 @@ from qsubthermo import (
     heat_series_numeric,
     jarzynski_identity,
     jensen_bound,
-    partial_trace_a,
-    partial_trace_b,
     spectrum_match,
     true_heat_transfer_identity,
 )
@@ -43,7 +41,6 @@ from qsubthermo.fock import (
     sector_blocks,
     sectors,
     thermal_product_state,
-    unitary_at,
 )
 from qsubthermo.model import MINIMAL_KINDS
 
@@ -151,7 +148,7 @@ def stacked_sectors(parts):
 
 
 def assert_gauge_is_per_block_search(parts):
-    h = parts.h
+    h = dense(parts)
     members = stacked_sectors(parts)
     assert sorted(index.tobytes() for index, _, _ in members) == sorted(index.tobytes() for index in sectors(parts))
     for index, z, block in members:
@@ -173,7 +170,9 @@ def test_edge_list_is_the_dense_kron_sum_bit_for_bit(kind, n):
     cfg = FockConfig(n, n, tail_tol=1e-2)
     parts = build_hamiltonian(sys_, cfg)
     reference = dense_kron_hamiltonian(sys_, cfg)
-    assert parts.h.tobytes() == reference.tobytes()
+    nonzero = np.nonzero(reference)
+    assert np.array_equal(parts.rows, nonzero[0]) and np.array_equal(parts.cols, nonzero[1])
+    assert parts.vals.tobytes() == reference[nonzero].tobytes()
     # the finder reads a dense matrix through np.nonzero, the same edge list
     found = sectors(parts)
     assert all(np.array_equal(x, y) for x, y in zip(found, sectors(edge_list(reference, parts)), strict=True))
@@ -188,10 +187,11 @@ def test_override_gauge_is_the_per_block_search(entries, real):
     # the rounding-level overrides below: one entry across the parities is a
     # bridge and gauges to real, a second closes a loop and stays complex
     parts = build_hamiltonian(SYSTEMS["linear"], CFG12)
-    override = parts.v.copy()
+    d = parts.d_a + parts.d_b
+    override = dense(parts, -d)
     for i, j in entries:
         override[i, j] = override[j, i] = 1e-300
-    ((_, _, block),) = assert_gauge_is_per_block_search(edge_list(parts.h0 + override, parts))
+    ((_, _, block),) = assert_gauge_is_per_block_search(edge_list(np.diag(d) + override, parts))
     assert np.isrealobj(block) == real
 
 
@@ -260,8 +260,8 @@ def test_exchange_needs_the_bare_energies_swapped():
     # would not hold: no sector splits
     cfg = CFG12
     parts = build_hamiltonian(OscillatorSystem(1.0, 1.5, InteractionKind.NONE), cfg)
-    a, eye = destroy(cfg.n_a), np.eye(cfg.n_a)
-    hamiltonian = parts.h0 + 0.5 * np.kron(a.conj().T @ a, eye) + 0.2 * (np.kron(a, a.conj().T) + np.kron(a.conj().T, a))
+    a, eye, h0 = destroy(cfg.n_a), np.eye(cfg.n_a), np.diag(parts.d_a + parts.d_b)
+    hamiltonian = h0 + 0.5 * np.kron(a.conj().T @ a, eye) + 0.2 * (np.kron(a, a.conj().T) + np.kron(a.conj().T, a))
     i_a, i_b = np.divmod(np.arange(cfg.dim), cfg.n_b)
     swap = i_b * cfg.n_b + i_a
     assert np.array_equal(hamiltonian[np.ix_(swap, swap)], hamiltonian)
@@ -282,12 +282,13 @@ def test_exchange_squaring_to_minus_one_is_refused():
     override = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
     for i, j, x in [(12, 24, 0.3), (24, 1, 0.2), (1, 2, 0.3), (2, 12, -0.2)]:
         override[i, j] = override[j, i] = x
-    stacks = list(sector_blocks(edge_list(parts.h0 + override, parts)))
+    hamiltonian = np.diag(parts.d_a + parts.d_b) + override
+    stacks = list(sector_blocks(edge_list(hamiltonian, parts)))
     assert [index.shape[1] for index, *_ in stacks] == [1, 4]
     assert all(h == index.shape[1] for index, _, _, h, _ in stacks)
-    u = scipy.linalg.expm(-1j * (parts.h0 + override) * t)
+    u = scipy.linalg.expm(-1j * hamiltonian * t)
     rho_t = (u * thermal_product_state(bare, PREP, cfg)) @ u.conj().T
-    rho_b = partial_trace_a(rho_t, cfg.n_a, cfg.n_b)
+    _, rho_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
     reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
     assert np.abs(effective_hamiltonian(t, bare, PREP, cfg, interaction=override) - reference).max() < 1e-13
 
@@ -301,20 +302,22 @@ def test_split_and_whole_sectors_match_dense_evolution(case):
     w = thermal_product_state(sys_, PREP, cfg)
     times = [0.7, 2.9]
     for t, report in zip(times, heat_series_numeric(sys_, PREP, cfg, times), strict=True):
-        u = scipy.linalg.expm(-1j * t * parts.h)
+        u = scipy.linalg.expm(-1j * t * dense(parts))
         rho_t = (u * w) @ u.conj().T
         populations = np.real(np.diag(rho_t)) - w
         assert report.dq_a == pytest.approx(populations @ parts.d_a, abs=1e-12)
         assert report.dq_b == pytest.approx(populations @ parts.d_b, abs=1e-12)
         rho_a, rho_b = _partial_traces(eigensystem(sys_, cfg), t, w, cfg.n_a, cfg.n_b)
-        assert np.abs(rho_a - partial_trace_b(rho_t, cfg.n_a, cfg.n_b)).max() < 1e-13
-        assert np.abs(rho_b - partial_trace_a(rho_t, cfg.n_a, cfg.n_b)).max() < 1e-13
+        want_a, want_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
+        assert np.abs(rho_a - want_a).max() < 1e-13
+        assert np.abs(rho_b - want_b).max() < 1e-13
 
 
 def test_own_interaction_override_matches_the_default_path():
     # the override path reads the same exchange from H0 + V as the cached one
     sys_, t = SYSTEMS["linear"], 1.3
-    v = build_hamiltonian(sys_, CFG24).v
+    parts = build_hamiltonian(sys_, CFG24)
+    v = dense(parts, -(parts.d_a + parts.d_b))
     default = effective_hamiltonian(t, sys_, PREP, CFG24)
     assert np.abs(effective_hamiltonian(t, sys_, PREP, CFG24, interaction=v) - default).max() < 1e-13
 
@@ -396,7 +399,7 @@ def test_one_eigh_per_stack(kind, n, calls, monkeypatch):
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_sector_sizes_and_exact_zeros(kind):
     parts = build_hamiltonian(SYSTEMS[kind], CFG12)
-    h = parts.h
+    h = dense(parts)
     found = sectors(parts)
     assert sorted(len(index) for index in found) == expected_sizes(kind, CFG12.n_a)
     assert np.array_equal(np.sort(np.concatenate(found)), np.arange(CFG12.dim))
@@ -413,19 +416,20 @@ def _override_matches_dense_evolution(entries):
     cfg, t = CFG12, 1.3
     bare = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
     parts = build_hamiltonian(SYSTEMS["linear"], cfg)
-    override = parts.v.copy()
+    h0, v = np.diag(parts.d_a + parts.d_b), dense(parts, -(parts.d_a + parts.d_b))
+    override = v.copy()
     for i, j in entries:
         override[i, j] = override[j, i] = 1e-300
-    assert len(sectors(edge_list(parts.h0 + parts.v, parts))) == 2
-    assert len(sectors(edge_list(parts.h0 + override, parts))) == 1
+    assert len(sectors(edge_list(h0 + v, parts))) == 2
+    assert len(sectors(edge_list(h0 + override, parts))) == 1
 
-    u = scipy.linalg.expm(-1j * (parts.h0 + override) * t)
+    u = scipy.linalg.expm(-1j * (h0 + override) * t)
     rho_t = (u * thermal_product_state(bare, PREP, cfg)) @ u.conj().T
-    rho_b = partial_trace_a(rho_t, cfg.n_a, cfg.n_b)
+    _, rho_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
     reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
     got = effective_hamiltonian(t, bare, PREP, cfg, interaction=override)
     assert np.abs(got - reference).max() < 1e-12
-    ((_, _, vectors, _, _),) = _eigh_sectors(edge_list(parts.h0 + override, parts))
+    ((_, _, vectors, _, _),) = _eigh_sectors(edge_list(h0 + override, parts))
     return vectors
 
 
@@ -453,15 +457,15 @@ def test_merged_energies_match_dense_spectrum(kind):
         assert vectors.shape == index.shape + index.shape[1:] and energies.shape == index.shape == z.shape
         assert np.isrealobj(vectors)
     merged = np.sort(np.concatenate([energies.ravel() for _, energies, *_ in stacks]))
-    dense = np.linalg.eigvalsh(build_hamiltonian(sys_, CFG24).h)
-    assert np.all(np.abs(merged - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+    levels = np.linalg.eigvalsh(dense(build_hamiltonian(sys_, CFG24)))
+    assert np.all(np.abs(merged - levels) <= 1e-12 * np.maximum(1.0, np.abs(levels)))
 
 
 @pytest.mark.parametrize("cfg", [CFG12, CFG24], ids=["n12", "n24"])
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_gauged_sector_blocks_are_exactly_real(kind, cfg):
     parts = build_hamiltonian(SYSTEMS[kind], cfg)
-    h = parts.h
+    h = dense(parts)
     for index, z, block in stacked_sectors(parts):
         assert np.isrealobj(block)
         assert np.all((np.conj(z)[:, None] * h[np.ix_(index, index)] * z).imag == 0.0)
@@ -497,20 +501,18 @@ def test_every_system_gauges_to_real_stacks(kind, omega_a, omega_b, n_a, n_b, g,
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_unitary_matches_matrix_exponential(kind):
     sys_, t = SYSTEMS[kind], 1.7
-    reference = scipy.linalg.expm(-1j * build_hamiltonian(sys_, CFG24).h * t)
-    assert np.abs(unitary_at(t, sys_, CFG24) - reference).max() < 1e-12
+    reference = scipy.linalg.expm(-1j * dense(build_hamiltonian(sys_, CFG24)) * t)
+    assert np.abs(dense_unitary(t, sys_, CFG24) - reference).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_audit_matches_dense_commutators(kind):
     parts = build_hamiltonian(SYSTEMS[kind], CFG12)
     audit = decomposition_audit(SYSTEMS[kind], CFG12)
-    dense = [
-        np.linalg.norm(parts.h0 @ parts.v - parts.v @ parts.h0),
-        np.linalg.norm(parts.h @ parts.v - parts.v @ parts.h),
-        np.linalg.norm(parts.h0 @ parts.h - parts.h @ parts.h0),
-    ]
-    for got, want in zip((audit.norm_h0v, audit.norm_hv, audit.norm_h0h), dense):
+    d = parts.d_a + parts.d_b
+    h, h0, v = dense(parts), np.diag(d), dense(parts, -d)
+    norms = [np.linalg.norm(h0 @ v - v @ h0), np.linalg.norm(h @ v - v @ h), np.linalg.norm(h0 @ h - h @ h0)]
+    for got, want in zip((audit.norm_h0v, audit.norm_hv, audit.norm_h0h), norms):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -518,7 +520,7 @@ def dense_audit_strings(parts):
     """The three audit norms by the dense formula, printed as the audit prints
     them: [H, V] on the ungauged complex sector blocks of the dense H, and the
     gaps times H over the whole matrix."""
-    h, d = parts.h, parts.d_a + parts.d_b
+    h, d = dense(parts), parts.d_a + parts.d_b
     sector_norms = []
     for index in sectors(edge_list(h, parts)):
         block = h[np.ix_(index, index)]
@@ -555,21 +557,23 @@ def test_sector_routes_match_dense_state(kind, levels):
     rho_t = dense_state(t, sys_, PREP, cfg)
     w = thermal_product_state(sys_, PREP, cfg)
     rho_a, rho_b = _partial_traces(eigensystem(sys_, cfg), t, w, cfg.n_a, cfg.n_b)
-    assert np.abs(rho_a - partial_trace_b(rho_t, cfg.n_a, cfg.n_b)).max() < 1e-14
-    assert np.abs(rho_b - partial_trace_a(rho_t, cfg.n_a, cfg.n_b)).max() < 1e-14
+    want_a, want_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
+    assert np.abs(rho_a - want_a).max() < 1e-14
+    assert np.abs(rho_b - want_b).max() < 1e-14
 
-    v = parts.v.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b)
-    h_eff = np.einsum("ikjl,lk->ij", v, partial_trace_a(rho_t, cfg.n_a, cfg.n_b))
+    h = dense(parts)
+    v = dense(parts, -(parts.d_a + parts.d_b)).reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b)
+    h_eff = np.einsum("ikjl,lk->ij", v, want_b)
     assert np.abs(effective_hamiltonian(t, sys_, PREP, cfg) - h_eff).max() < 1e-13
 
     def delta(h_true):
         return np.vdot(h_true, rho_t).real - np.diag(h_true).real @ w
 
-    h_true_a, h_true_b = parts.h - parts.h_b, parts.h - parts.h_a
+    h_true_a, h_true_b = h - np.diag(parts.d_b), h - np.diag(parts.d_a)
     report = true_heat_transfer_identity(t, sys_, PREP, cfg)
     assert report.dq_ab_true == pytest.approx(delta(h_true_b) - delta(h_true_a), abs=1e-13)
 
-    probs = np.abs(unitary_at(t, sys_, cfg)) ** 2
+    probs = np.abs(dense_unitary(t, sys_, cfg)) ** 2
     e_a, e_b = parts.d_a, parts.d_b
     f = PREP.beta_a * (e_a - e_a[:, None]) + PREP.beta_b * (e_b - e_b[:, None])
     mean_f, jarzynski = np.sum(probs * f * w), np.sum(probs * w[:, None])

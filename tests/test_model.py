@@ -12,8 +12,8 @@ from qsubthermo import (
     heat_series_numeric,
     heat_transfer,
     spectrum_match,
-    thermal_state,
 )
+from qsubthermo.fock import thermal_weights
 
 
 def test_system_rejects_nonpositive_frequencies():
@@ -112,7 +112,7 @@ REFUSALS = {
     ),
     "none-with-coupling": (lambda: OscillatorSystem(1.0, 1.0, InteractionKind.NONE, g=0.3), "kind=none requires g == 0"),
     "zero-temperature": (lambda: ThermalPreparation.from_temperatures(0.0, 1.0), "temperatures must be positive"),
-    "zero-beta-thermal-state": (lambda: thermal_state(0.0, 1.0, 4), "thermal state needs beta > 0 and omega > 0"),
+    "zero-beta-thermal-state": (lambda: thermal_weights(0.0, 1.0, 4), "thermal state needs beta > 0 and omega > 0"),
     "scalar-series-time": (
         lambda: heat_series_numeric(LINEAR, ThermalPreparation(1.0, 2.0), FockConfig(4, 4, tail_tol=0.5), 1.0),
         "evaluation times must be a one-dimensional sequence",
