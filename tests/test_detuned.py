@@ -23,10 +23,25 @@ from qsubthermo import (
     InteractionKind,
     OscillatorSystem,
     ThermalPreparation,
+    classical_average,
     decomposition_audit,
+    entropy_production,
+    heat_changes_numeric,
     heat_series_numeric,
+    jarzynski_identity,
+    jensen_bound,
     thermal_occupation,
+    true_heat_transfer_identity,
 )
+
+# Off resonance with mode a colder but holding more quanta; the identities
+# below hold for either coupling, so the LINEAR one runs too.
+PREP = ThermalPreparation(1.5, 1.0)
+DETUNED = {
+    "rwa": OscillatorSystem(0.6, 1.0, InteractionKind.RWA, g=0.1),
+    "linear": OscillatorSystem(0.6, 1.0, InteractionKind.LINEAR, g=0.1),
+}
+TIMES = (0.0, 2.0, 7.5)
 
 
 def rabi_frequency(sys_):
@@ -91,3 +106,66 @@ def test_verdict_is_the_sign_of_the_occupation_gap(beta_a, beta_b, omega_a, omeg
 def test_audit_is_safe_exactly_on_resonance_or_uncoupled(omega_a, detuning, g):
     sys_ = OscillatorSystem(omega_a, omega_a + detuning, InteractionKind.RWA, g=g)
     assert decomposition_audit(sys_, FockConfig(12, 12)).csl_safe == (detuning == 0.0 or g == 0.0)
+
+
+def test_classical_average_follows_the_rabi_formula():
+    # the bare-basis transition probabilities are a route apart from the heat
+    # kernel: their mean change of mode a's energy is -omega_a per moved quantum
+    # (the same 1e-10 as the kernel route above: the cutoff holds 1e-12 of the tails)
+    sys_ = DETUNED["rwa"]
+    cfg = FockConfig.auto(sys_, PREP)
+    for t in TIMES:
+        got = classical_average(lambda ea0, eb0, ea1, eb1: ea1 - ea0 + 0 * (eb0 + eb1), t, sys_, PREP, cfg)
+        assert abs(got + sys_.omega_a * quanta_moved(sys_, PREP, t)) < 1e-10, t
+
+
+@pytest.mark.parametrize("sys_", DETUNED.values(), ids=DETUNED.keys())
+def test_series_matches_single_time_calls(sys_):
+    cfg = FockConfig.auto(sys_, PREP)
+    series = heat_series_numeric(sys_, PREP, cfg, np.array(TIMES))
+    for row, t in zip(series, TIMES):
+        single = heat_changes_numeric(sys_, PREP, cfg, t)
+        assert abs(row.dq_a - single.dq_a) < 1e-12 and abs(row.dq_b - single.dq_b) < 1e-12, t
+        assert row.csl_ok == single.csl_ok
+
+
+@pytest.mark.parametrize("sys_", DETUNED.values(), ids=DETUNED.keys())
+def test_jarzynski_identity_off_resonance(sys_):
+    # sum_ij w_j P_ij exp(beta . (E_j - E_i)) = 1 for any unitary from a
+    # product Gibbs state, detuned or not
+    cfg = FockConfig.auto(sys_, PREP)
+    for t in TIMES:
+        assert jarzynski_identity(t, sys_, PREP, cfg) == pytest.approx(1.0, abs=1e-12), t
+
+
+@pytest.mark.parametrize("sys_", DETUNED.values(), ids=DETUNED.keys())
+def test_jensen_bound_off_resonance(sys_):
+    cfg = FockConfig.auto(sys_, PREP)
+    for t in TIMES:
+        lhs, rhs = jensen_bound(t, sys_, PREP, cfg)
+        assert lhs <= rhs + 1e-12, t
+    # heat moves at t > 0, so the entropy exponent is not constant and the bound is strict
+    assert lhs < rhs - 1e-6
+
+
+@pytest.mark.parametrize("sys_", DETUNED.values(), ids=DETUNED.keys())
+def test_entropy_production_off_resonance(sys_):
+    # Klein's inequality and the split dS_a = dS_i + dS_e hold whatever the
+    # direction of the heat, and the flux is -beta_b dQ_b
+    cfg = FockConfig.auto(sys_, PREP)
+    for t in TIMES:
+        result = entropy_production(t, sys_, PREP, cfg)
+        assert result.ds_i_a >= -1e-12, t
+        assert result.ds_a == pytest.approx(result.ds_i_a + result.ds_e_a, abs=1e-10), t
+        dq_b = heat_changes_numeric(sys_, PREP, cfg, t).dq_b
+        assert abs(result.ds_e_a + PREP.beta_b * dq_b) < 1e-12, t
+
+
+@pytest.mark.parametrize("sys_", DETUNED.values(), ids=DETUNED.keys())
+def test_true_heat_identity_off_resonance(sys_):
+    # H - H_b and H - H_a differ from H_a and H_b by the same interaction, so
+    # it cancels in dQ_ab also when the bare frequencies differ
+    cfg = FockConfig.auto(sys_, PREP)
+    for t in TIMES:
+        result = true_heat_transfer_identity(t, sys_, PREP, cfg)
+        assert result.dq_ab_true == pytest.approx(result.dq_ab, abs=1e-12), t

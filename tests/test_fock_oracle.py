@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_state, dense_unitary, linear_system, partial_traces, rwa_system
+from conftest import dense, dense_state, dense_unitary, linear_system, partial_traces, rwa_system
 from qsubthermo import (
     FockConfig,
     HeatReport,
@@ -34,6 +34,7 @@ from qsubthermo import (
 )
 from qsubthermo.fock import (
     _heat_kernel,
+    _transitions,
     eigensystem,
     thermal_product_state,
     thermal_weights,
@@ -370,6 +371,14 @@ class TestClassicalAverage:
         got = classical_average(lambda ea0, eb0, ea1, eb1: ea1 + 0 * (ea0 + eb0 + eb1), t, sys_, PREP, CFG24)
         assert got == pytest.approx(start_a + report.dq_a, abs=1e-10)
 
+    def test_amplitude_unitarity(self):
+        # each sector's P_ij = |<i|U(t)|j>|^2 is doubly stochastic: U(t) is
+        # unitary on the truncated space, so rows and columns both sum to 1
+        _, transitions = _transitions(3.0, linear_system(), PREP, CFG24)
+        for _, probs in transitions:
+            assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
+            assert np.abs(probs.sum(axis=-2) - 1.0).max() < 1e-12
+
 
 class TestJarzynski:
     def test_exact_at_zero_time(self):
@@ -410,6 +419,23 @@ class TestEntropyHelpers:
         bad = np.diag([1.2, -0.2]).astype(complex)
         with pytest.raises(PositivityError):
             von_neumann_entropy(bad)
+
+    def test_relative_entropy_nonnegative_and_zero_on_itself(self):
+        # ds_i_a is S(rho(t) || rho_a(t) (x) rho_b(0)): uncoupled, rho(t) stays
+        # that product and it vanishes at every t; coupled, it is positive
+        uncoupled = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
+        for t in (0.0, 2.0):
+            assert entropy_production(t, uncoupled, PREP, CFG24).ds_i_a == pytest.approx(0.0, abs=1e-12)
+        assert entropy_production(2.0, linear_system(g=0.3), PREP, CFG24).ds_i_a > 1e-6
+
+    def test_partial_traces_are_consistent(self):
+        # the reference reduced states of the dense tests, on unequal cutoffs
+        # so that swapped axes cannot pass
+        rho_a = np.diag(thermal_weights(0.5, 1.0, 6)).astype(complex)
+        rho_b = np.diag(thermal_weights(1.0, 1.0, 5)).astype(complex)
+        got_a, got_b = partial_traces(np.kron(rho_a, rho_b), 6, 5)
+        assert np.abs(got_a - rho_a).max() < 1e-14
+        assert np.abs(got_b - rho_b).max() < 1e-14
 
 
 class TestEntropyProduction:
@@ -456,6 +482,17 @@ class TestEntropyProduction:
 
 
 class TestTrueHeat:
+    def test_true_energies_sum_identity(self):
+        # H_a_true + H_b_true = H + V, exactly, on the entries
+        # true_heat_transfer_identity traces: one edge list serves both
+        parts = build_hamiltonian(linear_system(g=0.3), CFG24)
+        rows, cols, h_true_a = parts.entries(-parts.d_b)
+        rows_b, cols_b, h_true_b = parts.entries(-parts.d_a)
+        assert np.array_equal(rows, rows_b) and np.array_equal(cols, cols_b)
+        total = np.zeros((parts.dim, parts.dim), dtype=np.complex128)
+        total[rows, cols] = h_true_a + h_true_b
+        assert np.abs(total - (dense(parts) + dense(parts, -(parts.d_a + parts.d_b)))).max() < 1e-12
+
     def test_uncoupled_system_moves_no_heat(self):
         sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
         for t in (0.0, 2.0):
