@@ -59,10 +59,15 @@ __all__ = [
 
 
 def thermal_occupation(beta: float, omega: float) -> float:
-    """Mean excitation number 1/(exp(beta*omega) - 1) of a thermal oscillator."""
+    """Mean excitation number 1/(exp(beta*omega) - 1) of a thermal oscillator:
+    exp(-beta*omega), which it equals to rounding, where exp(beta*omega)
+    overflows (beta*omega above about 709.78)."""
     if not (beta > 0.0 and omega > 0.0):
         raise ModelError("thermal occupation needs beta > 0 and omega > 0")
-    return 1.0 / math.expm1(beta * omega)
+    try:
+        return 1.0 / math.expm1(beta * omega)
+    except OverflowError:
+        return math.exp(-beta * omega)
 
 
 @dataclass(frozen=True)

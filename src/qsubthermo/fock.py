@@ -19,23 +19,26 @@ over the edge list reads a real gauge: unit phases that make a spanning tree
 of each sector's nonzero entries real and positive.  The same pass reads the
 mode exchange (i_a, i_b) -> (i_b, i_a) where it is an exact symmetry of a
 gauged block up to signs, as on resonance with equal cutoffs for the exchange
-and linear couplings, and such a sector is diagonalised as its two halves of
-exchange parity +1 and -1.  Sectors of one size, split and type share a stack
-of at most max(dim, k_max^2) entries for the largest sector size k_max; each
-stack is cut straight from the gauged edge list and diagonalised with one eigh
-per half.  Every H built here gauges real (each entry is purely real or
-imaginary, i^{N_a} or i^{N_b} is a real gauge, and the pass's phases are
-exactly +-1 or +-i), so the heat and transition routes are real; only an
-``interaction`` override's complex stacks take the generic rho(t) routes.
-Time evolution reuses those eigendecompositions, never a generic matrix
-exponential: the phases e^{-iEt} enter as the real pair cos(Et), sin(Et),
-and every route takes batched products one stack at a time.  The heat kernel
-reads a stack's exchange split once and lays the kernel out as blocks with
-weights, which the heat series contracts all alike.  rho(t) vanishes between
-sectors, so the partial traces, traces against H and transition
-probabilities are gathered from its sector blocks, and no call returns a
-dim x dim array.  The stacks and their gauge stay inside this module: other
-modules read H as its edge list.
+and linear couplings, and such a sector is kept as its two halves of
+exchange parity +1 and -1 end to end.  Sectors of one size, split and type
+share a stack of at most max(dim, k_max^2) entries for the largest sector
+size k_max; each stack's halves are cut straight from the gauged edge list,
+diagonalised with one eigh each and kept as their eigenvectors, so no k x k
+block or eigenvector matrix of a split sector is formed.  Every H built here
+gauges real (each entry is purely real or imaginary, i^{N_a} or i^{N_b} is
+a real gauge, and the pass's phases are exactly +-1 or +-i), so the heat
+and transition routes are real; only an ``interaction`` override's complex
+stacks take the generic rho(t) routes.  Time evolution reuses those
+eigendecompositions, never a generic matrix exponential: the phases e^{-iEt}
+enter as the real pair cos(Et), sin(Et), and every route takes batched
+half-size products one stack at a time, mapped back onto a sector's states
+through the one coordinate per half each state has.  The heat kernel reads a
+stack's exchange split once and lays the kernel out as blocks with weights,
+which the heat series contracts all alike.  rho(t) vanishes between sectors,
+so the partial traces, traces against H and transition probabilities are
+gathered from its sector blocks, and no call returns a dim x dim array.  The
+stacks and their gauge stay inside this module: other modules read H as its
+edge list.
 """
 
 from __future__ import annotations
@@ -360,25 +363,30 @@ def _mode_exchange(parts: HamiltonianParts, gauged, tree, sector):
 
 
 def sector_blocks(parts: HamiltonianParts):
-    """(index, z, blocks, h, sign) for each stack of sectors of H, filled
+    """(index, z, plus, minus, sign) for each stack of sectors of H, filled
     straight from the gauged edge list: index (m, k) holds m sectors of k
-    states, z (m, k) their gauge, and blocks (m, k, k) the gauged blocks B =
-    conj(z) H z.  This is the one place that tells real from complex: a
-    stack is float64 where no gauged entry has an imaginary part, as for
-    every system (each entry of H is purely real or imaginary, i^{N_a} or
-    i^{N_b} is a real gauge, and z is exactly 1, -1, i or -i), and
-    complex128 where an ``interaction`` override leaves one.
+    states, z (m, k) their gauge, and plus (m, h, h) and minus (m, k - h, k -
+    h) the halves Q+^T B Q+ and Q-^T B Q- of their gauged blocks B = conj(z)
+    H z.  This is the one place that tells real from complex: a stack is
+    float64 where no gauged entry has an imaginary part, as for every system
+    (each entry of H is purely real or imaginary, i^{N_a} or i^{N_b} is a
+    real gauge, and z is exactly 1, -1, i or -i), and complex128 where an
+    ``interaction`` override leaves one.
 
     A sector with the mode exchange of ``_mode_exchange`` lists its states as
     [F+ | H | F- | M]: the fixed points of sign +1, the pair heads (each
     below its mirror), the fixed points of sign -1, and the heads' mirrors in
     the heads' order; sign (m, n) holds sigma on its n heads, and h = |F+| +
-    n.  Any other sector lists its states in ascending order as F+ alone,
-    with h = k and n = 0.
-
-    Sectors of one size, layout and type share a stack, in the order of
-    sectors(parts), up to max(dim, k_max^2) entries, so that no stack outgrows
-    the largest sector or H's diagonal.
+    n.  The exchange diag(sigma) P is +1 on the columns of Q+, e_f for f in
+    F+ and (e_j + sigma_j e_pi(j)) / sqrt(2) for each head j, and -1 on those
+    of Q-, (e_j - sigma_j e_pi(j)) / sqrt(2) and e_f for f in F-.  B[pi, pi]
+    == sigma sigma^T * B bit for bit, so each half is B on its states, plus
+    or minus B[H, M] sigma between heads, and times sqrt(2) between heads and
+    fixed points: no k x k block is formed.  Any other sector lists its
+    states in ascending order as F+ alone, with h = k, n = 0, Q = 1 and an
+    empty minus half.  Sectors of one size, layout and type share a stack,
+    in the order of sectors(parts), of up to max(dim, k_max^2) entries of
+    their k x k blocks.
     """
     found = sectors(parts)
     order, sizes = np.concatenate(found), np.fromiter(map(len, found), dtype=np.intp, count=len(found))
@@ -409,54 +417,56 @@ def sector_blocks(parts: HamiltonianParts):
     for (index, h, n, is_complex), edges in zip(plan, _grouped(stack[rows], len(plan))):
         r, c = rows[edges], cols[edges]
         values = gauged[edges] if is_complex else gauged.real[edges]
-        blocks = np.zeros(index.shape + index.shape[1:], dtype=values.dtype)
-        blocks[member[r], local[r], local[c]] = values
-        yield index, z[index], blocks, h, sign[index[:, h - n : h]]
-
-
-def _eigh_stack(blocks, h: int, sign):
-    """(energies, vectors) of each block of a stack in sector_blocks' layout,
-    one eigh per half of the mode exchange: energies ordered [+ | -], and the
-    vectors Q Y written onto the sector's own states, the heads' rows times
-    1/sqrt(2) and their mirrors' rows those times +sigma or -sigma.
-
-    The halves Q^T B Q, over [F+ | H] and [H | F-], form no product with Q.
-    The exchange T = diag(sigma) P has T = +1 on e_f for f in F+ and on (e_j
-    + sigma_j e_pi(j)) / sqrt(2) for each head j, and T = -1 on e_f for f in
-    F- and on (e_j - sigma_j e_pi(j)) / sqrt(2).  B[pi, pi] == sigma sigma^T
-    * B bit for bit, so each half is B on its states, plus or minus B[H, M]
-    sigma between heads, and times sqrt(2) between heads and fixed points.
-    The halves are freed before the vectors are allocated.
-    """
-    k, n = blocks.shape[-1], sign.shape[1]
-    if h == k:
-        return np.linalg.eigh(blocks)
-    fixed, mirrors = h - n, slice(k - n, k)
-    exchange = blocks[:, fixed:h, mirrors] * sign[:, None, :]
-    plus, minus = blocks[:, :h, :h].copy(), blocks[:, fixed : k - n, fixed : k - n].copy()
-    plus[:, fixed:, fixed:] += exchange
-    minus[:, :n, :n] -= exchange
-    for half, edge in ((plus, fixed), (minus, n)):
-        half[:, edge:, :edge] *= math.sqrt(2.0)
-        half[:, :edge, edge:] *= math.sqrt(2.0)
-    (e_plus, y_plus), (e_minus, y_minus) = np.linalg.eigh(plus), np.linalg.eigh(minus)
-    del exchange, plus, minus
-    vectors = np.zeros_like(blocks)
-    vectors[:, :h, :h] = y_plus
-    vectors[:, fixed : k - n, h:] = y_minus
-    vectors[:, fixed:h] *= math.sqrt(0.5)
-    np.multiply(vectors[:, fixed:h, :h], sign[:, :, None], out=vectors[:, mirrors, :h])
-    np.multiply(vectors[:, fixed:h, h:], -sign[:, :, None], out=vectors[:, mirrors, h:])
-    return np.concatenate([e_plus, e_minus], axis=1), vectors
+        i, p, q = member[r], local[r], local[c]
+        (m, k), fixed = index.shape, h - n
+        on_head, to_head = (p >= fixed) & (p < h), (q >= fixed) & (q < h)
+        across = on_head & (q >= k - n)  # B[H, M] sigma, added onto B[H, H]
+        exchange, head = values[across] * sign[c[across]], q[across] - (k - h)
+        values = np.where(on_head == to_head, values, values * math.sqrt(2.0))  # between heads and fixed points
+        out = []
+        for low, high, flip in ((0, h, exchange), (fixed, k - n, -exchange)):
+            inside = (p >= low) & (p < high) & (q >= low) & (q < high)
+            half = np.zeros((m, high - low, high - low), dtype=values.dtype)
+            half[i[inside], p[inside] - low, q[inside] - low] = values[inside]
+            half[i[across], p[across] - low, head - low] += flip
+            out.append(half)
+        yield index, z[index], *out, sign[index[:, fixed:h]]
 
 
 def _eigh_sectors(parts: HamiltonianParts):
-    """(index, energies, vectors, z, h) for each stack of sector_blocks, one
-    eigh per half: H restricted to each sector is diag(z) vectors
-    diag(energies) vectors^dag diag(z)^dag, with real vectors wherever the
-    gauge z makes the block real, and the first h energies on the exchange's
-    + half (h = k where a sector has no exchange)."""
-    return tuple((index, *_eigh_stack(blocks, h, sign), z, h) for index, z, blocks, h, sign in sector_blocks(parts))
+    """(index, energies, y_plus, y_minus, z, sign) for each stack of
+    sector_blocks, one eigh per half: H restricted to each sector is diag(z)
+    V diag(energies) V^dag diag(z)^dag for V = Q blockdiag(Y+, Y-), the
+    energies ordered [+ | -] and Y real wherever z makes the block real."""
+    stacks = []
+    for index, z, plus, minus, sign in sector_blocks(parts):
+        (e_plus, y_plus), (e_minus, y_minus) = np.linalg.eigh(plus), np.linalg.eigh(minus)
+        stacks.append((index, np.concatenate([e_plus, e_minus], axis=1), y_plus, y_minus, z, sign))
+    return tuple(stacks)
+
+
+def _exchange_rows(k: int, h: int, sign):
+    """(at, weight): the rows of Q+ (at[0], weight[0]) and Q- (at[1],
+    weight[1]) for a stack of sectors, as each local position's coordinate
+    in the half and its weight there, 0 where it has none: 1 on the fixed
+    points, 1/sqrt(2) on the heads and +-sigma/sqrt(2) on their mirrors."""
+    n = sign.shape[-1]
+    fixed = h - n
+    at, weight = np.zeros((2, k), dtype=np.intp), np.zeros((2, len(sign), k))
+    at[0, :h], at[0, k - n :], at[1, fixed : k - n], at[1, k - n :] = np.arange(h), np.arange(fixed, h), np.arange(k - h), np.arange(n)
+    weight[0, :, :h] = weight[1, :, fixed : k - n] = 1.0
+    weight[:, :, fixed:h] = math.sqrt(0.5)
+    weight[:, :, k - n :] = np.stack([sign, -sign]) * math.sqrt(0.5)
+    return at, weight
+
+
+def _half_diagonals(d, h: int, n: int):
+    """(Q+^T D Q+, Q-^T D Q-, Q+^T D Q- on the heads) for D = diag(d) on the
+    sectors of a stack: diag(d_F+, (d_H + d_M) / 2), diag((d_H + d_M) / 2,
+    d_F-) and diag((d_H - d_M) / 2), zero off the heads' coordinates."""
+    fixed_plus, heads, fixed_minus, mirrors = np.split(d, [h - n, h, d.shape[-1] - n], axis=-1)
+    mean = (heads + mirrors) / 2.0
+    return np.concatenate([fixed_plus, mean], axis=-1), np.concatenate([mean, fixed_minus], axis=-1), (heads - mirrors) / 2.0
 
 
 def _thermal_tail(beta: float, omega: float, n: int) -> float:
@@ -508,12 +518,13 @@ def _require_hermitian(mat: Matrix, what: str) -> None:
 @functools.lru_cache(maxsize=3)
 def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
     """Cached Hermitian eigendecomposition of H, one stack of sectors at a
-    time, shared read-only by the ops below: the tuple of ``_eigh_sectors``."""
-    blocks = _eigh_sectors(build_hamiltonian(sys, cfg))
-    for block in blocks:
-        for arr in block[:-1]:  # all but h
+    time, shared read-only by the ops below: the tuple of ``_eigh_sectors``,
+    each stack kept as the eigenvectors of its two halves."""
+    stacks = _eigh_sectors(build_hamiltonian(sys, cfg))
+    for stack in stacks:
+        for arr in stack:
             arr.setflags(write=False)
-    return blocks
+    return stacks
 
 
 def _phases(times, energies):
@@ -525,31 +536,58 @@ def _phases(times, energies):
         return _finite(np.cos(et), "time"), np.sin(et)
 
 
-def _sector_parts(energies, vectors, t: float):
-    """(c, s) with vectors e^{-iEt} vectors^dag = c + i s for each sector of a
-    stack, both Hermitian: two real products where the vectors are real."""
+def _sector_parts(energies, vectors, t: float, columns=slice(None)):
+    """c, then s, with vectors e^{-iEt} vectors[:, columns]^dag = c + i s on
+    each sector of a half-stack, columns of Hermitian matrices: real products
+    where the vectors are real, each formed as it is taken."""
     cos, sin = _phases(t, energies)
-    v_dag = vectors.conj().swapaxes(-1, -2)
-    return (vectors * cos[..., None, :]) @ v_dag, (vectors * -sin[..., None, :]) @ v_dag
+    v_dag = vectors[:, columns].conj().swapaxes(-1, -2)
+    yield vectors @ (cos[..., :, None] * v_dag)
+    yield vectors @ (-sin[..., :, None] * v_dag)
 
 
-def _sector_state(energies, vectors, z, t: float, w, n, p, q):
+def _sector_state(stack, t: float, w, n, p, q):
     """rho(t) = U(t) diag(w) U(t)^dag for a stack of sectors, at local entries
-    (p, q) of its sectors n.
+    (p, q) of its sectors n, from the halves alone.
 
-    U = diag(z) (c + i s) diag(z)^dag, so rho(t) = diag(z) (c w c + s w s +
-    i (x - x^dag)) diag(z)^dag with x = s w c: real products where the vectors
-    are real, and c w c = (c sqrt(w)) (c sqrt(w))^dag, so no more than four
-    stack-sized arrays at once, all freed on return.
+    U = diag(z) Q (C + i S) Q^T diag(z)^dag with C + i S = blockdiag(U+, U-)
+    for U+- = Y+- e^{-iE+-t} Y+-^dag, so rho(t) = diag(z) Q R Q^T diag(z)^dag
+    with R = CWC + SWS + i (X - X^dag) for X = SWC and W = Q^T diag(w) Q,
+    whose (+, +) and (-, -) blocks are diagonal and (+, -) block diagonal on
+    the heads' coordinates (``_half_diagonals``): R+- takes the heads'
+    columns of U+ and U- alone.  Each state has at most one coordinate per
+    half, so each entry gathers four entries of R, one block at a time, and
+    no k x k array is formed.
     """
-    c, s = _sector_parts(energies, vectors, t)
-    root = np.sqrt(w)[..., None, :]
-    c *= root
-    s *= root
-    x = s @ c.conj().swapaxes(-1, -2)
-    r = c @ c.conj().swapaxes(-1, -2)
-    r += np.matmul(s, s.conj().swapaxes(-1, -2), out=c)
-    return (r[n, p, q] + 1j * (x[n, p, q] - x[n, q, p].conj())) * (z[n, p] * z[n, q].conj())
+    index, energies, y_plus, y_minus, z, sign = stack
+    h, heads = y_plus.shape[-1], sign.shape[-1]
+    at, weight = _exchange_rows(index.shape[1], h, sign)
+    diagonals = _half_diagonals(w, h, heads)
+
+    def entries(a, b, r, x, x_back):
+        # Q_a R Q_b^T at the entries for the block R = r + i (x - x_back^dag) between halves a and b
+        i, j = at[a, p], at[b, q]
+        return weight[a, n, p] * weight[b, n, q] * (r[n, i, j] + 1j * (x[n, i, j] - x_back[n, j, i].conj())) if r.size else 0.0
+
+    halves = [(energies[:, :h], y_plus, slice(h - heads, h)), (energies[:, h:], y_minus, slice(0, heads))]
+    (c_plus, s_plus), (c_minus, s_minus) = (_sector_parts(*half, t, columns) for *half, columns in halves)
+    c_plus *= diagonals[2][..., None, :]
+    s_plus *= diagonals[2][..., None, :]
+    c_minus, s_minus = c_minus.conj().swapaxes(-1, -2), s_minus.conj().swapaxes(-1, -2)
+    r, x, x_back = c_plus @ c_minus + s_plus @ s_minus, s_plus @ c_minus, (c_plus @ s_minus).conj().swapaxes(-1, -2)
+    out = entries(0, 1, r, x, x_back) + entries(1, 0, r.conj().swapaxes(-1, -2), x_back, x)
+    del r, x, x_back
+    for a, (energies, vectors, _) in enumerate(halves):
+        c, s = _sector_parts(energies, vectors, t)
+        root = np.sqrt(diagonals[a])[..., None, :]
+        c *= root
+        s *= root
+        x = s @ c.conj().swapaxes(-1, -2)
+        r = c @ c.conj().swapaxes(-1, -2)
+        r += np.matmul(s, s.conj().swapaxes(-1, -2), out=c)
+        out += entries(a, a, r, x, x)
+        del c, s, x, r
+    return out * (z[n, p] * z[n, q].conj())
 
 
 def _evolved(stacks, t: float, w, rows, cols):
@@ -561,10 +599,10 @@ def _evolved(stacks, t: float, w, rows, cols):
     # entries between two sectors make one more group, left at zero
     same = (stack[rows] == stack[cols]) & (member[rows] == member[cols])
     owner = np.where(same, stack[rows], len(stacks))
-    for (index, energies, vectors, z, _), picked in zip(stacks, _grouped(owner, len(stacks) + 1)):
+    for entry, picked in zip(stacks, _grouped(owner, len(stacks) + 1)):
         if picked.size:
             r, c = rows[picked], cols[picked]
-            out[picked] = _sector_state(energies, vectors, z, t, w[index], member[r], local[r], local[c])
+            out[picked] = _sector_state(entry, t, w[entry[0]], member[r], local[r], local[c])
     return out
 
 
@@ -588,13 +626,15 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     sum over sectors.  With rho and X in a sector's eigenbasis, its term is
     sum_jk e^{-i E_j t} K_jk e^{i E_k t} for the Hermitian kernel K = X^T * rho
     (elementwise).  The gauge cancels from a number-diagonal X, and every
-    system has real eigenvectors V (``sector_blocks``), so X = V^T diag V is
-    symmetric and K = X * rho real.  Returns (kernels, tr(H_a rho(0)),
-    tr(H_b rho(0))) with kernels a tuple of (energies, terms), one per stack
-    of sectors, and terms a tuple of (rows, cols, K, weights): the block
-    K[rows, cols] of a kernel, built from the columns rows and cols of the
-    eigenvectors, whose real contraction times weights adds to (tr(H_a rho),
-    tr(H_b rho)).  This is the one place that reads a stack's split h.
+    system has real eigenvectors V = Q blockdiag(Y+, Y-) (``sector_blocks``),
+    so X = V^T diag V is symmetric and K = X * rho real.  Returns (kernels,
+    tr(H_a rho(0)), tr(H_b rho(0))) with kernels a tuple of (energies,
+    terms), one per stack of sectors, and terms a tuple of (rows, cols, K,
+    weights): the block K[rows, cols] of a kernel, whose real contraction
+    times weights adds to (tr(H_a rho), tr(H_b rho)).  Each block of V^T
+    diag V is a half-size product Y_a^T (Q_a^T diag Q_b) Y_b whose middle
+    factor is diagonal (``_half_diagonals``).  This is the one place that
+    lays a kernel out on a stack's split h.
 
     A stack split by the mode exchange (h < k) keeps K_a alone: the exchange
     P gives P D_a P^T = D_b and P V = diag(sigma) V S for S = +1 on the first
@@ -607,22 +647,26 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     w = thermal_product_state(sys, prep, cfg)
     d_a, d_b = _bare_levels(sys, cfg)
 
-    def product(vectors, diag, rows, cols):
-        # V[:, rows]^T diag V[:, cols] for each real eigenvector matrix V of a stack
-        return vectors[..., rows].swapaxes(-1, -2) @ (diag[..., None] * vectors[..., cols])
+    def product(left, diag, right):
+        # Y_left^T diag(diag) Y_right for each sector of a stack
+        return left.swapaxes(-1, -2) @ (diag[..., None] * right)
 
     kernels = []
-    for index, energies, vectors, _, h in eigensystem(sys, cfg):
+    for index, energies, y_plus, y_minus, _, sign in eigensystem(sys, cfg):
+        h, n = y_plus.shape[-1], sign.shape[-1]
+        # (rows, columns) of Y for the (+, +), (-, -) and (+, -) blocks: the last touches the heads alone
+        factors = [(y_plus, y_plus), (y_minus, y_minus), (y_plus[:, h - n :], y_minus[:, :n])]
         plus, minus = slice(None, h), slice(h, None)  # plus is the whole sector where h == k
         if h < index.shape[1]:
-            layout = [(plus, plus, [(d_a, (1.0, 1.0))]), (minus, minus, [(d_a, (1.0, 1.0))]), (plus, minus, [(d_a, (2.0, -2.0))])]
+            layout = [(plus, plus, 0, [(d_a, (1.0, 1.0))]), (minus, minus, 1, [(d_a, (1.0, 1.0))]), (plus, minus, 2, [(d_a, (2.0, -2.0))])]
         else:
-            layout = [(plus, plus, [(d_a, (1.0, 0.0)), (d_b, (0.0, 1.0))])]
+            layout = [(plus, plus, 0, [(d_a, (1.0, 0.0)), (d_b, (0.0, 1.0))])]
         terms = []
-        for rows, cols, levels in layout:
-            rho = product(vectors, w[index], rows, cols)
+        for rows, cols, block, levels in layout:
+            left, right = factors[block]
+            rho = product(left, _half_diagonals(w[index], h, n)[block], right)
             for d, weights in levels:
-                kernel = product(vectors, d[index], rows, cols) * rho
+                kernel = product(left, _half_diagonals(d[index], h, n)[block], right) * rho
                 kernel.setflags(write=False)
                 terms.append((rows, cols, kernel, weights))
         kernels.append((energies, tuple(terms)))
@@ -678,14 +722,6 @@ def heat_series_numeric(
     return [HeatReport(*row) for row in zip(*(getattr(series, field.name).tolist() for field in fields(HeatReport)))]
 
 
-def _probabilities(c, s):
-    """|c + i s|^2 = c^2 + s^2 elementwise for real c and s, in place of c and s."""
-    c *= c
-    s *= s
-    c += s
-    return c
-
-
 def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
     """(w, [(index, P), ...]): the initial thermal weights, taken first because
     they hold the truncation check, and for each stack P[n, i, j] = |<i| U(t) |j>|^2
@@ -693,10 +729,26 @@ def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg:
     the gauge drops out of |U|."""
     w = thermal_product_state(sys, prep, cfg)
     t = _checked(t, "time", scalar=True)
-    return w, [
-        (index, _probabilities(*_sector_parts(energies, vectors, t)))
-        for index, energies, vectors, *_ in eigensystem(sys, cfg)
-    ]
+    transitions = []
+    for index, energies, y_plus, y_minus, _, sign in eigensystem(sys, cfg):
+        (_, k), h = index.shape, y_plus.shape[-1]
+        at, weight = _exchange_rows(k, h, sign)
+        halves = [(a, _sector_parts(e, y, t)) for a, e, y in ((0, energies[:, :h], y_plus), (1, energies[:, h:], y_minus)) if y.size]
+        probs = None
+        for _ in "cs":  # |U|^2 = c^2 + s^2 for U = Q blockdiag(U+, U-) Q^T = c + i s: c, then s
+            part = None
+            for a, parts in halves:
+                x = next(parts)
+                if h < k:  # Q_a x Q_a^T over every pair of states; Q = 1 on an unsplit sector
+                    x = x.take(at[a], axis=1).take(at[a], axis=2)
+                    x *= weight[a, :, :, None]
+                    x *= weight[a, :, None, :]
+                part = x if part is None else np.add(part, x, out=part)
+            del x
+            part *= part
+            probs = part if probs is None else np.add(probs, part, out=probs)
+        transitions.append((index, probs))
+    return w, transitions
 
 
 def _average(f, w, transitions, d_a, d_b) -> float:
@@ -931,5 +983,5 @@ def spectrum_match(
 
 def _lowest_levels(parts: HamiltonianParts, k: int) -> NDArray[np.float64]:
     """The k lowest eigenvalues of H, merged from its stacks of sectors."""
-    levels = [np.linalg.eigvalsh(blocks).ravel() for _, _, blocks, *_ in sector_blocks(parts)]
+    levels = [np.linalg.eigvalsh(half).ravel() for _, _, *halves, _ in sector_blocks(parts) for half in halves]
     return np.sort(np.concatenate(levels))[:k]

@@ -4,11 +4,13 @@ Reusing identical frozen instances across test modules lets the package-level
 eigendecomposition caches serve every test that needs the same Hamiltonian.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from qsubthermo import FockConfig, InteractionKind, OscillatorSystem, ThermalPreparation
-from qsubthermo.fock import _sector_parts, eigensystem, thermal_product_state
+from qsubthermo.fock import eigensystem, thermal_product_state
 
 
 def rwa_system(g: float = 0.1, omega: float = 1.0) -> OscillatorSystem:
@@ -27,12 +29,40 @@ def dense(parts, shift=0.0):
     return out
 
 
+def exchange_basis(index, sign, h):
+    """Q = [Q+ | Q-] for each sector of a stack in the oracle's layout [F+ | H | F- | M]:
+    e_f on each fixed point of F+ and F-, and (e_j +- sigma_j e_pi(j)) / sqrt(2)
+    on each head j, whose mirror pi(j) sits n places from the end."""
+    (m, k), n = index.shape, sign.shape[1]
+    fixed, r = h - n, math.sqrt(0.5)
+    heads, mirrors, pairs = np.arange(fixed, h), np.arange(k - n, k), np.arange(n)
+    q = np.zeros((m, k, k))
+    q[:, np.arange(fixed), np.arange(fixed)] = 1.0
+    q[:, np.arange(h, k - n), np.arange(h + n, k)] = 1.0
+    q[:, heads, heads] = q[:, heads, h + pairs] = r
+    q[:, mirrors, heads] = sign * r
+    q[:, mirrors, h + pairs] = -sign * r
+    return q
+
+
+def eigenvectors(stack):
+    """V = Q blockdiag(Y+, Y-) for each sector of an eigensystem stack, as plain dense products."""
+    index, _, y_plus, y_minus, _, sign = stack
+    h = y_plus.shape[-1]
+    halves = np.zeros(index.shape + index.shape[1:], dtype=y_plus.dtype)
+    halves[:, :h, :h], halves[:, h:, h:] = y_plus, y_minus
+    return exchange_basis(index, sign, h) @ halves
+
+
 def dense_unitary(t, sys_, cfg):
-    """Reference U(t) = exp(-i H t) as one dense matrix, from the cached sector eigendecompositions."""
+    """Reference U(t) = exp(-i H t) as one dense matrix, from the cached sector
+    eigendecompositions, each sector's eigenvectors expanded to V = Q blockdiag(Y+, Y-)."""
     out = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
-    for index, energies, vectors, z, _ in eigensystem(sys_, cfg):
-        c, s = _sector_parts(energies, vectors, t)
-        out[index[..., :, None], index[..., None, :]] = z[..., :, None] * (c + 1j * s) * z.conj()[..., None, :]
+    for stack in eigensystem(sys_, cfg):
+        index, energies, _, _, z, _ = stack
+        v = z[..., :, None] * eigenvectors(stack)
+        u = (v * np.exp(-1j * energies * t)[..., None, :]) @ v.conj().swapaxes(1, 2)
+        out[index[..., :, None], index[..., None, :]] = u
     return out
 
 

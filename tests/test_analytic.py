@@ -42,6 +42,23 @@ class TestThermalOccupation:
         values = [thermal_occupation(b, 1.0) for b in (0.1, 0.2, 0.5, 1.0, 3.0)]
         assert all(lo > hi for lo, hi in zip(values, values[1:]))
 
+    def test_cold_limit_past_the_overflow_of_exp(self):
+        # exp(beta*omega) overflows past beta*omega = ln(DBL_MAX) ~ 709.78,
+        # where 1/(exp - 1) is exp(-beta*omega) to rounding; below it the
+        # formula is unchanged bit for bit
+        assert thermal_occupation(709.0, 1.0) == 1.0 / math.expm1(709.0)
+        assert thermal_occupation(710.0, 1.0) == math.exp(-710.0) > 0.0
+        assert thermal_occupation(1e6, 1.0) == 0.0
+
+    @pytest.mark.parametrize("kind", [InteractionKind.RWA, InteractionKind.LINEAR])
+    def test_heats_stay_finite_for_a_frozen_mode(self, kind):
+        # beta_a omega = 710 used to raise OverflowError from both closed forms
+        sys_, prep = OscillatorSystem(1.0, 1.0, kind, g=0.2), ThermalPreparation(710.0, 1.0)
+        report = heat_transfer(2.0, sys_, prep)
+        assert all(math.isfinite(x) for x in (report.dq_a, report.dq_b, report.dq_ab))
+        assert report.dq_ab < 0.0  # heat flows from the warm mode b into the frozen mode a
+        assert math.isfinite(time_averaged_heat(sys_, prep, 10.0))
+
     @pytest.mark.parametrize("beta,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)])
     def test_domain_errors(self, beta, omega):
         with pytest.raises(ModelError):

@@ -200,6 +200,15 @@ class TestCompareCommand:
         assert header[0] == "t" and len(rows) == 81
         assert float(read_footer(out)[0].split(",")[1]) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["rwa", "linear"])
+    def test_frozen_mode_compares(self, tmp_path, kind):
+        # beta_a omega = 710 overflowed the closed form's exp(beta omega) - 1
+        # into a traceback; the oracle was finite all along, and both agree
+        out = tmp_path / "frozen.csv"
+        proc = run_fresh(["--out", str(out), "--kind", kind, "--beta-a", "710", "--beta-b", "1", "--samples", "9", "compare"])
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert float(read_footer(out)[0].split(",")[1]) < 1e-9
+
     def test_closed_form_overflow_is_one_error_line(self, tmp_path):
         proc = run_fresh(["--out", str(tmp_path / "x.csv"), "--kind", "linear", "--g", "0.9", "--t-max", "10000",
                           "--fock-n", "12", "--tail-tol", "1e-2", "--beta-a", "1", "--beta-b", "2", "compare"])
@@ -320,6 +329,13 @@ class TestSweepCommand:
         assert by_g[0.5][3] == "gap"
         assert by_g[0.49][3] in {"transient", "persistent"}
         assert len(rows) == 2  # the gap row is recorded, not dropped
+
+    def test_frozen_mode_sweeps(self, tmp_path):
+        # beta_a omega = 710 overflows exp; the closed form takes exp(-beta omega) there
+        proc = run_fresh(["--out", str(tmp_path / "s.csv"), "--beta-a", "710", "--samples", "32", "sweep",
+                          "--g-grid", "0.3", "--dbeta-grid", "0.01"])
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert len(read_csv(tmp_path / "s.csv")[1]) == 1
 
     def test_gap_cell_still_checks_the_preparation(self, capsys):
         # g = omega/2 is a gap only once the cell's system and preparation hold

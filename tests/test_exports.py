@@ -61,7 +61,8 @@ def test_diagnostics_reads_the_oracle_only_through_h():
 # matrix alone, so nothing that decides its algebra may see the coupling type.
 ORACLE_ALGEBRA = [
     "_kron_entries", "sectors", "_grouped", "_stack_layout", "sector_blocks", "_eigh_sectors", "_real_gauge", "eigensystem",
-    "_heat_kernel", "_expectations", "_sector_state", "_evolved", "_partial_traces", "_transitions",
+    "_exchange_rows", "_half_diagonals", "_heat_kernel", "_expectations", "_sector_state", "_evolved", "_partial_traces",
+    "_transitions",
 ]
 
 
@@ -93,10 +94,11 @@ def test_heat_contraction_never_reads_the_exchange_split(function):
     assert "h" not in names_read(function)
 
 
-@pytest.mark.parametrize("function", ["_heat_kernel", "_expectations", "_form", "_probabilities", "_transitions"])
+@pytest.mark.parametrize("function", ["_exchange_rows", "_half_diagonals", "_heat_kernel", "_expectations", "_form", "_transitions"])
 def test_kernels_and_transitions_never_decide_real_or_complex(function):
     # sector_blocks alone decides whether a stack is real, and every system
-    # gauges real, so the heat and transition routes take real arithmetic only
+    # gauges real, so the heat and transition routes, and the rows and
+    # diagonals of the exchange halves they read, take real arithmetic only
     assert names_read(function) & {"iscomplexobj", "imag", "conj"} == set()
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense, dense_state, dense_unitary, linear_system, partial_traces, rwa_system
+from conftest import dense, dense_state, dense_unitary, eigenvectors, linear_system, partial_traces, rwa_system
 from qsubthermo import (
     FockConfig,
     HeatReport,
@@ -140,7 +140,8 @@ class TestHeatNumeric:
         assert [len(terms) for _, terms in kernels] == [terms_per_stack] * 2
         w = thermal_product_state(sys_, PREP, CFG24)
         levels = np.repeat(np.arange(CFG24.n_a), CFG24.n_b), np.tile(omega_b * np.arange(CFG24.n_b), CFG24.n_a)
-        for (index, _, vectors, _, _), (energies, terms) in zip(stacks, kernels, strict=True):
+        for stack, (energies, terms) in zip(stacks, kernels, strict=True):
+            index, vectors = stack[0], eigenvectors(stack)  # V = Q blockdiag(Y+, Y-)
             v_t = vectors.swapaxes(1, 2)
             rho = v_t @ (w[index][..., None] * vectors)
             for which, d in enumerate(levels):
@@ -233,10 +234,11 @@ def test_oracle_matches_analytic_heats(kind, n, g, times):
             for got, want in ((oracle.dq_a, analytic.dq_a), (oracle.dq_b, analytic.dq_b)):
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (kind, g, t)
     finally:
-        # a dim-2304 linear eigensystem holds two real 1152 x 1152 sector
-        # bases (about 20 MB) and its heat kernel twice that; no call builds a
-        # dense H or rho(t), so these cached entries are the largest arrays
-        # left alive, and clearing them keeps the next case's peak to its own
+        # a dim-2304 linear eigensystem holds the real 576 x 576 bases of the
+        # four exchange halves of its parity sectors (about 10 MB) and its
+        # heat kernel three half-size blocks per sector (about 16 MB); no call
+        # builds a dense H or rho(t), so these cached entries are the largest
+        # arrays left alive, and clearing them keeps the next case's peak to its own
         eigensystem.cache_clear()
         _heat_kernel.cache_clear()
 

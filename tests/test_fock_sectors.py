@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, dense_state, dense_unitary, partial_traces
+from conftest import dense, dense_state, dense_unitary, exchange_basis, partial_traces
 from qsubthermo import (
     FockConfig,
     HamiltonianParts,
@@ -32,10 +32,12 @@ from qsubthermo import (
 )
 from qsubthermo.fock import (
     _eigh_sectors,
+    _evolved,
     _heat_kernel,
     _nonzero_entries,
     _partial_traces,
     _quadratures,
+    _transitions,
     destroy,
     eigensystem,
     sector_blocks,
@@ -136,28 +138,43 @@ def gauged(block, z):
 
 
 def stacked_sectors(parts):
-    """(index, z, block) for every sector of every stack of sector_blocks, in
-    ascending state order: a sector split by the mode exchange lists its
-    states as [F+ | H | F- | M] there."""
-    members = []
-    for index, z, blocks, *_ in sector_blocks(parts):
-        for states, phases, block in zip(index, z, blocks):
-            ascending = np.argsort(states)
-            members.append((states[ascending], phases[ascending], block[np.ix_(ascending, ascending)]))
-    return members
+    """(index, z, plus, minus, sign) for every sector of every stack of
+    sector_blocks, in its stack's layout: a sector split by the mode exchange
+    lists its states as [F+ | H | F- | M] there."""
+    return [member for stack in sector_blocks(parts) for member in zip(*stack)]
+
+
+def dense_halves(block, h, sign):
+    """Q+^T B Q+ and Q-^T B Q- of a gauged block B in the layout [F+ | H | F- |
+    M], by dense arithmetic on B: B on each half's states, plus or minus B[H,
+    M] sigma between heads, and times sqrt(2) between heads and fixed points.
+    An unsplit block (h = k) is its own plus half."""
+    k, n = len(block), len(sign)
+    fixed = h - n
+    exchange = block[fixed:h, k - n :] * sign
+    plus, minus = block[:h, :h].copy(), block[fixed : k - n, fixed : k - n].copy()
+    plus[fixed:, fixed:] += exchange
+    minus[:n, :n] -= exchange
+    for half, edge in ((plus, fixed), (minus, n)):
+        half[edge:, :edge] *= math.sqrt(2.0)
+        half[:edge, edge:] *= math.sqrt(2.0)
+    return plus, minus
 
 
 def assert_gauge_is_per_block_search(parts):
     h = dense(parts)
     members = stacked_sectors(parts)
-    assert sorted(index.tobytes() for index, _, _ in members) == sorted(index.tobytes() for index in sectors(parts))
-    for index, z, block in members:
-        reference = h[np.ix_(index, index)]
-        assert z.tobytes() == per_block_gauge(reference).tobytes()
-        want = gauged(reference, z)
-        # bit for bit up to the sign of a zero: the stacks write their zeros
-        # instead of gauging them, and + 0.0 makes every zero +0.0
-        assert (block + 0.0).tobytes() == ((want if np.iscomplexobj(block) else want.real) + 0.0).tobytes()
+    assert sorted(np.sort(index).tobytes() for index, *_ in members) == sorted(index.tobytes() for index in sectors(parts))
+    for index, z, plus, minus, sign in members:
+        ascending = np.argsort(index)
+        assert z[ascending].tobytes() == per_block_gauge(h[np.ix_(index[ascending], index[ascending])]).tobytes()
+        want = gauged(h[np.ix_(index, index)], z)
+        want = want if np.iscomplexobj(plus) else want.real
+        # each half is the dense arithmetic on the gauged dense block bit for
+        # bit, up to the sign of a zero: the stacks write their zeros instead
+        # of gauging them, and + 0.0 makes every zero +0.0
+        for got, expected in zip((plus, minus), dense_halves(want, plus.shape[-1], sign), strict=True):
+            assert (got + 0.0).tobytes() == (expected + 0.0).tobytes()
     return members
 
 
@@ -176,10 +193,10 @@ def test_edge_list_is_the_dense_kron_sum_bit_for_bit(kind, n):
     # the finder reads a dense matrix through np.nonzero, the same edge list
     found = sectors(parts)
     assert all(np.array_equal(x, y) for x, y in zip(found, sectors(edge_list(reference, parts)), strict=True))
-    # each stacked block is the dense block, gauged by the one-pass z, which
-    # is the per-block search's z bit for bit
-    for _, _, block in assert_gauge_is_per_block_search(parts):
-        assert np.isrealobj(block)
+    # each stack's halves are the dense halves of the dense block, gauged by
+    # the one-pass z, which is the per-block search's z bit for bit
+    for _, _, plus, minus, _ in assert_gauge_is_per_block_search(parts):
+        assert np.isrealobj(plus) and np.isrealobj(minus)
 
 
 @pytest.mark.parametrize("entries,real", [([(0, 1)], True), ([(0, 1), (1, 13)], False)], ids=["bridge", "loop"])
@@ -191,15 +208,14 @@ def test_override_gauge_is_the_per_block_search(entries, real):
     override = dense(parts, -d)
     for i, j in entries:
         override[i, j] = override[j, i] = 1e-300
-    ((_, _, block),) = assert_gauge_is_per_block_search(edge_list(np.diag(d) + override, parts))
-    assert np.isrealobj(block) == real
+    ((_, _, plus, minus, _),) = assert_gauge_is_per_block_search(edge_list(np.diag(d) + override, parts))
+    assert np.isrealobj(plus) == np.isrealobj(minus) == real
 
 
-def exchange_halves(index, sign, h, n):
-    """Q+ and Q- of one sector in sector_blocks' layout [F+ | H | F- | M],
-    after checking the layout against the mode swap (i_a, i_b) -> (i_b, i_a)
-    on n x n levels: e_f on each fixed point, (e_j +- sigma_j e_pi(j)) / sqrt(2)
-    on each head j."""
+def check_exchange_layout(index, sign, h, n):
+    """Checks one sector's layout [F+ | H | F- | M] of sector_blocks against
+    the mode swap (i_a, i_b) -> (i_b, i_a) on n x n levels: the fixed points
+    are its fixed points, and each mirror is its head's swap, above it."""
     k, pairs = len(index), len(sign)
     fixed, heads, mirrors = h - pairs, slice(h - pairs, h), slice(k - pairs, k)
     i_a, i_b = np.divmod(index, n)
@@ -207,13 +223,6 @@ def exchange_halves(index, sign, h, n):
     assert np.array_equal(swapped[heads], index[mirrors]) and np.all(index[heads] < index[mirrors])
     assert np.array_equal(swapped[:fixed], index[:fixed])
     assert np.array_equal(swapped[h : k - pairs], index[h : k - pairs])
-    plus, minus = np.zeros((k, h)), np.zeros((k, k - h))
-    plus[:fixed, :fixed] = np.eye(fixed)
-    minus[h : k - pairs, pairs:] = np.eye(k - h - pairs)
-    for half, sigma in ((plus[:, fixed:], sign), (minus[:, :pairs], -sign)):
-        half[heads] = np.eye(pairs) * math.sqrt(0.5)
-        half[mirrors] = np.diag(sigma) * math.sqrt(0.5)
-    return plus, minus
 
 
 SPLIT_CASES = {
@@ -235,14 +244,17 @@ def test_exchange_splits_exactly_the_symmetric_sectors(case):
     # A one-state sector is a fixed point of sign +1, which leaves it whole.
     sys_, cfg, splits = SPLIT_CASES[case]
     parts = build_hamiltonian(sys_, cfg)
-    for index, z, blocks, h, sign in sector_blocks(parts):
+    h_dense = dense(parts)
+    for index, z, plus, minus, sign in sector_blocks(parts):
+        h = plus.shape[-1]
         assert (h < index.shape[1]) == (splits and index.shape[1] > 1)
         if h == index.shape[1]:
-            assert sign.shape == (len(index), 0)
+            assert sign.shape == (len(index), 0) and minus.shape == (len(index), 0, 0)
             assert all(np.array_equal(states, np.sort(states)) for states in index)
             continue
-        for states, block, sigma_heads in zip(index, blocks, sign):
-            exchange_halves(states, sigma_heads, h, cfg.n_a)  # checks the layout against the swap
+        for states, phases, sigma_heads in zip(index, z, sign):
+            block = gauged(h_dense[np.ix_(states, states)], phases).real
+            check_exchange_layout(states, sigma_heads, h, cfg.n_a)
             k, pairs = len(states), len(sigma_heads)
             fixed = h - pairs
             # the swap as local positions in [F+ | H | F- | M], and sigma on each part
@@ -267,7 +279,7 @@ def test_exchange_needs_the_bare_energies_swapped():
     assert np.array_equal(hamiltonian[np.ix_(swap, swap)], hamiltonian)
     assert not np.array_equal(parts.d_a[swap], parts.d_b)
     stacks = list(sector_blocks(edge_list(hamiltonian, parts)))
-    assert len(stacks) > 1 and all(h == index.shape[1] for index, _, _, h, _ in stacks)
+    assert len(stacks) > 1 and all(plus.shape[-1] == index.shape[1] for index, _, plus, _, _ in stacks)
 
 
 def test_exchange_squaring_to_minus_one_is_refused():
@@ -285,7 +297,7 @@ def test_exchange_squaring_to_minus_one_is_refused():
     hamiltonian = np.diag(parts.d_a + parts.d_b) + override
     stacks = list(sector_blocks(edge_list(hamiltonian, parts)))
     assert [index.shape[1] for index, *_ in stacks] == [1, 4]
-    assert all(h == index.shape[1] for index, _, _, h, _ in stacks)
+    assert all(plus.shape[-1] == index.shape[1] for index, _, plus, _, _ in stacks)
     u = scipy.linalg.expm(-1j * hamiltonian * t)
     rho_t = (u * thermal_product_state(bare, PREP, cfg)) @ u.conj().T
     _, rho_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
@@ -324,35 +336,58 @@ def test_own_interaction_override_matches_the_default_path():
 
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_stacked_eigh_is_per_block_eigh(kind, monkeypatch):
-    # one eigh per half-stack: an unsplit stack's is its blocks' eigh, and a
-    # split stack's halves are Q+^T B Q+ and Q-^T B Q- of each block, whose
-    # eigh each sector's energies [+ | -] and vectors Q Y repeat bit for bit
+    # one eigh per half-stack, on the halves of sector_blocks bit for bit:
+    # Q+^T B Q+ and Q-^T B Q- of each gauged block B to rounding, an unsplit
+    # stack's plus half being B itself and its minus half empty; each
+    # sector's energies [+ | -] and half eigenvectors Y+ and Y- repeat its
+    # own eigh bit for bit
     seen = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append((a.copy(), *eigh(a))) or seen[-1][1:])
     parts = build_hamiltonian(SYSTEMS[kind], CFG24)
     stacks = _eigh_sectors(parts)
     monkeypatch.undo()
-    calls = iter(seen)
-    for (index, energies, vectors, z, h), (_, _, blocks, _, sign) in zip(stacks, sector_blocks(parts), strict=True):
-        if h == index.shape[1]:
-            block_input, *_ = next(calls)
-            assert block_input.tobytes() == blocks.tobytes()
-            halves = [(np.eye(h)[None].repeat(len(index), 0), block_input)]
-        else:
-            halves = [
-                (np.stack([exchange_halves(i, s, h, CFG24.n_a)[which] for i, s in zip(index, sign)]), next(calls)[0])
-                for which in (0, 1)
-            ]
-        got_e, got_v = np.split(energies, [h], axis=1), np.split(vectors, [h], axis=2)
-        for (q, half_input), e_half, v_half in zip(halves, got_e, got_v):
-            want = q.swapaxes(1, 2) @ blocks @ q
-            assert np.abs(half_input - want).max() <= 4e-16 * max(1.0, np.abs(blocks).max())
-            for block, e, v, basis in zip(half_input, e_half, v_half, q):
+    calls, h_dense = iter(seen), dense(parts)
+    for (index, energies, *ys, z, sign), (_, _, *halves, _) in zip(stacks, sector_blocks(parts), strict=True):
+        h = ys[0].shape[-1]
+        q = exchange_basis(index, sign, h)
+        blocks = np.stack([gauged(h_dense[np.ix_(states, states)], phases).real for states, phases in zip(index, z)])
+        for half, basis, e_half, y_half in zip(halves, (q[..., :h], q[..., h:]), np.split(energies, [h], axis=1), ys):
+            half_input, *_ = next(calls)
+            assert half_input.tobytes() == half.tobytes()
+            want = basis.swapaxes(1, 2) @ blocks @ basis
+            assert np.abs(half_input - want).max(initial=0.0) <= 4e-16 * max(1.0, np.abs(blocks).max())
+            for block, e, y in zip(half_input, e_half, y_half):
                 want_e, want_y = np.linalg.eigh(block)
                 assert e.tobytes() == want_e.tobytes()
-                assert np.array_equal(v, basis @ want_y)
+                assert y.tobytes() == want_y.tobytes()
     assert next(calls, None) is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_complex_split_override_matches_dense_evolution(seed):
+    # an override made symmetric under the mode swap, with imaginary entries
+    # on loops no gauge makes real: some sectors split into complex halves,
+    # so rho(t) takes the generic half routes, and the effective Hamiltonian
+    # still matches a dense evolution
+    cfg, t = FockConfig(5, 5, tail_tol=0.5), 1.3
+    bare = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
+    parts = build_hamiltonian(bare, cfg)
+    i_a, i_b = np.divmod(np.arange(cfg.dim), cfg.n_b)
+    swap = i_b * cfg.n_b + i_a
+    rng = np.random.default_rng(seed)
+    half = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
+    half[tuple(rng.integers(cfg.dim, size=(2, 8)))] = rng.choice([0.3, -0.2, 0.25j, -0.1j, 0.2 + 0.1j], size=8)
+    half += half.conj().T
+    override = half + half[np.ix_(swap, swap)]
+    hamiltonian = np.diag(parts.d_a + parts.d_b) + override
+    stacks = list(sector_blocks(edge_list(hamiltonian, parts)))
+    assert any(minus.size and np.iscomplexobj(minus) for _, _, _, minus, _ in stacks)
+    u = scipy.linalg.expm(-1j * hamiltonian * t)
+    rho_t = (u * thermal_product_state(bare, PREP, cfg)) @ u.conj().T
+    _, rho_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
+    reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
+    assert np.abs(effective_hamiltonian(t, bare, PREP, cfg, interaction=override) - reference).max() < 1e-12
 
 
 def stack_cap(parts):
@@ -365,11 +400,12 @@ def stack_cap(parts):
 def test_stacks_stay_within_the_cap(kind, n):
     parts = build_hamiltonian(SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2))
     cap, stacks, sizes = stack_cap(parts), {}, []
-    for index, z, blocks, h, sign in sector_blocks(parts):
-        m, k = index.shape
-        assert z.shape == index.shape and blocks.shape == (m, k, k) and sign.shape[0] == m
+    for index, z, plus, minus, sign in sector_blocks(parts):
+        (m, k), h = index.shape, plus.shape[-1]
+        assert z.shape == index.shape and sign.shape[0] == m
+        assert plus.shape == (m, h, h) and minus.shape == (m, k - h, k - h)
         assert m * k * k <= cap
-        stacks.setdefault((k, h, sign.shape[1], np.iscomplexobj(blocks)), []).append(m)
+        stacks.setdefault((k, h, sign.shape[1], np.iscomplexobj(plus)), []).append(m)
         sizes += [k] * m
     assert sorted(sizes) == expected_sizes(kind, n)
     # and no more stacks than the cap needs: all but the last of a size, layout and type are full
@@ -387,13 +423,19 @@ def test_one_eigh_per_stack(kind, n, calls, monkeypatch):
     # half-sector 576, 157 and 4.
     count = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: count.append(a.shape) or eigh(a))
+
+    def counted(a):
+        if a.size:  # the empty minus half of an unsplit stack decomposes nothing
+            count.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     eigensystem.cache_clear()
     try:
         stacks = eigensystem(SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2))
     finally:
         eigensystem.cache_clear()
-    assert len(count) == sum(1 + (h < index.shape[1]) for index, *_, h in stacks) == calls
+    assert len(count) == sum(1 + (y_plus.shape[-1] < index.shape[1]) for index, _, y_plus, *_ in stacks) == calls
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
@@ -412,7 +454,8 @@ def test_sector_sizes_and_exact_zeros(kind):
 def _override_matches_dense_evolution(entries):
     """Joins the parities of the linear coupling with 1e-300 entries at the
     given index pairs, checks the effective Hamiltonian against a dense
-    evolution, and returns the eigenvectors of the one joined sector."""
+    evolution, and returns the plus-half eigenvectors of the one joined
+    sector, which no exchange splits."""
     cfg, t = CFG12, 1.3
     bare = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
     parts = build_hamiltonian(SYSTEMS["linear"], cfg)
@@ -429,8 +472,9 @@ def _override_matches_dense_evolution(entries):
     reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
     got = effective_hamiltonian(t, bare, PREP, cfg, interaction=override)
     assert np.abs(got - reference).max() < 1e-12
-    ((_, _, vectors, _, _),) = _eigh_sectors(edge_list(h0 + override, parts))
-    return vectors
+    ((_, _, y_plus, y_minus, _, _),) = _eigh_sectors(edge_list(h0 + override, parts))
+    assert y_minus.size == 0
+    return y_plus
 
 
 def test_rounding_level_entry_joins_parities():
@@ -453,9 +497,11 @@ def test_rounding_level_loop_stays_complex():
 def test_merged_energies_match_dense_spectrum(kind):
     sys_ = SYSTEMS[kind]
     stacks = eigensystem(sys_, CFG24)
-    for index, energies, vectors, z, _ in stacks:
-        assert vectors.shape == index.shape + index.shape[1:] and energies.shape == index.shape == z.shape
-        assert np.isrealobj(vectors)
+    for index, energies, y_plus, y_minus, z, sign in stacks:
+        (m, k), h = index.shape, y_plus.shape[-1]
+        assert y_plus.shape == (m, h, h) and y_minus.shape == (m, k - h, k - h) and sign.shape[0] == m
+        assert energies.shape == index.shape == z.shape
+        assert np.isrealobj(y_plus) and np.isrealobj(y_minus)
     merged = np.sort(np.concatenate([energies.ravel() for _, energies, *_ in stacks]))
     levels = np.linalg.eigvalsh(dense(build_hamiltonian(sys_, CFG24)))
     assert np.all(np.abs(merged - levels) <= 1e-12 * np.maximum(1.0, np.abs(levels)))
@@ -466,8 +512,8 @@ def test_merged_energies_match_dense_spectrum(kind):
 def test_gauged_sector_blocks_are_exactly_real(kind, cfg):
     parts = build_hamiltonian(SYSTEMS[kind], cfg)
     h = dense(parts)
-    for index, z, block in stacked_sectors(parts):
-        assert np.isrealobj(block)
+    for index, z, plus, minus, _ in stacked_sectors(parts):
+        assert np.isrealobj(plus) and np.isrealobj(minus)
         assert np.all((np.conj(z)[:, None] * h[np.ix_(index, index)] * z).imag == 0.0)
         assert np.all(np.abs(z) == 1.0)
 
@@ -493,8 +539,8 @@ def test_every_system_gauges_to_real_stacks(kind, omega_a, omega_b, n_a, n_b, g,
         sys_ = OscillatorSystem(omega_a, omega_b, kind, m=m, q=q)
     else:
         sys_ = OscillatorSystem(omega_a, omega_b, kind, g=0.0 if kind is InteractionKind.NONE else g)
-    for _, z, blocks, _, _ in sector_blocks(build_hamiltonian(sys_, FockConfig(n_a, n_b))):
-        assert blocks.dtype == np.float64
+    for _, z, plus, minus, _ in sector_blocks(build_hamiltonian(sys_, FockConfig(n_a, n_b))):
+        assert plus.dtype == minus.dtype == np.float64
         assert np.isin(z, [1.0, -1.0, 1j, -1j]).all()
 
 
@@ -586,6 +632,39 @@ def test_sector_routes_match_dense_state(kind, levels):
     assert cross == pytest.approx(np.sum(probs * (e_a[:, None] * e_b - e_a) * w), abs=1e-13)
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.sampled_from([InteractionKind.RWA, InteractionKind.LINEAR]),
+    st.sampled_from(["split", "unequal", "detuned"]),
+    st.floats(0.05, 0.45),
+    st.integers(3, 9),
+    st.floats(0.0, 12.0),
+)
+def test_half_routes_match_dense_references(kind, layout, g, n, t):
+    # resonant modes with equal cutoffs split every sector of more than one
+    # state into exchange halves; unequal cutoffs or detuned modes leave them
+    # whole.  Either way the heats, the partial traces, rho(t) on the entries
+    # of H and the transition probabilities match the dense references
+    # within 1e-12
+    sys_ = OscillatorSystem(1.0, 1.3 if layout == "detuned" else 1.0, kind, g=g)
+    cfg = FockConfig(n, n - 1 if layout == "unequal" else n, tail_tol=0.5)
+    stacks = eigensystem(sys_, cfg)
+    assert any(y_minus.size for _, _, _, y_minus, _, _ in stacks) == (layout == "split")
+    parts, w = build_hamiltonian(sys_, cfg), thermal_product_state(sys_, PREP, cfg)
+    u = dense_unitary(t, sys_, cfg)
+    rho_t = (u * w) @ u.conj().T
+    (report,) = heat_series_numeric(sys_, PREP, cfg, [t])
+    populations = np.real(np.diag(rho_t)) - w
+    assert abs(report.dq_a - populations @ parts.d_a) < 1e-12 and abs(report.dq_b - populations @ parts.d_b) < 1e-12
+    for got, want in zip(_partial_traces(stacks, t, w, cfg.n_a, cfg.n_b), partial_traces(rho_t, cfg.n_a, cfg.n_b)):
+        assert np.abs(got - want).max() < 1e-12
+    rows, cols, _ = parts.entries(-parts.d_b)
+    assert np.abs(_evolved(stacks, t, w, rows, cols) - rho_t[rows, cols]).max() < 1e-12
+    _, transitions = _transitions(t, sys_, PREP, cfg)
+    for index, probs in transitions:
+        assert np.abs(probs - np.abs(u[index[..., :, None], index[..., None, :]]) ** 2).max() < 1e-12
+
+
 # One dense complex H at 48 levels per mode, 16 dim^2 bytes (85 MB), bounds
 # each oracle call: every route works on sector blocks and edge lists.
 CFG48 = FockConfig(48, 48, tail_tol=1e-8)
@@ -613,12 +692,20 @@ PEAK_CALLS = {
 }
 
 
-# Real stacks are filled straight from the gauged edge list, with no complex
-# stack-sized array: a cold eigensystem holds one real block of a parity
-# sector (1152 states, 10.1 MiB), its eigenvectors and those of the stack
-# before it, and spectrum_match keeps no eigenvectors at all.
+# Stacks are filled straight from the gauged edge list as the halves of the
+# mode exchange, with no k x k block of a split sector and no complex
+# stack-sized array: a cold LINEAR eigensystem holds the half blocks of one
+# parity sector (576 states, 2.5 MiB each), their eigenvectors and those of
+# the stack before it, and the rho(t) routes form half-size products one
+# block at a time.  Each bound below is the measured peak plus the margin
+# named, and sits under the peak of the whole-sector routes before them
+# (numpy 2.4, 48 levels); spectrum_match keeps no eigenvectors at all.
 TIGHTER_PEAKS = {
-    ("linear", "eigensystem"): 44 * 2**20,
+    ("linear", "eigensystem"): 20 * 2**20,  # 16.4 MiB + 22 %, whole sectors 39.1
+    ("rwa", "eigensystem"): int(1.25 * 2**20),  # 1.15 MiB + 9 %, whole sectors 1.29
+    ("linear", "entropy_production"): 44 * 2**20,  # 37.3 MiB + 18 %, whole sectors 56.5
+    ("linear", "effective_hamiltonian"): 44 * 2**20,  # 38.0 MiB + 16 %, whole sectors 57.2
+    ("linear", "true_heat_transfer_identity"): 28 * 2**20,  # 22.8 MiB + 23 %, whole sectors 42.4
     ("minimal-a", "eigensystem"): 44 * 2**20,
     ("minimal-a", "spectrum_match"): 32 * 2**20,
 }
@@ -653,6 +740,6 @@ def test_oracle_calls_stay_below_one_dense_hamiltonian(kind, call):
 def test_split_heat_kernel_forms_blocks_from_half_the_eigenvectors():
     # each LINEAR parity sector (1152 states, 10.1 MiB per real square) splits
     # into halves of 576, and its kernel is three half-size blocks of K_a,
-    # each formed from column slices of the eigenvectors: whole-sector
+    # each a product of half eigenvectors around a diagonal: whole-sector
     # products of V^T diag(w) V and V^T diag(d_a) V would hold four squares
     assert traced_peak("linear", "_heat_kernel") < 32 * 2**20
