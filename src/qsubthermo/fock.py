@@ -32,13 +32,14 @@ stacks take the generic rho(t) routes.  Time evolution reuses those
 eigendecompositions, never a generic matrix exponential: the phases e^{-iEt}
 enter as the real pair cos(Et), sin(Et), and every route takes batched
 half-size products one stack at a time, mapped back onto a sector's states
-through the one coordinate per half each state has.  The heat kernel reads a
-stack's exchange split once and lays the kernel out as blocks with weights,
-which the heat series contracts all alike.  rho(t) vanishes between sectors,
-so the partial traces, traces against H and transition probabilities are
-gathered from its sector blocks, and no call returns a dim x dim array.  The
-stacks and their gauge stay inside this module: other modules read H as its
-edge list.
+through the one coordinate per half each state has.  One list of a stack's
+blocks (+, +), (-, -) and (+, -), each a sandwich Y_a^T diag(d) Y_b, serves
+the heat kernel, which weights them for the series to contract all alike,
+and rho(t), the blocks of V^dag diag(w) V with phases e^{-i(E_j - E_k)t}.
+rho(t) vanishes between sectors, so partial traces, traces against H and
+transition probabilities gather its sector blocks: no call returns a dim x
+dim array.  The stacks and their gauge stay inside this module: other
+modules read H as its edge list.
 """
 
 from __future__ import annotations
@@ -469,6 +470,21 @@ def _half_diagonals(d, h: int, n: int):
     return np.concatenate([fixed_plus, mean], axis=-1), np.concatenate([mean, fixed_minus], axis=-1), (heads - mirrors) / 2.0
 
 
+def _half_blocks(h: int, k: int, n: int):
+    """(a, b, rows, cols, left, right) for the (+, +), (-, -) and (+, -) blocks
+    of a stack split at h with n heads, in the order of ``_half_diagonals``:
+    halves a and b (0 for +, 1 for -), their energies, and the coordinates of
+    Y_a and Y_b that Q_a^T D Q_b touches.  h == k keeps (+, +) alone."""
+    plus, minus, every = slice(None, h), slice(h, None), slice(None)
+    blocks = [(0, 0, plus, plus, every, every), (1, 1, minus, minus, every, every), (0, 1, plus, minus, slice(h - n, h), slice(None, n))]
+    return blocks if h < k else blocks[:1]
+
+
+def _sandwich(left, d, right):
+    """left^T diag(d) right for each sector of a stack."""
+    return left.swapaxes(-1, -2) @ (d[..., None] * right)
+
+
 def _thermal_tail(beta: float, omega: float, n: int) -> float:
     """Thermal population above level n, exactly exp(-beta*omega*n): n holds when it is below tail_tol."""
     return math.exp(-beta * omega * n)
@@ -536,57 +552,41 @@ def _phases(times, energies):
         return _finite(np.cos(et), "time"), np.sin(et)
 
 
-def _sector_parts(energies, vectors, t: float, columns=slice(None)):
-    """c, then s, with vectors e^{-iEt} vectors[:, columns]^dag = c + i s on
-    each sector of a half-stack, columns of Hermitian matrices: real products
-    where the vectors are real, each formed as it is taken."""
+def _sector_parts(energies, vectors, t: float):
+    """c, then s, each formed as it is taken, of vectors e^{-iEt} vectors^T = c + i s on a real half-stack."""
     cos, sin = _phases(t, energies)
-    v_dag = vectors[:, columns].conj().swapaxes(-1, -2)
-    yield vectors @ (cos[..., :, None] * v_dag)
-    yield vectors @ (-sin[..., :, None] * v_dag)
+    v_t = vectors.swapaxes(-1, -2)
+    yield vectors @ (cos[..., :, None] * v_t)
+    yield vectors @ (-sin[..., :, None] * v_t)
 
 
 def _sector_state(stack, t: float, w, n, p, q):
-    """rho(t) = U(t) diag(w) U(t)^dag for a stack of sectors, at local entries
-    (p, q) of its sectors n, from the halves alone.
-
-    U = diag(z) Q (C + i S) Q^T diag(z)^dag with C + i S = blockdiag(U+, U-)
-    for U+- = Y+- e^{-iE+-t} Y+-^dag, so rho(t) = diag(z) Q R Q^T diag(z)^dag
-    with R = CWC + SWS + i (X - X^dag) for X = SWC and W = Q^T diag(w) Q,
-    whose (+, +) and (-, -) blocks are diagonal and (+, -) block diagonal on
-    the heads' coordinates (``_half_diagonals``): R+- takes the heads'
-    columns of U+ and U- alone.  Each state has at most one coordinate per
-    half, so each entry gathers four entries of R, one block at a time, and
-    no k x k array is formed.
-    """
-    index, energies, y_plus, y_minus, z, sign = stack
-    h, heads = y_plus.shape[-1], sign.shape[-1]
-    at, weight = _exchange_rows(index.shape[1], h, sign)
-    diagonals = _half_diagonals(w, h, heads)
-
-    def entries(a, b, r, x, x_back):
-        # Q_a R Q_b^T at the entries for the block R = r + i (x - x_back^dag) between halves a and b
-        i, j = at[a, p], at[b, q]
-        return weight[a, n, p] * weight[b, n, q] * (r[n, i, j] + 1j * (x[n, i, j] - x_back[n, j, i].conj())) if r.size else 0.0
-
-    halves = [(energies[:, :h], y_plus, slice(h - heads, h)), (energies[:, h:], y_minus, slice(0, heads))]
-    (c_plus, s_plus), (c_minus, s_minus) = (_sector_parts(*half, t, columns) for *half, columns in halves)
-    c_plus *= diagonals[2][..., None, :]
-    s_plus *= diagonals[2][..., None, :]
-    c_minus, s_minus = c_minus.conj().swapaxes(-1, -2), s_minus.conj().swapaxes(-1, -2)
-    r, x, x_back = c_plus @ c_minus + s_plus @ s_minus, s_plus @ c_minus, (c_plus @ s_minus).conj().swapaxes(-1, -2)
-    out = entries(0, 1, r, x, x_back) + entries(1, 0, r.conj().swapaxes(-1, -2), x_back, x)
-    del r, x, x_back
-    for a, (energies, vectors, _) in enumerate(halves):
-        c, s = _sector_parts(energies, vectors, t)
-        root = np.sqrt(diagonals[a])[..., None, :]
-        c *= root
-        s *= root
-        x = s @ c.conj().swapaxes(-1, -2)
-        r = c @ c.conj().swapaxes(-1, -2)
-        r += np.matmul(s, s.conj().swapaxes(-1, -2), out=c)
-        out += entries(a, a, r, x, x)
-        del c, s, x, r
+    """rho(t) = U(t) diag(w) U(t)^dag at local entries (p, q) of the sectors
+    n of a stack, from the halves alone: diag(z) V (G o e^{-i(E_j - E_k)t})
+    V^dag diag(z)^dag for V = Q blockdiag(Y+, Y-) and G = V^dag diag(w) V.
+    Each block of ``_half_blocks`` is R_ab = Y_a (G_ab o e^{-i(E_a - E_b)t})
+    Y_b^dag, G_ab being the kernel's rho with Y_a conjugated, and R_-+ =
+    R_+-^dag; the phases' real and imaginary parts take two products each,
+    real where Y is.  Each state has at most one coordinate per half, so each
+    entry gathers one entry of each block: no k x k array is formed."""
+    index, energies, *halves, z, sign = stack
+    (_, k), h, heads = index.shape, halves[0].shape[-1], sign.shape[-1]
+    (at, weight), (cos, sin) = _exchange_rows(k, h, sign), _phases(t, energies)
+    out = np.zeros(len(p), dtype=np.complex128)
+    for (a, b, rows, cols, left, right), diagonal in zip(_half_blocks(h, k, heads), _half_diagonals(w, h, heads)):
+        g = _sandwich(halves[a][:, left].conj(), diagonal, halves[b][:, right])
+        c_a, s_a, c_b, s_b = cos[:, rows, None], sin[:, rows, None], cos[:, None, cols], sin[:, None, cols]
+        # e^{-i(E_a - E_b)t} = (c_a c_b + s_a s_b) + i (c_a s_b - s_a c_b), one part at a time
+        for unit, (x, y, u, v) in ((1.0, (c_a, c_b, s_a, s_b)), (1j, (c_a, s_b, -s_a, c_b))):
+            part = x * y
+            part += u * v
+            part = g * part
+            part = halves[a] @ part
+            part = part @ halves[b].conj().swapaxes(-1, -2)
+            out += unit * part[n, at[a, p], at[b, q]] * weight[a, n, p] * weight[b, n, q]
+            if a != b:  # R_-+ = R_+-^dag
+                out += (unit * part[n, at[a, q], at[b, p]]).conj() * weight[b, n, p] * weight[a, n, q]
+            del part
     return out * (z[n, p] * z[n, q].conj())
 
 
@@ -632,9 +632,10 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     terms), one per stack of sectors, and terms a tuple of (rows, cols, K,
     weights): the block K[rows, cols] of a kernel, whose real contraction
     times weights adds to (tr(H_a rho), tr(H_b rho)).  Each block of V^T
-    diag V is a half-size product Y_a^T (Q_a^T diag Q_b) Y_b whose middle
-    factor is diagonal (``_half_diagonals``).  This is the one place that
-    lays a kernel out on a stack's split h.
+    diag V is the half-size ``_sandwich`` Y_a^T (Q_a^T diag Q_b) Y_b of a
+    block of ``_half_blocks``, whose middle factor is diagonal
+    (``_half_diagonals``); rho(t) reads the same blocks of rho.  This is the
+    one place that weights a kernel's blocks on a stack's split h.
 
     A stack split by the mode exchange (h < k) keeps K_a alone: the exchange
     P gives P D_a P^T = D_b and P V = diag(sigma) V S for S = +1 on the first
@@ -647,26 +648,16 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     w = thermal_product_state(sys, prep, cfg)
     d_a, d_b = _bare_levels(sys, cfg)
 
-    def product(left, diag, right):
-        # Y_left^T diag(diag) Y_right for each sector of a stack
-        return left.swapaxes(-1, -2) @ (diag[..., None] * right)
-
     kernels = []
-    for index, energies, y_plus, y_minus, _, sign in eigensystem(sys, cfg):
-        h, n = y_plus.shape[-1], sign.shape[-1]
-        # (rows, columns) of Y for the (+, +), (-, -) and (+, -) blocks: the last touches the heads alone
-        factors = [(y_plus, y_plus), (y_minus, y_minus), (y_plus[:, h - n :], y_minus[:, :n])]
-        plus, minus = slice(None, h), slice(h, None)  # plus is the whole sector where h == k
-        if h < index.shape[1]:
-            layout = [(plus, plus, 0, [(d_a, (1.0, 1.0))]), (minus, minus, 1, [(d_a, (1.0, 1.0))]), (plus, minus, 2, [(d_a, (2.0, -2.0))])]
-        else:
-            layout = [(plus, plus, 0, [(d_a, (1.0, 0.0)), (d_b, (0.0, 1.0))])]
+    for index, energies, *halves, _, sign in eigensystem(sys, cfg):
+        (_, k), h, n = index.shape, halves[0].shape[-1], sign.shape[-1]
         terms = []
-        for rows, cols, block, levels in layout:
-            left, right = factors[block]
-            rho = product(left, _half_diagonals(w[index], h, n)[block], right)
+        for block, (a, b, rows, cols, left, right) in enumerate(_half_blocks(h, k, n)):
+            y_a, y_b = halves[a][:, left], halves[b][:, right]
+            rho = _sandwich(y_a, _half_diagonals(w[index], h, n)[block], y_b)
+            levels = [(d_a, (1.0, 1.0) if a == b else (2.0, -2.0))] if h < k else [(d_a, (1.0, 0.0)), (d_b, (0.0, 1.0))]
             for d, weights in levels:
-                kernel = product(left, _half_diagonals(d[index], h, n)[block], right) * rho
+                kernel = _sandwich(y_a, _half_diagonals(d[index], h, n)[block], y_b) * rho
                 kernel.setflags(write=False)
                 terms.append((rows, cols, kernel, weights))
         kernels.append((energies, tuple(terms)))
@@ -934,13 +925,16 @@ def effective_hamiltonian(
         rows, cols, v = parts.entries(-(parts.d_a + parts.d_b))
         blocks = eigensystem(sys, cfg)
     else:
-        if np.shape(interaction) != (cfg.dim, cfg.dim):
-            raise ModelError(f"interaction override must be {cfg.dim} x {cfg.dim}, got shape {np.shape(interaction)}")
-        _require_hermitian(interaction, "interaction override")
+        try:
+            h = np.array(interaction, dtype=np.complex128)  # a copy, since H = V + H0 is built in it
+        except (TypeError, ValueError) as err:
+            raise ModelError(f"interaction override must be a numeric matrix: {err}") from None
+        if h.shape != (cfg.dim, cfg.dim):
+            raise ModelError(f"interaction override must be {cfg.dim} x {cfg.dim}, got shape {h.shape}")
+        _require_hermitian(h, "interaction override")
         d_a, d_b = _bare_levels(sys, cfg)
-        rows, cols, v = _nonzero_entries(interaction)
-        h = interaction.copy()
-        h.flat[:: cfg.dim + 1] += d_a + d_b  # H = V + H0
+        rows, cols, v = _nonzero_entries(h)
+        h.flat[:: cfg.dim + 1] += d_a + d_b
         blocks = _eigh_sectors(HamiltonianParts(*_nonzero_entries(h), d_a, d_b))
     _, rho_b_t = _partial_traces(blocks, t, w, cfg.n_a, cfg.n_b)
     # tr_b[V (I (x) rho_b)]_ij = sum_kl V_(ik),(jl) (rho_b)_lk, over the entries of V

@@ -260,3 +260,21 @@ class TestEvolve:
         sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
         with pytest.raises(ModelError, match="64 x 64"):
             effective_hamiltonian(0.5, sys_, ThermalPreparation(1.0, 1.0), cfg, interaction=bad)
+
+    @pytest.mark.parametrize("form", [np.asarray, np.ndarray.tolist], ids=["int", "list"])
+    def test_integer_and_list_overrides_match_the_float_one(self, form):
+        # the override is taken as a complex matrix once, so an integer one
+        # (N_a N_b from integer levels, and an integer hopping) or nested lists
+        # give the float override's h_eff exactly
+        cfg, prep = FockConfig(6, 6, tail_tol=0.5), ThermalPreparation(1.0, 1.5)
+        number, hop = np.diag(np.arange(6)), np.eye(6, k=1, dtype=int) + np.eye(6, k=-1, dtype=int)
+        override = np.kron(number, number) + np.kron(hop, hop)
+        sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
+        want = effective_hamiltonian(0.7, sys_, prep, cfg, interaction=override.astype(float))
+        assert np.array_equal(effective_hamiltonian(0.7, sys_, prep, cfg, interaction=form(override)), want)
+
+    @pytest.mark.parametrize("bad", [np.full((64, 64), "x"), [[0.0] * 64] * 63 + [[0.0]], {"v": 1.0}], ids=["strings", "ragged", "dict"])
+    def test_rejects_non_numeric_interaction(self, bad):
+        sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
+        with pytest.raises(ModelError, match="numeric matrix"):
+            effective_hamiltonian(0.5, sys_, ThermalPreparation(1.0, 1.0), FockConfig(8, 8, tail_tol=0.5), interaction=bad)

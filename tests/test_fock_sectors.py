@@ -696,18 +696,23 @@ PEAK_CALLS = {
 # mode exchange, with no k x k block of a split sector and no complex
 # stack-sized array: a cold LINEAR eigensystem holds the half blocks of one
 # parity sector (576 states, 2.5 MiB each), their eigenvectors and those of
-# the stack before it, and the rho(t) routes form half-size products one
-# block at a time.  Each bound below is the measured peak plus the margin
-# named, and sits under the peak of the whole-sector routes before them
+# the stack before it.  The rho(t) routes hold, one block at a time, G_ab and
+# one real part of G_ab o e^{-i(E_a - E_b)t} with its product: three real
+# squares of a half (7.6 MiB for LINEAR) or of a whole sector (30.4 MiB for
+# minimal-a, 1152 states), besides the entries they gather.  Each bound below
+# is the measured peak plus the margin named, and sits under the peaks of the
+# routes before them, the U(t) diag(w) U(t)^dag halves and the whole sectors
 # (numpy 2.4, 48 levels); spectrum_match keeps no eigenvectors at all.
 TIGHTER_PEAKS = {
     ("linear", "eigensystem"): 20 * 2**20,  # 16.4 MiB + 22 %, whole sectors 39.1
     ("rwa", "eigensystem"): int(1.25 * 2**20),  # 1.15 MiB + 9 %, whole sectors 1.29
-    ("linear", "entropy_production"): 44 * 2**20,  # 37.3 MiB + 18 %, whole sectors 56.5
-    ("linear", "effective_hamiltonian"): 44 * 2**20,  # 38.0 MiB + 16 %, whole sectors 57.2
-    ("linear", "true_heat_transfer_identity"): 28 * 2**20,  # 22.8 MiB + 23 %, whole sectors 42.4
+    ("linear", "entropy_production"): 26 * 2**20,  # 21.9 MiB + 19 %, U W U^dag halves 37.3, whole sectors 56.5
+    ("linear", "effective_hamiltonian"): 26 * 2**20,  # 22.6 MiB + 15 %, U W U^dag halves 38.0, whole sectors 57.2
+    ("linear", "true_heat_transfer_identity"): 28 * 2**20,  # 21.4 MiB + 31 %, U W U^dag halves 22.8, whole sectors 42.4
     ("minimal-a", "eigensystem"): 44 * 2**20,
     ("minimal-a", "spectrum_match"): 32 * 2**20,
+    ("minimal-a", "entropy_production"): 50 * 2**20,  # 44.0 MiB + 14 %, U W U^dag 56.2
+    ("minimal-a", "effective_hamiltonian"): 50 * 2**20,  # 45.3 MiB + 10 %, U W U^dag 57.5
 }
 
 
