@@ -22,7 +22,7 @@ import itertools
 import os
 import sys as _sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from .model import (
     SingularCouplingError,
     ThermalPreparation,
 )
-
-if TYPE_CHECKING:
-    from .fock import FockConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -138,7 +135,7 @@ class _Param(NamedTuple):
     convert: Callable[[str], object]
     builtin: object  # the value given by neither flag nor file; None leaves it to the command
     help: str
-    reads: tuple[str, ...]  # the commands that read it; the others refuse it, and one reader alone owns its flag
+    reads: tuple[str, ...]  # the commands that read it; the others refuse it
     choices: tuple[str, ...] | None = None
 
 
@@ -151,10 +148,10 @@ _PARAMS = {param.key: param for param in (
     _Param("kind", str, InteractionKind.LINEAR.value, "interaction kind", _ORACLE, tuple(k.value for k in InteractionKind)),
     _Param("mass", float, None, "mass for minimal-coupling kinds (default 1)", _ORACLE),
     _Param("charge", float, None, "coupling q for minimal-coupling kinds (default 0)", _ORACLE),
-    _Param("beta_a", float, None, "inverse temperature of oscillator a", ("sweep", *_ORACLE)),
-    _Param("beta_b", float, None, "inverse temperature of oscillator b", _ORACLE),
-    _Param("temp_a", float, None, "temperature of a (k_B = 1; excludes --beta-a)", _ORACLE),
-    _Param("temp_b", float, None, "temperature of b (excludes --beta-b)", _ORACLE),
+    _Param("beta_a", float, None, "inverse temperature of oscillator a", ("sweep", "compare")),
+    _Param("beta_b", float, None, "inverse temperature of oscillator b", ("compare",)),
+    _Param("temp_a", float, None, "temperature of a (k_B = 1; excludes --beta-a)", ("compare",)),
+    _Param("temp_b", float, None, "temperature of b (excludes --beta-b)", ("compare",)),
     _Param("t_max", float, None, "largest time on the grid (default 20 for compare, 50/omega otherwise)", _TIMED),
     _Param("samples", positive_int, None, "grid points (default 1000 for figures 1-3, 200 for figures 4-5, "
            "512 for sweep, 81 for compare)", _TIMED),
@@ -168,6 +165,7 @@ _PARAMS = {param.key: param for param in (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsubthermo",
+        allow_abbrev=False,  # a flag is spelled in full, here and after each command
         description="Heat transfer between two thermal oscillators: "
         "figures, sweeps, oracle comparisons and decomposition audits.",
     )
@@ -176,20 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, help="output path (default stdout)")
 
     commands = parser.add_subparsers(dest="command", required=True)
-    fig = commands.add_parser("figure", help="reproduce one of the five preset curves as CSV")
+    add_command = functools.partial(commands.add_parser, allow_abbrev=False)
+    fig = add_command("figure", help="reproduce one of the five preset curves as CSV")
     fig.add_argument("number", type=int, choices=range(1, 6))
-    comp = commands.add_parser("compare", help="analytic vs Fock-oracle heat curves (default beta = 1, 2)")
+    comp = add_command("compare", help="analytic vs Fock-oracle heat curves (default beta = 1, 2)")
     comp.add_argument("--tol", type=_tolerance, default=1e-6, help="max relative deviation allowed")
-    commands.add_parser("audit", help="commutator norms of the decomposition")
-    commands.add_parser("sweep", help="violation classification over a (g, dbeta) grid")
-    # Table flags keep argparse's default None, so _resolve can tell an absent
-    # flag from a given one.  Built-in values must not go into a command's
-    # set_defaults: those overwrite a global flag given on the command line.
+    add_command("audit", help="commutator norms of the decomposition")
+    add_command("sweep", help="violation classification over a (g, dbeta) grid")
+    # A table flag parses on either side of the command: before it, None tells
+    # _resolve an absent flag from a given one; after it, SUPPRESS keeps the
+    # value given before unless given again.  _resolve refuses the unread ones.
     for param in _PARAMS.values():
         notes = ("" if param.builtin is None else f" (default {param.builtin})") + "; read by " + ", ".join(param.reads)
-        (parser if len(param.reads) > 1 else commands.choices[param.reads[0]]).add_argument(
-            "--" + param.key.replace("_", "-"), type=param.convert, choices=param.choices, help=param.help + notes
-        )
+        for owner, default in [(parser, None), *((command, argparse.SUPPRESS) for command in commands.choices.values())]:
+            owner.add_argument("--" + param.key.replace("_", "-"), type=param.convert, choices=param.choices,
+                               default=default, help=param.help + notes)
     return parser
 
 
@@ -245,7 +244,7 @@ def _preparation(args: argparse.Namespace) -> ThermalPreparation:
         if args.beta_a is None or args.beta_b is None:
             raise ModelError("both --beta-a and --beta-b are required")
         return ThermalPreparation(args.beta_a, args.beta_b)
-    return ThermalPreparation.from_temperatures(TEMP_HOT, TEMP_COLD)
+    return ThermalPreparation(*COMPARE_BETAS)
 
 
 def _system(args: argparse.Namespace) -> OscillatorSystem:
@@ -253,14 +252,6 @@ def _system(args: argparse.Namespace) -> OscillatorSystem:
     defaults = (0.0, 1.0, 0.0) if kind in MINIMAL_KINDS else (0.0 if kind is InteractionKind.NONE else 0.1, None, None)
     g, m, q = (d if v is None else v for v, d in zip((args.g, args.mass, args.charge), defaults))
     return OscillatorSystem(args.omega, args.omega, kind, g=g, m=m, q=q)
-
-
-def _fock_config(args: argparse.Namespace, sys_: OscillatorSystem, prep: ThermalPreparation) -> FockConfig:
-    from .fock import FockConfig
-
-    if args.fock_n is not None:
-        return FockConfig(args.fock_n, args.fock_n, tail_tol=args.tail_tol)
-    return FockConfig.auto(sys_, prep, tail_tol=args.tail_tol)
 
 
 def run_figure(args: argparse.Namespace, out: TextIO) -> int:
@@ -309,13 +300,14 @@ def run_figure(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def run_compare(args: argparse.Namespace, out: TextIO) -> int:
-    from .fock import heat_series_numeric
+    from .fock import FockConfig, heat_series_numeric
 
-    if all(getattr(args, key) is None for key in ("beta_a", "beta_b", "temp_a", "temp_b")):
-        args.beta_a, args.beta_b = COMPARE_BETAS
     sys_ = _system(args)
     prep = _preparation(args)
-    cfg = _fock_config(args, sys_, prep)
+    if args.fock_n is None:
+        cfg = FockConfig.auto(sys_, prep, tail_tol=args.tail_tol)
+    else:
+        cfg = FockConfig(args.fock_n, args.fock_n, tail_tol=args.tail_tol)
     t_max = args.t_max if args.t_max is not None else 20.0
     samples = args.samples if args.samples is not None else 81
     times = np.linspace(0.0, t_max, samples)
@@ -337,11 +329,10 @@ def run_compare(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def run_audit(args: argparse.Namespace, out: TextIO) -> int:
-    sys_ = _system(args)
-    prep = _preparation(args)  # the norms ignore it, but bad temperature flags still fail
-    if args.fock_n is None:
-        args.fock_n = AUDIT_LEVELS
-    audit = decomposition_audit(sys_, _fock_config(args, sys_, prep))
+    from .fock import FockConfig
+
+    levels = args.fock_n if args.fock_n is not None else AUDIT_LEVELS
+    audit = decomposition_audit(_system(args), FockConfig(levels, levels, tail_tol=args.tail_tol))
     print(f"norm_H0V={audit.norm_h0v:.6e}", file=out)
     print(f"norm_HV={audit.norm_hv:.6e}", file=out)
     print(f"norm_H0H={audit.norm_h0h:.6e}", file=out)

@@ -552,14 +552,6 @@ def _phases(times, energies):
         return _finite(np.cos(et), "time"), np.sin(et)
 
 
-def _sector_parts(energies, vectors, t: float):
-    """c, then s, each formed as it is taken, of vectors e^{-iEt} vectors^T = c + i s on a real half-stack."""
-    cos, sin = _phases(t, energies)
-    v_t = vectors.swapaxes(-1, -2)
-    yield vectors @ (cos[..., :, None] * v_t)
-    yield vectors @ (-sin[..., :, None] * v_t)
-
-
 def _sector_state(stack, t: float, w, n, p, q):
     """rho(t) = U(t) diag(w) U(t)^dag at local entries (p, q) of the sectors
     n of a stack, from the halves alone: diag(z) V (G o e^{-i(E_j - E_k)t})
@@ -721,15 +713,15 @@ def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg:
     w = thermal_product_state(sys, prep, cfg)
     t = _checked(t, "time", scalar=True)
     transitions = []
-    for index, energies, y_plus, y_minus, _, sign in eigensystem(sys, cfg):
-        (_, k), h = index.shape, y_plus.shape[-1]
+    for index, energies, *halves, _, sign in eigensystem(sys, cfg):
+        (_, k), h = index.shape, halves[0].shape[-1]
         at, weight = _exchange_rows(k, h, sign)
-        halves = [(a, _sector_parts(e, y, t)) for a, e, y in ((0, energies[:, :h], y_plus), (1, energies[:, h:], y_minus)) if y.size]
         probs = None
-        for _ in "cs":  # |U|^2 = c^2 + s^2 for U = Q blockdiag(U+, U-) Q^T = c + i s: c, then s
+        for phase in _phases(t, energies):  # |U|^2 = c^2 + s^2 for U = Q blockdiag(U+, U-) Q^T = c - i s
             part = None
-            for a, parts in halves:
-                x = next(parts)
+            for a, _, rows, *_ in _half_blocks(h, k, sign.shape[-1])[:2]:  # (+, +), then (-, -) on a split stack
+                y_t = halves[a].swapaxes(-1, -2)
+                x = _sandwich(y_t, phase[:, rows], y_t)  # Y_a diag(phase) Y_a^T
                 if h < k:  # Q_a x Q_a^T over every pair of states; Q = 1 on an unsplit sector
                     x = x.take(at[a], axis=1).take(at[a], axis=2)
                     x *= weight[a, :, :, None]

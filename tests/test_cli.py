@@ -261,21 +261,19 @@ class TestCompareCommand:
 
 class TestAuditCommand:
     def test_rwa_audit_reports_safe(self, capsys):
-        code = main(["--kind", "rwa", "--g", "0.1", "--beta-a", "0.5", "--beta-b", "1.0",
-                     "--fock-n", "12", "--tail-tol", "1e-2", "audit"])
+        code = main(["--kind", "rwa", "--g", "0.1", "--fock-n", "12", "--tail-tol", "1e-2", "audit"])
         assert code == 0
         out = capsys.readouterr().out
         assert "csl_safe=true" in out
 
     def test_bare_audit_runs_at_the_fixed_cutoff(self, capsys):
-        # The default linear coupling under the default T = 100/50 preparation:
-        # no cutoff can hold that thermal tail, but the norms ignore temperature.
+        # The default linear coupling: the norms ignore temperature, so audit
+        # takes none and sizes no cutoff from a thermal tail.
         assert main(["audit"]) == 0
         assert "csl_safe=false" in capsys.readouterr().out
 
     def test_linear_audit_reports_unsafe(self, capsys):
-        code = main(["--kind", "linear", "--g", "0.1", "--beta-a", "0.5", "--beta-b", "1.0",
-                     "--fock-n", "12", "--tail-tol", "1e-2", "audit"])
+        code = main(["--kind", "linear", "--g", "0.1", "--fock-n", "12", "--tail-tol", "1e-2", "audit"])
         assert code == 0
         out = capsys.readouterr().out
         assert "csl_safe=false" in out
@@ -347,8 +345,7 @@ class TestConfigFile:
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "kind = rwa\ng = 0.1  # coupling\nbeta_a = 0.5\nbeta_b = 1.0\n"
-            "fock_n = 12\ntail_tol = 1e-2\n",
+            "kind = rwa\ng = 0.1  # coupling\nfock_n = 12\ntail_tol = 1e-2\n",
             encoding="utf-8",
         )
         assert main(["--config", str(cfg), "audit"]) == 0
@@ -410,15 +407,17 @@ class TestConfigFile:
                                             ("--beta-a", "nan"), ("--beta-b", "inf")])
     def test_non_finite_parameter_exit_code(self, flag, value, capsys):
         argv = ["--kind", "linear", "--beta-a", "0.5", "--beta-b", "1", "--fock-n", "12",
-                "--tail-tol", "1e-2", flag, value, "audit"]
+                "--tail-tol", "1e-2", flag, value, "compare"]
         assert main(argv) == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
 
-    def test_bad_parameter_exit_code(self):
+    def test_bad_parameter_exit_code(self, capsys):
         assert main(["--beta-a", "-1", "--beta-b", "1", "--kind", "rwa", "--fock-n", "12",
-                     "audit"]) == EXIT_VALIDATION
+                     "compare"]) == EXIT_VALIDATION
+        assert "inverse temperatures must be positive" in capsys.readouterr().err
         assert main(["--beta-a", "0.5", "--temp-a", "100", "--temp-b", "50",
-                     "--kind", "rwa", "--fock-n", "12", "audit"]) == EXIT_VALIDATION
+                     "--kind", "rwa", "--fock-n", "12", "compare"]) == EXIT_VALIDATION
+        assert "either betas or temperatures" in capsys.readouterr().err
 
 
 def file_error_argv(case, tmp_path):
@@ -568,6 +567,16 @@ class TestParameterSurface:
         named = set(re.findall(r"(?<![\w-])--[a-z]+(?:-[a-z]+)*", section))
         assert named == long_options(cli.build_parser())
 
+    def test_readme_names_each_parameters_readers(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        listed = {}
+        for flags, readers in re.findall(r"^\| (`--.*?) \| (.*?) \|", section, re.MULTILINE):
+            for flag in re.findall(r"`--([a-z-]+)", flags):
+                listed[flag.replace("-", "_")] = readers
+        assert listed == {key: "every command" if set(param.reads) == set(COMMAND_ARGV)
+                          else ", ".join(f"`{command}`" for command in param.reads) for key, param in cli._PARAMS.items()}
+
     @pytest.mark.parametrize("argv", PARSER_REJECTS + MODEL_REJECTS, ids=" ".join)
     def test_bad_flag_value_exits_2(self, argv):
         # each of these once ended in a traceback, or (samples 0 for figures
@@ -589,16 +598,17 @@ UNREAD = {
     "figure": ["g", "kind", "mass", "charge", "beta_a", "beta_b", "temp_a", "temp_b", "fock_n", "tail_tol", "g_grid",
                "dbeta_grid"],
     "sweep": ["g", "kind", "mass", "charge", "beta_b", "temp_a", "temp_b", "fock_n", "tail_tol"],
-    "audit": ["t_max", "samples", "g_grid", "dbeta_grid"],
+    "audit": ["beta_a", "beta_b", "temp_a", "temp_b", "t_max", "samples", "g_grid", "dbeta_grid"],
     "compare": ["g_grid", "dbeta_grid"],
 }
-# A value each parameter may take where it is read, so the refusal is the only fault.
-VALID = {"omega": "1", "g": "0.3", "kind": "rwa", "mass": "2", "charge": "0.3", "beta_a": "1", "beta_b": "2",
-         "temp_a": "5", "temp_b": "1", "t_max": "3", "samples": "20", "fock_n": "12", "tail_tol": "1e-2",
-         "g_grid": "0.3", "dbeta_grid": "0.01"}
+# A value each parameter may take where it is read, so the refusal is the only
+# fault; none is its built-in value or its value in READ_SETTINGS.
+VALID = {"omega": "2", "g": "0.3", "kind": "none", "mass": "2", "charge": "0.3", "beta_a": "1.5", "beta_b": "2.5",
+         "temp_a": "5", "temp_b": "1", "t_max": "3", "samples": "7", "fock_n": "12", "tail_tol": "1e-2",
+         "g_grid": "0.3", "dbeta_grid": "0.02"}
 COMMAND_ARGV = {"figure": ["figure", "4"], "sweep": ["sweep"], "audit": ["audit"], "compare": ["compare"]}
 UNREAD_GIVEN = [(command, key, source) for command, keys in UNREAD.items() for key in keys
-                for source in ("flag", "config") if source == "config" or key not in ("g_grid", "dbeta_grid")]
+                for source in ("flag", "flag_after", "config")]
 
 # Small settings on which each command runs quickly from the parameters it reads alone.
 READ_SETTINGS = {
@@ -611,22 +621,24 @@ READ_SETTINGS = {
 
 class TestReadOrRefused:
     def test_readers_are_the_complement_of_the_refused(self):
-        assert sum(map(len, UNREAD.values())) == 27
+        assert sum(map(len, UNREAD.values())) == 31
         read = {(command, key) for key, param in cli._PARAMS.items() for command in param.reads}
         every = {(command, key) for command in COMMAND_ARGV for key in cli._PARAMS}
         assert read == every - {(command, key) for command, keys in UNREAD.items() for key in keys}
-        assert len(read) == 33
+        assert len(read) == 29
 
     @pytest.mark.parametrize("command,key,source", UNREAD_GIVEN, ids=lambda v: v)
     def test_unread_parameter_is_refused(self, tmp_path, capsys, command, key, source):
         cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
         cfg.write_text(f"{key} = {VALID[key]}\n", encoding="utf-8")
-        given = ["--" + key.replace("_", "-"), VALID[key]] if source == "flag" else ["--config", str(cfg)]
-        assert main(["--out", str(out), *given, *COMMAND_ARGV[command]]) == EXIT_VALIDATION
+        flag = ["--" + key.replace("_", "-"), VALID[key]]
+        argv = {"flag": [*flag, *COMMAND_ARGV[command]], "flag_after": [*COMMAND_ARGV[command], *flag],
+                "config": ["--config", str(cfg), *COMMAND_ARGV[command]]}[source]
+        assert main(["--out", str(out), *argv]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"invalid configuration: {command} does not read "
-                                             + ("--" + key.replace("_", "-") if source == "flag" else f"config key {key}")]
+                                             + (flag[0] if source != "config" else f"config key {key}")]
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("command,own", [("figure", {"number": n}) for n in range(1, 6)]
@@ -644,3 +656,78 @@ class TestReadOrRefused:
     def test_resolve_leaves_unread_parameters_off_args(self):
         args = cli._resolve(cli.build_parser().parse_args(["figure", "1"]))
         assert {key for key in cli._PARAMS if hasattr(args, key)} == {"omega", "t_max", "samples"}
+
+
+def config_text(settings):
+    return "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+                   for key, value in settings.items())
+
+
+READ_PAIRS = [(command, key) for key, param in cli._PARAMS.items() for command in param.reads]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("command,key", READ_PAIRS, ids=lambda v: v)
+    def test_flag_after_the_command_reads_as_before(self, tmp_path, capsys, command, key):
+        # over the command's small settings from a file, which set another
+        # value; a pair whose value the model refuses there (--mass with rwa)
+        # must fail the same way
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text(READ_SETTINGS[command]), encoding="utf-8")
+        flag = ["--" + key.replace("_", "-"), VALID[key]]
+        command_argv = [*COMMAND_ARGV[command], *(["--tol", "inf"] if command == "compare" else [])]
+        results = {}
+        for placement, argv in {"before": [*flag, *command_argv], "after": [*command_argv, *flag]}.items():
+            args = cli._resolve(cli.build_parser().parse_args(["--config", str(cfg), *argv]))
+            assert getattr(args, key) == cli._PARAMS[key].convert(VALID[key])
+            out = tmp_path / f"{placement}.csv"
+            code = main(["--out", str(out), "--config", str(cfg), *argv])
+            captured = capsys.readouterr()
+            results[placement] = code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+        assert results["after"] == results["before"]
+
+    def test_flag_on_both_sides_takes_the_value_after_the_command(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["--out", str(out), "--t-max", "5", "--samples", "3", "figure", "1", "--samples", "2"]) == 0
+        assert len(read_csv(out)[1]) == 2
+        assert main(["--out", str(out), "--t-max", "5", "--samples", "2", "figure", "1", "--samples", "3"]) == 0
+        assert len(read_csv(out)[1]) == 3
+
+    def test_a_coupling_flag_is_no_prefix_of_a_sweep_grid(self, capsys):
+        assert main(["sweep", "--g", "0.3"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == ["invalid configuration: sweep does not read --g"]
+
+    @pytest.mark.parametrize("argv", [["--fock", "6", "audit"], ["audit", "--fock", "6"], ["--t-m", "3", "figure", "1"],
+                                      ["sweep", "--g-gr", "0.3"], ["compare", "--to", "inf"]], ids=" ".join)
+    def test_an_abbreviated_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "qsubthermo: error:" in captured.err
+
+
+def benchmark_argv(out):
+    """The argument orders of the benchmark's workloads and self-test, literally,
+    at small cutoffs: flags before the command, --tol after compare, and
+    --tail-tol given to audit."""
+    return {
+        "workloads-curve": ["--t-max", "12.5", "--samples", "24", "--out", out, "figure", "1"],
+        "workloads-figure": ["--out", out, "figure", "4"],
+        "sweep": ["--out", out, "sweep"],  # both spell it so
+        "workloads-compare": ["--kind", "rwa", "--g", "0.3", "--beta-a", "0.5", "--beta-b", "1.0", "--fock-n", "12",
+                              "--tail-tol", "0.01", "--out", out, "compare", "--tol", "inf"],
+        "workloads-audit": ["--kind", "linear", "--g", "0.3", "--fock-n", "12", "--tail-tol", "1e-08", "audit"],
+        "workloads-audit-minimal": ["--kind", "minimal-b", "--mass", "1.3", "--charge", "0.3", "--fock-n", "12",
+                                    "--tail-tol", "1e-08", "audit"],
+        "selftest-figure": ["--out", out, "--samples", "4", "figure", "5"],
+        "selftest-compare": ["--out", out, "--kind", "linear", "--g", "0.15", "--beta-a", "1.5", "--beta-b", "2.5",
+                             "--fock-n", "16", "--tail-tol", "1e-8", "compare"],
+        "selftest-audit": ["--kind", "minimal-b", "--mass", "1.5", "--charge", "0.3", "--fock-n", "12", "audit"],
+    }
+
+
+@pytest.mark.parametrize("name", list(benchmark_argv("")))
+def test_benchmark_argv_spellings_run(tmp_path, capsys, name):
+    assert main(benchmark_argv(str(tmp_path / "out.csv"))[name]) == 0
+    assert capsys.readouterr().err == ""

@@ -96,7 +96,7 @@ def test_heat_contraction_never_reads_the_exchange_split(function):
 
 @pytest.mark.parametrize(
     "function",
-    ["_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_form", "_sector_parts", "_transitions"],
+    ["_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_form", "_transitions"],
 )
 def test_kernels_and_transitions_never_decide_real_or_complex(function):
     # sector_blocks alone decides whether a stack is real, and every system
