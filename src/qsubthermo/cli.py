@@ -363,8 +363,28 @@ def run_sweep(args: argparse.Namespace, out: TextIO) -> int:
 _RUNNERS = {"figure": run_figure, "compare": run_compare, "audit": run_audit, "sweep": run_sweep}
 
 
+def _stray_flag(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """An unknown --flag before the command with the values after it, [] if
+    none: argparse would take its first value for the command and name that."""
+    known, tokens = parser._option_string_actions, iter(argv)
+    for token in tokens:
+        flag, eq, _ = token.partition("=")
+        if flag in known:
+            if known[flag].nargs != 0 and not eq:
+                next(tokens, None)  # its value
+        elif token.startswith("--") and token != "--" and " " not in token:
+            return [token, *itertools.takewhile(lambda value: value not in _RUNNERS and not value.startswith("-"), tokens)]
+        else:
+            return []  # the command, or a positional argparse reports itself
+    return []
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, argv = build_parser(), _sys.argv[1:] if argv is None else argv
+    stray = _stray_flag(parser, argv)
+    if stray:
+        parser.error("unrecognized arguments: " + " ".join(stray))
+    args = parser.parse_args(argv)
     try:
         args = _resolve(args)
         with _output(args.out) as out:

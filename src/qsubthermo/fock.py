@@ -37,9 +37,12 @@ blocks (+, +), (-, -) and (+, -), each a sandwich Y_a^T diag(d) Y_b, serves
 the heat kernel, which weights them for the series to contract all alike,
 and rho(t), the blocks of V^dag diag(w) V with phases e^{-i(E_j - E_k)t}.
 rho(t) vanishes between sectors, so partial traces, traces against H and
-transition probabilities gather its sector blocks: no call returns a dim x
-dim array.  The stacks and their gauge stay inside this module: other
-modules read H as its edge list.
+transition probabilities gather its sector blocks: no call returns a dim x dim
+array.  The reduced states and rho(t) on H share one cached gather per time,
+the thermal sums one cached transition pass.  An even series grid takes libm's
+phases for its first block of times alone and turns each later block from the
+one before, one rounding of E t more per block.  The stacks and their gauge
+stay inside this module: other modules read H as its edge list.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ _DIM_CAP = 64
 # Times evaluated per GEMM in a heat series: bounds the (block x sector size)
 # phase matrix while keeping each product large enough for BLAS.
 _SERIES_BLOCK = 128
+# A series grid is even when each t_j is within this times max |t| of t_0 + j step, as np.linspace leaves it.
+_EVEN_TOL = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -598,16 +603,27 @@ def _evolved(stacks, t: float, w, rows, cols):
     return out
 
 
-def _partial_traces(blocks, t: float, w, n_a: int, n_b: int):
-    """(tr_b rho(t), tr_a rho(t)) from the entries of rho(t) that each sums."""
+def _partial_traces(blocks, t: float, w, n_a: int, n_b: int, rows=(), cols=()):
+    """(tr_b rho(t), tr_a rho(t), rho(t) at (rows, cols)) from one gather of the entries of rho(t)."""
     i, j, k = np.ogrid[:n_a, :n_a, :n_b]  # rho_a[i, j] sums rho[(i, k), (j, k)]
     traced_b = np.broadcast_arrays(i * n_b + k, j * n_b + k)
     i, j, k = np.ogrid[:n_b, :n_b, :n_a]  # rho_b[i, j] sums rho[(k, i), (k, j)]
     traced_a = np.broadcast_arrays(k * n_b + i, k * n_b + j)
-    rows, cols = (np.concatenate([x.ravel(), y.ravel()]) for x, y in zip(traced_b, traced_a))
+    rows, cols = (np.concatenate([x.ravel(), y.ravel(), np.asarray(z, dtype=np.intp)]) for x, y, z in zip(traced_b, traced_a, (rows, cols)))
     values = _evolved(blocks, t, w, rows, cols)
-    split = n_a * n_a * n_b
-    return values[:split].reshape(n_a, n_a, n_b).sum(axis=2), values[split:].reshape(n_b, n_b, n_a).sum(axis=2)
+    split, end = n_a * n_a * n_b, n_a * n_b * (n_a + n_b)
+    return values[:split].reshape(n_a, n_a, n_b).sum(axis=2), values[split:end].reshape(n_b, n_b, n_a).sum(axis=2), values[end:].copy()
+
+
+@functools.lru_cache(maxsize=4)
+def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
+    """(rho_a(t), rho_b(t), rho(t) on ``HamiltonianParts.entries``) at a _checked time, shared read-only."""
+    w = thermal_product_state(sys, prep, cfg)
+    rows, cols, _ = build_hamiltonian(sys, cfg).entries(0.0)
+    state = _partial_traces(eigensystem(sys, cfg), t, w, cfg.n_a, cfg.n_b, rows, cols)
+    for arr in state:
+        arr.setflags(write=False)
+    return state
 
 
 @functools.lru_cache(maxsize=4)
@@ -665,16 +681,29 @@ def _form(left, kernel, right):
 
 
 def _expectations(kernels, times) -> NDArray[np.float64]:
-    """tr(H_a rho(t)) and tr(H_b rho(t)) over every time: per block of times,
-    stacked GEMMs per stack of sectors and term of its kernel, each term
-    contracted on the phases of its rows and columns and added with its
-    weights, summed over sectors.
-    """
-    out = np.zeros((2, len(times)))
-    for start in range(0, len(times), _SERIES_BLOCK):
-        block = slice(start, start + _SERIES_BLOCK)
-        for energies, terms in kernels:
-            c, s = _phases(times[block, None], energies[:, None, :])  # sectors x times x energies
+    """tr(H_a rho(t)) and tr(H_b rho(t)) over every time: per stack of
+    sectors and block of times, stacked GEMMs per term of its kernel, each
+    term contracted on the phases of its rows and columns and added with its
+    weights, summed over sectors.  On an even grid each later block turns the
+    phases of the one before in place by the block's span, by angle addition."""
+    out, count = np.zeros((2, len(times))), len(times)
+    step = (times[-1] - times[0]) / max(count - 1, 1)
+    even = count > _SERIES_BLOCK and np.abs(times - times[0] - np.arange(count) * step).max() <= _EVEN_TOL * np.abs(times).max()
+    for energies, terms in kernels:
+        for start in range(0, count, _SERIES_BLOCK):
+            block = slice(start, start + _SERIES_BLOCK)
+            if not even or start == 0:
+                c, s = _phases(times[block, None], energies[:, None, :])  # sectors x times x energies
+                if even:
+                    _phases(times[-1], energies)  # the last time still checks for overflow
+                    cos_b, sin_b = _phases(_SERIES_BLOCK * step, energies[:, None, :])
+            else:
+                behind = s * sin_b
+                s *= cos_b
+                s += c * sin_b
+                c *= cos_b
+                c -= behind
+                c, s = c[:, : count - start], s[:, : count - start]  # the last block may be short
             for rows, cols, kernel, weights in terms:
                 out[:, block] += np.outer(weights, _form((c[..., rows], s[..., rows]), kernel, (c[..., cols], s[..., cols])))
     return out
@@ -745,10 +774,17 @@ def _average(f, w, transitions, d_a, d_b) -> float:
     return float(total)
 
 
-def _jarzynski(w, transitions) -> float:
-    # weight * exp(f) = exp(-beta_a w'_a) / Z_a * exp(-beta_b w'_b) / Z_b: the
-    # thermal weights of the final level.
-    return float(sum((w[index][..., None, :] @ probs).sum() for index, probs in transitions))
+@functools.lru_cache(maxsize=4)
+def _thermal_sums(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> tuple[float, float]:
+    """(E[f], E[exp f]) for the entropy exponent f at a _checked time, from one transition pass."""
+    w, transitions = _transitions(t, sys, prep, cfg)
+
+    def exponent(ea0, eb0, ea1, eb1):
+        return prep.beta_a * (ea0 - ea1) + prep.beta_b * (eb0 - eb1)
+
+    # weight * exp(f) = exp(-beta_a w'_a - beta_b w'_b) / (Z_a Z_b), the final level's thermal weight
+    jarzynski = float(sum((w[index][..., None, :] @ probs).sum() for index, probs in transitions))
+    return _average(exponent, w, transitions, *_bare_levels(sys, cfg)), jarzynski
 
 
 def classical_average(
@@ -775,7 +811,7 @@ def jarzynski_identity(
     The thermal weights are folded into the exponent before exponentiating, so
     deep-cold preparations cannot overflow.
     """
-    return _jarzynski(*_transitions(t, sys, prep, cfg))
+    return _thermal_sums(float(_checked(t, "time", scalar=True)), sys, prep, cfg)[1]
 
 
 def jensen_bound(
@@ -783,12 +819,8 @@ def jensen_bound(
 ) -> tuple[float, float]:
     """(exp(E[f]), E[exp f]) for the entropy exponent f; the first never exceeds
     the second, which is the free-entropy second law in disguise."""
-    w, transitions = _transitions(t, sys, prep, cfg)
-
-    def exponent(ea0, eb0, ea1, eb1):
-        return prep.beta_a * (ea0 - ea1) + prep.beta_b * (eb0 - eb1)
-
-    return math.exp(_average(exponent, w, transitions, *_bare_levels(sys, cfg))), _jarzynski(w, transitions)
+    mean, jarzynski = _thermal_sums(float(_checked(t, "time", scalar=True)), sys, prep, cfg)
+    return math.exp(mean), jarzynski
 
 
 # An eigenvalue of a density matrix below this is negative, not rounding.
@@ -831,9 +863,9 @@ def entropy_production(
     Diagonalising the composite product directly would drown its deep
     eigenvalue products (below ~1e-30) in eigensolver noise.
     """
-    t = _checked(t, "time", scalar=True)  # before the eigensystem, so a bad time costs nothing
+    t = float(_checked(t, "time", scalar=True))  # before the eigensystem, so a bad time costs nothing
     w = thermal_product_state(sys, prep, cfg)
-    rho_a_t, rho_b_t = _partial_traces(eigensystem(sys, cfg), t, w, cfg.n_a, cfg.n_b)
+    rho_a_t, rho_b_t, _ = _state_at(t, sys, prep, cfg)
     s_a_t = von_neumann_entropy(rho_a_t)
     # rho_a(0) is diagonal in the number basis: its entropy is that of its weights.
     ds_a = s_a_t - _shannon(thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol))
@@ -872,13 +904,12 @@ def true_heat_transfer_identity(
     sector, a route independent of the spectral kernel behind the bare-energy
     report.
     """
-    t_checked = _checked(t, "time", scalar=True)  # before the eigensystem, so a bad time costs nothing
+    t_checked = float(_checked(t, "time", scalar=True))  # before the eigensystem, so a bad time costs nothing
     w = thermal_product_state(sys, prep, cfg)
+    rho_t = _state_at(t_checked, sys, prep, cfg)[2]
+    # H - H_b and H - H_a differ only on the diagonal: the entries of rho(t) on H serve both
     parts = build_hamiltonian(sys, cfg)
-    # H - H_b and H - H_a differ only on the diagonal: one set of entries of rho(t) serves both
-    rows, cols, h_true_a = parts.entries(-parts.d_b)
-    h_true_b = parts.entries(-parts.d_a)[2]
-    rho_t = _evolved(eigensystem(sys, cfg), t_checked, w, rows, cols)
+    h_true_a, h_true_b = parts.entries(-parts.d_b)[2], parts.entries(-parts.d_a)[2]
     # after the gather, so that the kernel this caches and the sector
     # temporaries of rho(t) are never alive together
     report = heat_changes_numeric(sys, prep, cfg, t)
@@ -910,12 +941,12 @@ def effective_hamiltonian(
     ``interaction`` overrides the system's own V (the state still evolves
     under H0 + interaction), which is how non-linear couplings are probed.
     """
-    t = _checked(t, "time", scalar=True)
+    t = float(_checked(t, "time", scalar=True))
     w = thermal_product_state(sys, prep, cfg)
     if interaction is None:
+        rho_b_t = _state_at(t, sys, prep, cfg)[1]
         parts = build_hamiltonian(sys, cfg)
         rows, cols, v = parts.entries(-(parts.d_a + parts.d_b))
-        blocks = eigensystem(sys, cfg)
     else:
         try:
             h = np.array(interaction, dtype=np.complex128)  # a copy, since H = V + H0 is built in it
@@ -927,8 +958,7 @@ def effective_hamiltonian(
         d_a, d_b = _bare_levels(sys, cfg)
         rows, cols, v = _nonzero_entries(h)
         h.flat[:: cfg.dim + 1] += d_a + d_b
-        blocks = _eigh_sectors(HamiltonianParts(*_nonzero_entries(h), d_a, d_b))
-    _, rho_b_t = _partial_traces(blocks, t, w, cfg.n_a, cfg.n_b)
+        rho_b_t = _partial_traces(_eigh_sectors(HamiltonianParts(*_nonzero_entries(h), d_a, d_b)), t, w, cfg.n_a, cfg.n_b)[1]
     # tr_b[V (I (x) rho_b)]_ij = sum_kl V_(ik),(jl) (rho_b)_lk, over the entries of V
     (i, k), (j, l) = np.divmod(rows, cfg.n_b), np.divmod(cols, cfg.n_b)
     terms, target = v * rho_b_t[l, k], i * cfg.n_a + j

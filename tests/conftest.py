@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from qsubthermo import FockConfig, InteractionKind, OscillatorSystem, ThermalPreparation
+from qsubthermo import fock
 from qsubthermo.fock import eigensystem, thermal_product_state
+
+
+def clear_oracle_caches(*keep) -> None:
+    """Empty every cache of the oracle but those in keep, so that the next
+    call, timed or traced, starts cold: a cache added to fock is cleared too."""
+    for cached in vars(fock).values():
+        if callable(getattr(cached, "cache_clear", None)) and cached not in keep:
+            cached.cache_clear()
 
 
 def rwa_system(g: float = 0.1, omega: float = 1.0) -> OscillatorSystem:

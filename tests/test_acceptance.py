@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import clear_oracle_caches
 from qsubthermo import (
     FockConfig,
     InteractionKind,
@@ -36,7 +37,6 @@ from qsubthermo import (
     time_averaged_heat,
     true_heat_transfer_identity,
 )
-from qsubthermo.fock import _heat_kernel, eigensystem
 
 OMEGA = 1.0
 PREP_COOL = ThermalPreparation(0.5, 1.0)
@@ -64,8 +64,7 @@ def linear(g: float) -> OscillatorSystem:
 
 
 def drop_caches() -> None:
-    eigensystem.cache_clear()
-    _heat_kernel.cache_clear()
+    clear_oracle_caches()
 
 
 def test_criterion_01_rwa_closed_form_and_oracle():

@@ -706,6 +706,17 @@ class TestGrammar:
         captured = capsys.readouterr()
         assert captured.out == "" and "qsubthermo: error:" in captured.err
 
+    @pytest.mark.parametrize("argv,named", [(["--fock", "6", "audit"], "--fock 6"), (["audit", "--fock", "6"], "--fock 6"),
+                                            (["--tol", "1e-6", "compare"], "--tol 1e-6"), (["--fock", "audit"], "--fock")],
+                             ids=["before", "after", "tol-before", "without-a-value"])
+    def test_an_unknown_flag_is_named_on_either_side_of_the_command(self, capsys, argv, named):
+        # before the command, argparse alone would take the flag's value for
+        # the command and name the value instead
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines()[-1] == f"qsubthermo: error: unrecognized arguments: {named}"
+
 
 def benchmark_argv(out):
     """The argument orders of the benchmark's workloads and self-test, literally,

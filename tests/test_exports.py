@@ -62,7 +62,7 @@ def test_diagnostics_reads_the_oracle_only_through_h():
 ORACLE_ALGEBRA = [
     "_kron_entries", "sectors", "_grouped", "_stack_layout", "sector_blocks", "_eigh_sectors", "_real_gauge", "eigensystem",
     "_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_sector_state",
-    "_evolved", "_partial_traces", "_transitions",
+    "_evolved", "_partial_traces", "_state_at", "_transitions", "_thermal_sums",
 ]
 
 

@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense, dense_state, dense_unitary, eigenvectors, linear_system, partial_traces, rwa_system
+from conftest import (
+    clear_oracle_caches,
+    dense,
+    dense_state,
+    dense_unitary,
+    eigenvectors,
+    linear_system,
+    partial_traces,
+    rwa_system,
+)
 from qsubthermo import (
     FockConfig,
     HeatReport,
@@ -32,7 +41,9 @@ from qsubthermo import (
     true_heat_transfer_identity,
     von_neumann_entropy,
 )
+from qsubthermo import fock
 from qsubthermo.fock import (
+    _SERIES_BLOCK,
     _heat_kernel,
     _transitions,
     eigensystem,
@@ -186,7 +197,7 @@ class TestHeatNumeric:
             heat_series_numeric(linear_system(), PREP, CFG24, [1.0, t])
 
     def test_empty_series_skips_the_eigensystem(self):
-        eigensystem.cache_clear()
+        clear_oracle_caches()
         assert heat_series_numeric(linear_system(), PREP, CFG24, []) == []
         assert eigensystem.cache_info().misses == 0
 
@@ -239,8 +250,7 @@ def test_oracle_matches_analytic_heats(kind, n, g, times):
         # heat kernel three half-size blocks per sector (about 16 MB); no call
         # builds a dense H or rho(t), so these cached entries are the largest
         # arrays left alive, and clearing them keeps the next case's peak to its own
-        eigensystem.cache_clear()
-        _heat_kernel.cache_clear()
+        clear_oracle_caches()
 
 
 # Every public oracle call that evolves to a time t, as call(t, sys, prep, cfg).
@@ -264,8 +274,7 @@ def test_oracle_rejects_bad_times(call, t, cfg_small):
     # before any eigendecomposition, so they cost nothing, and a finite time
     # whose phases E t overflow is a ModelError, never NaN output or a numpy
     # warning
-    eigensystem.cache_clear()
-    _heat_kernel.cache_clear()
+    clear_oracle_caches()
     with pytest.raises(ModelError, match="finite and non-negative|overflows"):
         call(t, linear_system(g=0.2), PREP, cfg_small)
     if t != 1e308:  # only the overflow needs the energies to show
@@ -302,7 +311,7 @@ def test_single_value_calls_reject_arrays_and_fractions(name, value):
     # broadcast against a sector's energies into a wrong value, a fractional
     # k would fail as a slice bound and True would pass as k = 1: each is a
     # ModelError before any eigendecomposition
-    eigensystem.cache_clear()
+    clear_oracle_caches()
     with pytest.raises(ModelError, match="must be a scalar|integer k"):
         SCALAR_CALLS[name](value, linear_system(g=0.2), PREP, FockConfig(8, 8, tail_tol=0.1))
     assert eigensystem.cache_info().misses == 0
@@ -322,8 +331,7 @@ def test_infeasible_cutoff_fails_before_eigh():
         lambda: entropy_production(1.0, sys_, prep, cfg),
         lambda: effective_hamiltonian(1.0, sys_, prep, cfg),
     ]
-    eigensystem.cache_clear()
-    _heat_kernel.cache_clear()
+    clear_oracle_caches()
     for call in calls:
         with pytest.raises(TruncationError):
             call()
@@ -461,7 +469,7 @@ class TestEntropyProduction:
     def test_flux_reads_rho_b_without_the_heat_kernel(self, sys_):
         # dQ_b comes from the diagonal of the rho_b(t) the production already
         # holds, so a cold call builds no heat kernel, and it is the kernel's dQ_b
-        _heat_kernel.cache_clear()
+        clear_oracle_caches(eigensystem)
         ds_e_a = entropy_production(1.7, sys_, PREP, CFG24).ds_e_a
         assert _heat_kernel.cache_info().currsize == 0
         assert abs(ds_e_a + PREP.beta_b * heat_changes_numeric(sys_, PREP, CFG24, 1.7).dq_b) < 1e-12
@@ -585,3 +593,101 @@ class TestSpectrumMatch:
         sys_a, sys_b = self._pair(0.2)
         with pytest.raises(ModelError, match="k >= 1"):
             spectrum_match(sys_a, sys_b, FockConfig(8, 8), k)
+
+
+def counted(monkeypatch, name: str) -> list:
+    """The arguments of every call of fock's ``name`` from here on."""
+    calls, original = [], getattr(fock, name)
+    monkeypatch.setattr(fock, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def bits(value) -> str:
+    """A report, a float or an array as text that tells every bit apart, signed zeros included."""
+    return value.tobytes().hex() if isinstance(value, np.ndarray) else repr(value)
+
+
+class TestOneEvaluationPerTime:
+    """Each (system, time) is evolved once: the rho(t) routes share one
+    gather, and the two thermal sums one pass of transitions."""
+
+    SYS, CFG, T = linear_system(g=0.2), FockConfig(10, 10, tail_tol=1e-2), 1.7
+    RHO_ROUTES = (entropy_production, effective_hamiltonian, true_heat_transfer_identity)
+
+    def test_rho_routes_share_one_gather_and_match_cold_calls(self, monkeypatch):
+        cold = []
+        for route in self.RHO_ROUTES:
+            clear_oracle_caches()
+            cold.append(bits(route(self.T, self.SYS, PREP, self.CFG)))
+        clear_oracle_caches()
+        evolved = counted(monkeypatch, "_evolved")
+        assert [bits(route(self.T, self.SYS, PREP, self.CFG)) for route in self.RHO_ROUTES] == cold
+        assert len(evolved) == 1
+
+    def test_thermal_sums_share_one_transition_pass(self, monkeypatch):
+        clear_oracle_caches()
+        cold = bits(jensen_bound(self.T, self.SYS, PREP, self.CFG))
+        clear_oracle_caches()
+        transitions = counted(monkeypatch, "_transitions")
+        jarzynski = jarzynski_identity(self.T, self.SYS, PREP, self.CFG)
+        assert bits(jensen_bound(self.T, self.SYS, PREP, self.CFG)) == cold
+        assert len(transitions) == 1 and cold.endswith(f", {jarzynski!r})")
+
+    def test_another_time_preparation_or_cutoff_misses(self, monkeypatch):
+        entropy_production(self.T, self.SYS, PREP, self.CFG)
+        jarzynski_identity(self.T, self.SYS, PREP, self.CFG)
+        evolved, transitions = counted(monkeypatch, "_evolved"), counted(monkeypatch, "_transitions")
+        others = [(self.T + 0.5, PREP, self.CFG), (self.T, ThermalPreparation(0.6, 1.0), self.CFG),
+                  (self.T, PREP, FockConfig(10, 9, tail_tol=1e-2))]
+        for t, prep, cfg in others:
+            effective_hamiltonian(t, self.SYS, prep, cfg)
+            jensen_bound(t, self.SYS, prep, cfg)
+        assert (len(evolved), len(transitions)) == (3, 3)
+
+    def test_override_and_classical_average_stay_uncached(self, monkeypatch):
+        parts = build_hamiltonian(self.SYS, self.CFG)
+        override = dense(parts, -(parts.d_a + parts.d_b))
+        evolved, transitions = counted(monkeypatch, "_evolved"), counted(monkeypatch, "_transitions")
+        for _ in range(2):
+            effective_hamiltonian(self.T, self.SYS, PREP, self.CFG, interaction=override)
+            classical_average(lambda ea0, eb0, ea1, eb1: ea1 - ea0, self.T, self.SYS, PREP, self.CFG)
+        assert (len(evolved), len(transitions)) == (2, 2)
+
+
+class TestEvenGridSeries:
+    """On an even grid a series takes libm's phases for its first block of
+    times alone and turns each later block from the one before."""
+
+    CFG = FockConfig(12, 12, tail_tol=1e-2)
+
+    @pytest.mark.parametrize("sys_", [linear_system(g=0.2), OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.3, q=0.3)],
+                             ids=["linear", "minimal-a"])
+    def test_long_series_matches_the_per_time_libm_route(self, monkeypatch, sys_):
+        times = np.linspace(0.0, 40.0, 2000)
+        heat_series_numeric(sys_, PREP, self.CFG, times[:1])  # the kernel, before the phases are counted
+        phases = counted(monkeypatch, "_phases")
+        series = heat_series_numeric(sys_, PREP, self.CFG, times)
+        # per stack: one block, the last time (its overflow check) and the turn
+        assert sum(np.broadcast(*args).size for args in phases) == (_SERIES_BLOCK + 2) * self.CFG.dim
+        for got, t in zip(series, times, strict=True):
+            want = heat_changes_numeric(sys_, PREP, self.CFG, t)
+            for x, y in ((got.dq_a, want.dq_a), (got.dq_b, want.dq_b), (got.dq_ab, want.dq_ab)):
+                assert abs(x - y) <= 4e-15 * max(1.0, abs(y)), t
+
+    def test_a_nudged_grid_takes_libm_bit_for_bit(self):
+        # one time 1e-9 off the grid makes it uneven, so each block takes
+        # libm's phases exactly as a call on that block alone does
+        sys_, times = linear_system(g=0.2), np.linspace(0.0, 40.0, 300)
+        times[150] += 1e-9
+        blocks = [heat_series_numeric(sys_, PREP, self.CFG, times[start : start + _SERIES_BLOCK])
+                  for start in range(0, len(times), _SERIES_BLOCK)]
+        assert bits(heat_series_numeric(sys_, PREP, self.CFG, times)) == bits([r for block in blocks for r in block])
+
+    def test_an_even_grid_still_raises_where_e_t_overflows(self):
+        # the first block stays finite (E t up to 0.8 of the float maximum);
+        # the later one overflows, which turned phases alone would not show
+        sys_, cfg = linear_system(g=0.2), FockConfig(8, 8, tail_tol=0.1)
+        e_max = max(np.abs(energies).max() for _, energies, *_ in eigensystem(sys_, cfg))
+        t_end = np.finfo(float).max / e_max * 1.25
+        with pytest.raises(ModelError, match="overflows"):
+            heat_series_numeric(sys_, ThermalPreparation(1.0, 2.0), cfg, np.linspace(0.0, t_end, 200))

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, dense_state, dense_unitary, exchange_basis, partial_traces
+from conftest import clear_oracle_caches, dense, dense_state, dense_unitary, exchange_basis, partial_traces
 from qsubthermo import (
     FockConfig,
     HamiltonianParts,
@@ -32,11 +32,11 @@ from qsubthermo import (
 )
 from qsubthermo.fock import (
     _eigh_sectors,
-    _evolved,
     _heat_kernel,
     _nonzero_entries,
     _partial_traces,
     _quadratures,
+    _state_at,
     _transitions,
     destroy,
     eigensystem,
@@ -319,7 +319,7 @@ def test_split_and_whole_sectors_match_dense_evolution(case):
         populations = np.real(np.diag(rho_t)) - w
         assert report.dq_a == pytest.approx(populations @ parts.d_a, abs=1e-12)
         assert report.dq_b == pytest.approx(populations @ parts.d_b, abs=1e-12)
-        rho_a, rho_b = _partial_traces(eigensystem(sys_, cfg), t, w, cfg.n_a, cfg.n_b)
+        rho_a, rho_b, _ = _partial_traces(eigensystem(sys_, cfg), t, w, cfg.n_a, cfg.n_b)
         want_a, want_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
         assert np.abs(rho_a - want_a).max() < 1e-13
         assert np.abs(rho_b - want_b).max() < 1e-13
@@ -430,11 +430,11 @@ def test_one_eigh_per_stack(kind, n, calls, monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    eigensystem.cache_clear()
+    clear_oracle_caches()
     try:
         stacks = eigensystem(SYSTEMS[kind], FockConfig(n, n, tail_tol=1e-2))
     finally:
-        eigensystem.cache_clear()
+        clear_oracle_caches()
     assert len(count) == sum(1 + (y_plus.shape[-1] < index.shape[1]) for index, _, y_plus, *_ in stacks) == calls
 
 
@@ -602,10 +602,12 @@ def test_sector_routes_match_dense_state(kind, levels):
     parts = build_hamiltonian(sys_, cfg)
     rho_t = dense_state(t, sys_, PREP, cfg)
     w = thermal_product_state(sys_, PREP, cfg)
-    rho_a, rho_b = _partial_traces(eigensystem(sys_, cfg), t, w, cfg.n_a, cfg.n_b)
+    rho_a, rho_b, on_h = _state_at(t, sys_, PREP, cfg)
     want_a, want_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
     assert np.abs(rho_a - want_a).max() < 1e-14
     assert np.abs(rho_b - want_b).max() < 1e-14
+    rows, cols, _ = parts.entries(0.0)
+    assert np.abs(on_h - rho_t[rows, cols]).max() < 1e-14
 
     h = dense(parts)
     v = dense(parts, -(parts.d_a + parts.d_b)).reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b)
@@ -656,10 +658,11 @@ def test_half_routes_match_dense_references(kind, layout, g, n, t):
     (report,) = heat_series_numeric(sys_, PREP, cfg, [t])
     populations = np.real(np.diag(rho_t)) - w
     assert abs(report.dq_a - populations @ parts.d_a) < 1e-12 and abs(report.dq_b - populations @ parts.d_b) < 1e-12
-    for got, want in zip(_partial_traces(stacks, t, w, cfg.n_a, cfg.n_b), partial_traces(rho_t, cfg.n_a, cfg.n_b)):
-        assert np.abs(got - want).max() < 1e-12
     rows, cols, _ = parts.entries(-parts.d_b)
-    assert np.abs(_evolved(stacks, t, w, rows, cols) - rho_t[rows, cols]).max() < 1e-12
+    rho_a, rho_b, on_h = _partial_traces(stacks, t, w, cfg.n_a, cfg.n_b, rows, cols)
+    for got, want in zip((rho_a, rho_b), partial_traces(rho_t, cfg.n_a, cfg.n_b), strict=True):
+        assert np.abs(got - want).max() < 1e-12
+    assert np.abs(on_h - rho_t[rows, cols]).max() < 1e-12
     _, transitions = _transitions(t, sys_, PREP, cfg)
     for index, probs in transitions:
         assert np.abs(probs - np.abs(u[index[..., :, None], index[..., None, :]]) ** 2).max() < 1e-12
@@ -718,20 +721,20 @@ TIGHTER_PEAKS = {
 
 def traced_peak(kind: str, call: str) -> int:
     """tracemalloc peak of one call alone: the eigensystem cold when it is the
-    call, warm otherwise, and the heat kernel cold."""
+    call, warm otherwise, and every other cache of the oracle cold."""
     sys_ = PEAK_SYSTEMS[kind]
     if call == "eigensystem":
-        eigensystem.cache_clear()
+        clear_oracle_caches()
     else:
         eigensystem(sys_, CFG48)
-    _heat_kernel.cache_clear()
+        clear_oracle_caches(eigensystem)
     tracemalloc.start()
     try:
         PEAK_CALLS[call](sys_)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _heat_kernel.cache_clear()
+        clear_oracle_caches(eigensystem)
 
 
 @pytest.mark.parametrize(
