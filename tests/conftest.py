@@ -9,8 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qsubthermo import FockConfig, InteractionKind, OscillatorSystem, ThermalPreparation
-from qsubthermo import fock
+from qsubthermo import FockConfig, InteractionKind, OscillatorSystem, ThermalPreparation, fock
 from qsubthermo.fock import eigensystem, thermal_product_state
 
 
