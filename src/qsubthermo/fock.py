@@ -39,10 +39,12 @@ and rho(t), the blocks of V^dag diag(w) V with phases e^{-i(E_j - E_k)t}.
 rho(t) vanishes between sectors, so partial traces, traces against H and
 transition probabilities gather its sector blocks: no call returns a dim x dim
 array.  The reduced states and rho(t) on H share one cached gather per time,
-the thermal sums one cached transition pass.  An even series grid takes libm's
-phases for its first block of times alone and turns each later block from the
-one before, one rounding of E t more per block.  The stacks and their gauge
-stay inside this module: other modules read H as its edge list.
+the thermal sums one cached transition pass.  Each cache drops its one key
+before building another, so one system is held at a time and alternating
+between two rebuilds.  An even series grid takes libm's phases for its first
+block of times alone and turns each later block from the one before, one
+rounding of E t more per block.  The stacks and their gauge stay inside this
+module: other modules read H as its edge list.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -533,10 +536,23 @@ def _require_hermitian(mat: Matrix, what: str) -> None:
         raise ModelError(f"{what} must be Hermitian")
 
 
-# Cache entries hold O(dim^2) arrays at worst, so the capacities are
-# deliberately small; callers that sweep many systems should finish one system
-# before the next.
-@functools.lru_cache(maxsize=3)
+# Cache entries hold O(dim^2) arrays, so each cache keeps its latest key alone
+# and drops it before computing another: two systems' arrays never coexist, and
+# a caller that alternates between two systems rebuilds on every switch.
+def _latest(fn):
+    held, info = {}, {"hits": 0, "misses": 0}
+    def cached(*args):
+        info["hits" if args in held else "misses"] += 1
+        if args not in held:
+            held.clear()  # before fn runs, so the old entry is freed first
+            held[args] = fn(*args)
+        return held[args]
+    cached.cache_clear = lambda: (held.clear(), info.update(hits=0, misses=0))
+    cached.cache_info = lambda: SimpleNamespace(**info, currsize=len(held))
+    return functools.update_wrapper(cached, fn)
+
+
+@_latest
 def eigensystem(sys: OscillatorSystem, cfg: FockConfig):
     """Cached Hermitian eigendecomposition of H, one stack of sectors at a
     time, shared read-only by the ops below: the tuple of ``_eigh_sectors``,
@@ -615,7 +631,7 @@ def _partial_traces(blocks, t: float, w, n_a: int, n_b: int, rows=(), cols=()):
     return values[:split].reshape(n_a, n_a, n_b).sum(axis=2), values[split:end].reshape(n_b, n_b, n_a).sum(axis=2), values[end:].copy()
 
 
-@functools.lru_cache(maxsize=4)
+@_latest
 def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
     """(rho_a(t), rho_b(t), rho(t) on ``HamiltonianParts.entries``) at a _checked time, shared read-only."""
     w = thermal_product_state(sys, prep, cfg)
@@ -626,7 +642,7 @@ def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: Fo
     return state
 
 
-@functools.lru_cache(maxsize=4)
+@_latest
 def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
     """Products that make tr(H_c rho(t)) an O(sum of sector sizes^2) evaluation per time.
 
@@ -774,7 +790,7 @@ def _average(f, w, transitions, d_a, d_b) -> float:
     return float(total)
 
 
-@functools.lru_cache(maxsize=4)
+@_latest
 def _thermal_sums(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> tuple[float, float]:
     """(E[f], E[exp f]) for the entropy exponent f at a _checked time, from one transition pass."""
     w, transitions = _transitions(t, sys, prep, cfg)

@@ -1,7 +1,8 @@
 """Shared systems, preparations and truncation configs for the test suite.
 
-Reusing identical frozen instances across test modules lets the package-level
-eigendecomposition caches serve every test that needs the same Hamiltonian.
+Each oracle cache holds its latest key alone: a cached eigendecomposition
+serves the calls that follow on the same system until a call on another system
+drops it, and ``clear_oracle_caches`` makes the next call start cold.
 """
 
 import math

@@ -1,0 +1,99 @@
+"""Mutation table: each row changes the program in one place and names the test that must fail.
+
+    python3 tests/mutants.py          # every row
+    python3 tests/mutants.py 0 5      # the rows at these indices
+
+Each row is applied to a fresh temporary copy of ``src/`` and ``tests/``, and
+only its named test runs there, one pytest process at a time.  The named tests
+first run once on an unmutated copy, which they must pass.  Exits 1 if any
+mutant survives, a row's old text is not found exactly once, or a named test
+cannot run; exits 0 when every mutant is killed.  pytest does not collect this
+file, so it is no part of the test suite: each row costs one pytest start.
+A new threshold, printed column or exit code lands with its row here.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    test: str
+
+
+MUTANTS = [
+    Mutant("src/qsubthermo/diagnostics.py", "COMMUTATOR_TOL = 1e-10", "COMMUTATOR_TOL = 1e-4",
+           "tests/test_diagnostics.py::TestDecompositionAudit::test_a_weak_linear_coupling_is_not_safe"),
+    Mutant("src/qsubthermo/fock.py", "_EIGENVALUE_FLOOR = -1e-10", "_EIGENVALUE_FLOOR = -1e-2",
+           "tests/test_fock_oracle.py::TestEntropyHelpers::test_entropy_rejects_unphysical_matrix[near]"),
+    Mutant("src/qsubthermo/fock.py", "_HERMITIAN_TOL = 1e-12", "_HERMITIAN_TOL = 1e-3",
+           "tests/test_fock_operators.py::TestEvolve::test_rejects_non_hermitian_hamiltonian[1e-06]"),
+    # compare writes dQ_b under the dS0_analytic,dS0_oracle header
+    Mutant("src/qsubthermo/cli.py", 'for k in ("dq_a", "dq_b", "ds0")]', 'for k in ("dq_a", "dq_b", "dq_b")]',
+           "tests/test_cli.py::TestCompareCommand::test_each_ds0_column_is_its_own_routes_free_entropy"),
+    Mutant("src/qsubthermo/cli.py", "np.maximum(1.0, abs(x))", "np.maximum(1e3, abs(x))",
+           "tests/test_cli.py::TestCompareCommand::test_footer_is_the_largest_deviation_of_the_printed_columns"),
+    # an oracle cache that evicts after computing holds two systems while it builds the second
+    Mutant("src/qsubthermo/fock.py",
+           "            held.clear()  # before fn runs, so the old entry is freed first\n"
+           "            held[args] = fn(*args)\n",
+           "            value = fn(*args)\n            held.clear()\n            held[args] = value\n",
+           "tests/test_fock_oracle.py::TestOneSystemHeld::test_the_last_system_is_freed_before_the_next_is_built"),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def pytest_status(tree: Path, tests: list[str]) -> int:
+    """pytest's exit status for these tests in tree: 0 passed, 1 some failed, anything else could not run."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
+    return proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    rows = [MUTANTS[int(i)] for i in argv] if argv else MUTANTS
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        status = pytest_status(clean, sorted({row.test for row in rows}))
+        if status != 0:
+            print(f"FAIL the named tests do not pass unmutated (pytest status {status})")
+            return 1
+    for index, row in enumerate(rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp) / "mutant"
+            copy_tree(tree)
+            path = tree / row.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(row.old) != 1:
+                verdict = f"old text found {text.count(row.old)} times, not once"
+            else:
+                path.write_text(text.replace(row.old, row.new), encoding="utf-8")
+                status = pytest_status(tree, [row.test])
+                verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"could not run (pytest status {status})")
+        print(f"{'ok  ' if verdict == 'killed' else 'FAIL'} {index}: {row.file}: {row.old.strip()!r} -> "
+              f"{row.new.strip()!r}: {verdict} by {row.test}", flush=True)
+        if verdict != "killed":
+            problems.append(index)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -145,6 +145,31 @@ class TestCompareCommand:
         for row in rows:
             assert all(abs(float(v)) < 1e-12 for v in row[1:])
 
+    # The printed columns at a coarse cutoff, where the two routes differ visibly.
+    COLUMNS_ARGV = ["--kind", "linear", "--g", "0.3", "--beta-a", "0.7", "--beta-b", "1.3", "--fock-n", "12",
+                    "--tail-tol", "1e-2", "--t-max", "10", "--samples", "21", "compare", "--tol", "inf"]
+
+    def printed(self, tmp_path):
+        out = tmp_path / "columns.csv"
+        assert main(["--out", str(out), *self.COLUMNS_ARGV]) == 0
+        header, rows = read_csv(out)
+        return {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}, read_footer(out)
+
+    def test_each_ds0_column_is_its_own_routes_free_entropy(self, tmp_path):
+        columns, _ = self.printed(tmp_path)
+        prep = ThermalPreparation(0.7, 1.3)
+        for route in ("analytic", "oracle"):
+            rows = list(zip(columns[f"dQ_a_{route}"], columns[f"dQ_b_{route}"], columns[f"dS0_{route}"], strict=True))
+            assert [ds0 for *_, ds0 in rows] == [prep.beta_a * dq_a + prep.beta_b * dq_b for dq_a, dq_b, _ in rows]
+
+    def test_footer_is_the_largest_deviation_of_the_printed_columns(self, tmp_path):
+        columns, footer = self.printed(tmp_path)
+        worst = max(abs(x - y) / max(1.0, abs(x))
+                    for name in ("dQ_a", "dQ_b", "dS0")
+                    for x, y in zip(columns[f"{name}_analytic"], columns[f"{name}_oracle"], strict=True))
+        (line,) = footer
+        assert worst > 1e-6 and float(line.removeprefix("# max_relative_deviation,")) == worst
+
     def test_tolerance_breach_exit_code(self, tmp_path):
         out = tmp_path / "breach.csv"
         code = main(

@@ -74,6 +74,12 @@ class TestDecompositionAudit:
         assert audit.norm_h0v == pytest.approx(audit.norm_hv, abs=1e-10)
         assert audit.norm_h0v == pytest.approx(audit.norm_h0h, abs=1e-10)
 
+    def test_a_weak_linear_coupling_is_not_safe(self):
+        # g = 1e-8 at 8 levels audits to 7.9e-7: COMMUTATOR_TOL must sit below it
+        audit = decomposition_audit(linear_system(g=1e-8), FockConfig(8, 8))
+        assert 7e-7 < audit.norm_h0v < 9e-7
+        assert not audit.csl_safe
+
     def test_uncoupled_is_trivially_safe(self, cfg_small):
         audit = decomposition_audit(OscillatorSystem(1.0, 1.0, InteractionKind.NONE), cfg_small)
         assert audit.csl_safe

@@ -235,9 +235,11 @@ class TestEvolve:
             assert np.trace(rho_t).real == pytest.approx(1.0, abs=1e-10)
             assert np.trace(rho_t @ rho_t).real == pytest.approx(purity0, abs=1e-10)
 
-    def test_rejects_non_hermitian_hamiltonian(self, cfg_small):
+    # an asymmetry of 1e-6 is no rounding: it pins _HERMITIAN_TOL well below 1e-6
+    @pytest.mark.parametrize("entry", [1.0, 1e-6])
+    def test_rejects_non_hermitian_hamiltonian(self, cfg_small, entry):
         bad = np.zeros((cfg_small.dim, cfg_small.dim), dtype=complex)
-        bad[0, 1] = 1.0
+        bad[0, 1] = entry
         sys_ = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
         with pytest.raises(ModelError, match="Hermitian"):
             effective_hamiltonian(1.0, sys_, ThermalPreparation(1.0, 1.0), cfg_small, interaction=bad)

@@ -2,6 +2,7 @@
 all the first-principles quantities the oracle computes on its own."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -341,11 +342,11 @@ def test_infeasible_cutoff_fails_before_eigh():
 def test_truncation_monotonicity():
     # doubling the per-mode cutoff moves the reported heats by less than the
     # agreement tolerance once the smaller cutoff already holds the tails
+    # (one cutoff finished before the other, since the oracle caches hold one key)
     sys_ = linear_system(g=0.1)
     prep = ThermalPreparation(1.0, 1.5)
-    for t in (1.0, 5.0):
-        small = heat_changes_numeric(sys_, prep, FockConfig(24, 24, tail_tol=1e-8), t)
-        big = heat_changes_numeric(sys_, prep, FockConfig(48, 48, tail_tol=1e-8), t)
+    smalls, bigs = ([heat_changes_numeric(sys_, prep, FockConfig(n, n, tail_tol=1e-8), t) for t in (1.0, 5.0)] for n in (24, 48))
+    for small, big in zip(smalls, bigs, strict=True):
         assert abs(big.dq_a - small.dq_a) < 1e-6 * max(1.0, abs(big.dq_a))
         assert abs(big.dq_b - small.dq_b) < 1e-6 * max(1.0, abs(big.dq_b))
 
@@ -425,8 +426,10 @@ class TestEntropyHelpers:
         expected = float(-(weights[weights > 0] * np.log(weights[weights > 0])).sum())
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
 
-    def test_entropy_rejects_unphysical_matrix(self):
-        bad = np.diag([1.2, -0.2]).astype(complex)
+    # an eigenvalue of -1e-6 is negative, not rounding: it pins _EIGENVALUE_FLOOR well below 1e-6
+    @pytest.mark.parametrize("levels", [[1.2, -0.2], [0.5, 0.5 + 1e-6, -1e-6]], ids=["far", "near"])
+    def test_entropy_rejects_unphysical_matrix(self, levels):
+        bad = np.diag(levels).astype(complex)
         with pytest.raises(PositivityError):
             von_neumann_entropy(bad)
 
@@ -652,6 +655,35 @@ class TestOneEvaluationPerTime:
             effective_hamiltonian(self.T, self.SYS, PREP, self.CFG, interaction=override)
             classical_average(lambda ea0, eb0, ea1, eb1: ea1 - ea0, self.T, self.SYS, PREP, self.CFG)
         assert (len(evolved), len(transitions)) == (2, 2)
+
+
+class TestOneSystemHeld:
+    """Each oracle cache holds its latest key alone and drops it before
+    building another, so two systems' arrays never coexist."""
+
+    CFG, A, B = FockConfig(12, 12, tail_tol=1e-2), linear_system(g=0.2), linear_system(g=0.3)
+    CACHES = (eigensystem, _heat_kernel, fock._state_at, fock._thermal_sums)
+
+    def test_the_last_system_is_freed_before_the_next_is_built(self, monkeypatch):
+        clear_oracle_caches()
+        heat_series_numeric(self.A, PREP, self.CFG, [0.5, 1.0])
+        y_plus = weakref.ref(eigensystem(self.A, self.CFG)[0][2])
+        kernel = weakref.ref(_heat_kernel(self.A, PREP, self.CFG)[0][0][1][0][2])
+        alive, eigh_sectors = [], fock._eigh_sectors
+        monkeypatch.setattr(fock, "_eigh_sectors", lambda parts: alive.append((y_plus() is None, kernel() is None)) or eigh_sectors(parts))
+        heat_series_numeric(self.B, PREP, self.CFG, [0.5, 1.0])
+        assert alive == [(True, True)]  # both dead before B's eigh
+        heat_series_numeric(self.A, PREP, self.CFG, [0.5, 1.0])  # going back to A builds it again
+        assert len(alive) == 2
+        assert [(cache.cache_info().misses, cache.cache_info().currsize) for cache in self.CACHES[:2]] == [(3, 1)] * 2
+
+    def test_every_cache_holds_one_entry(self):
+        clear_oracle_caches()
+        for sys_ in (self.A, self.B):
+            entropy_production(1.7, sys_, PREP, self.CFG)
+            jensen_bound(1.7, sys_, PREP, self.CFG)
+            heat_changes_numeric(sys_, PREP, self.CFG, 1.7)
+        assert [cache.cache_info().currsize for cache in self.CACHES] == [1] * 4
 
 
 class TestEvenGridSeries:
