@@ -5,8 +5,9 @@ it.  A decomposition is "safe" when the bare energy is a constant of the
 motion, i.e. [H0, V] = 0 (equivalently [H, V] = 0 or [H0, H] = 0 since
 H = H0 + V).  That condition is sufficient for the Clausius sign rule; when it
 fails, the sign rule can break, and the scan classifies the breakage as
-transient (pointwise only, averages recover past a threshold window) or
-persistent (time-averaged transfer still wrong-signed at long windows).
+transient (pointwise only: the long-time average of dQ_ab keeps the Clausius
+sign) or persistent (the long-time average violates), read exactly from the
+exponents of the closed-form table.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analytic import heat_transfer, time_averaged_heat
-from .model import ModelError, OscillatorSystem, ThermalPreparation, _checked, csl_compliant
+from .analytic import _table, heat_transfer
+from .model import ModelError, OscillatorSystem, ThermalPreparation, _checked
 
 if TYPE_CHECKING:
     from .fock import FockConfig
@@ -30,15 +31,6 @@ __all__ = [
     "scan_violations",
     "decomposition_audit",
 ]
-
-#: Shortest averaging window the transient/persistent call considers (times 1/omega).
-TAU_THRESHOLD_CYCLES = 3.0
-
-#: Longest averaging window the transient/persistent call considers (times 1/omega).
-TAU_HORIZON_CYCLES = 50.0
-
-#: Averaging windows the transient/persistent call checks, from the threshold to the horizon.
-TAU_WINDOWS = 32
 
 #: Commutator norms below this make a decomposition csl_safe.
 COMMUTATOR_TOL = 1e-10
@@ -66,10 +58,12 @@ def scan_violations(
 ) -> ViolationProfile:
     """Evaluate dQ_ab on a uniform grid and classify any sign violations.
 
-    Violations are transient when every averaging window tau between 3/omega
-    and the 50/omega horizon yields a compliant time-averaged transfer,
-    persistent when some window does not.  Pointwise values and averages take
-    the same verdict, ``csl_compliant``.
+    Violations are persistent when some exponent mu of the closed-form table
+    has Re mu > 0, and transient otherwise.  That is the long-time average's
+    verdict on every table.  On a stable one the secular terms of K - 1 (those
+    with mu_j + conj(mu_k) = 0) sum to zero, so the average tends to the
+    compliant omega_a (X_a - X_b); on an unstable one the fastest-growing terms
+    of K - 1 oscillate, so the average changes sign without end.
     """
     _checked(t_max, "t_max", positive=True)
     if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
@@ -80,10 +74,8 @@ def scan_violations(
     violations = tuple(grid[~heat_transfer(grid, sys, prep).csl_ok].tolist())
     if not violations:
         return ViolationProfile(violations, Classification.NONE)
-    omega = max(sys.omega_a, sys.omega_b)
-    taus = np.linspace(TAU_THRESHOLD_CYCLES / omega, TAU_HORIZON_CYCLES / omega, TAU_WINDOWS)
-    persistent = not csl_compliant(time_averaged_heat(sys, prep, taus), prep, omega=omega).all()
-    return ViolationProfile(violations, Classification.PERSISTENT if persistent else Classification.TRANSIENT)
+    grows = (_table(sys)[0].real > 0.0).any()
+    return ViolationProfile(violations, Classification.PERSISTENT if grows else Classification.TRANSIENT)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,28 @@ MUTANTS = [
            "            held[args] = fn(*args)\n",
            "            value = fn(*args)\n            held.clear()\n            held[args] = value\n",
            "tests/test_fock_oracle.py::TestOneSystemHeld::test_the_last_system_is_freed_before_the_next_is_built"),
+    # persistent exactly when the flow grows: not on a stable table, and not only past some growth rate
+    Mutant("src/qsubthermo/diagnostics.py", "_table(sys)[0].real > 0.0", "_table(sys)[0].real >= 0.0",
+           "tests/test_diagnostics.py::TestScanViolations::test_linear_just_below_critical_is_transient"),
+    Mutant("src/qsubthermo/diagnostics.py", "_table(sys)[0].real > 0.0", "_table(sys)[0].real > 0.02",
+           "tests/test_diagnostics.py::TestScanViolations::test_linear_just_above_critical_is_persistent[0.5001]"),
+    Mutant("src/qsubthermo/model.py", "VIOLATION_TOL_SCALE = 1e-12", "VIOLATION_TOL_SCALE = 1e-7",
+           "tests/test_detuned.py::test_oracle_follows_the_rabi_formula"),
+    Mutant("src/qsubthermo/fock.py", "ds_e_a = -prep.beta_b * float(dq_b)", "ds_e_a = -prep.beta_b * float(dq_b) * (1 + 1e-6)",
+           "tests/test_fock_oracle.py::TestEntropyProduction::test_flux_reads_rho_b_without_the_heat_kernel[linear]"),
+    # rho_b transposed in effective_hamiltonian: only a complex rho_b tells
+    Mutant("src/qsubthermo/fock.py", "v * rho_b_t[l, k]", "v * rho_b_t[k, l]",
+           "tests/test_fock_sectors.py::test_complex_split_override_matches_dense_evolution[1]"),
+    Mutant("src/qsubthermo/fock.py", "return math.exp(-beta * omega * n)", "return math.exp(-beta * omega * (n + 1))",
+           "tests/test_fock_operators.py::TestFockConfig::test_auto_selection_rejects_infeasible_temperatures[betas1]"),
+    Mutant("src/qsubthermo/fock.py", "reversed_flux_b=-(prep.beta_a / prep.beta_b) * report.dq_a",
+           "reversed_flux_b=-(prep.beta_a / prep.beta_b) * report.dq_b",
+           "tests/test_fock_oracle.py::TestTrueHeat::test_reversed_fluxes"),
+    Mutant("src/qsubthermo/fock.py", "if k > cfg.dim // 4:", "if k > cfg.dim // 2:",
+           "tests/test_fock_oracle.py::TestSpectrumMatch::test_band_limit_enforced"),
+    # a config file's whole-line comments and blank lines no longer skipped
+    Mutant("src/qsubthermo/cli.py", "        if not line:\n            continue\n", "",
+           "tests/test_cli.py::TestConfigFile::test_comment_and_blank_lines_are_skipped"),
 ]
 
 

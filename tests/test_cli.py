@@ -353,6 +353,13 @@ class TestSweepCommand:
         assert by_g[0.49][3] in {"transient", "persistent"}
         assert len(rows) == 2  # the gap row is recorded, not dropped
 
+    def test_slowly_growing_flow_is_persistent(self, tmp_path):
+        # just above g = omega/2 the flow grows more slowly than a 50/omega window shows
+        out = tmp_path / "sweep.csv"
+        assert main(["--out", str(out), "sweep", "--g-grid", "0.5001,0.502"]) == 0
+        assert [(float(row[0]), row[3]) for row in read_csv(out)[1]] == [
+            (0.5001, "persistent"), (0.5001, "persistent"), (0.502, "persistent"), (0.502, "persistent")]
+
     def test_frozen_mode_sweeps(self, tmp_path):
         # beta_a omega = 710 overflows exp; the closed form takes exp(-beta omega) there
         proc = run_fresh(["--out", str(tmp_path / "s.csv"), "--beta-a", "710", "--samples", "32", "sweep",
@@ -378,6 +385,19 @@ class TestConfigFile:
         # flag overrides the file
         assert main(["--config", str(cfg), "--kind", "linear", "audit"]) == 0
         assert "csl_safe=false" in capsys.readouterr().out
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        lines = ["kind = rwa", "g = 0.2", "fock_n = 8"]
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        commented.write_text("\n".join(["# header", lines[0], "", "   # indented comment", *lines[1:]]) + "\n",
+                             encoding="utf-8")
+        outputs = []
+        for cfg in (plain, commented):
+            assert main(["--config", str(cfg), "audit"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert "csl_safe=true" in outputs[0]  # the file was read: the default kind is linear
 
     @pytest.mark.parametrize("key,value", [("quad_tol", "1e-8"), ("tau_threshold", "3")])
     def test_quad_tol_key_rejected(self, tmp_path, capsys, key, value):

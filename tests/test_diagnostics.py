@@ -35,6 +35,14 @@ class TestScanViolations:
         assert profile.violations
         assert profile.classification is Classification.PERSISTENT
 
+    @pytest.mark.parametrize("g", [0.500001, 0.5001, 0.502])
+    def test_linear_just_above_critical_is_persistent(self, g):
+        # the flow grows here more slowly than a 50/omega window shows: at g = 0.5001
+        # the window average is +32 at tau = 50, -622 at 500 and -2.9e29 at 5000
+        profile = scan_violations(linear_system(g=g), ThermalPreparation(0.01, 0.015), t_max=50.0, n_samples=512)
+        assert profile.violations
+        assert profile.classification is Classification.PERSISTENT
+
     def test_fig3_regime_produces_violations(self):
         # the pointwise verdicts the scan reads
         verdicts = heat_transfer(np.linspace(0.0, 50.0, 600), linear_system(g=0.49), HOT_A).csl_ok

@@ -3,7 +3,8 @@
 Draws are derandomized, so every run checks the same examples.
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsubthermo import (
@@ -13,6 +14,7 @@ from qsubthermo import (
     heat_transfer,
     propagator_coefficients,
 )
+from qsubthermo.analytic import _TERMS, _table
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -49,3 +51,50 @@ def test_swapping_the_baths_negates_the_transfer_exactly(sys_, prep, t):
 @given(systems(), st.floats(0.0, 20.0))
 def test_propagator_preserves_commutators(sys_, t):
     assert max(propagator_coefficients(sys_, t).commutator_defects()) < 1e-10
+
+
+# scan_violations calls a violation persistent exactly when some exponent of the
+# table has Re mu > 0.  The two tests below pin why that is the long-time
+# average's verdict, on every coupled kind with a table: a kind that breaks
+# either one needs the general rule, which reads the sign of the secular or the
+# leading terms of K - 1 instead.
+TABLED = [kind for kind in _TERMS if kind is not InteractionKind.NONE]
+
+
+@st.composite
+def tabled_systems(draw):
+    omega, ratio = draw(st.floats(0.25, 4.0)), draw(st.floats(1e-6, 3.0))
+    assume(2.0 * ratio * omega != omega)  # the static soft mode has no table
+    return OscillatorSystem(omega, omega, draw(st.sampled_from(TABLED)), g=ratio * omega)
+
+
+def k_minus_1_terms(sys_):
+    """Re mu of the table, and the exponents mu_j + conj(mu_k) and coefficients F_jk of K - 1."""
+    mu, _, forms = _table(sys_)
+    return mu.real, mu[:, None] + mu.conj(), forms[8]
+
+
+@PROPERTY
+@given(tabled_systems())
+def test_a_stable_table_has_no_secular_part_in_k_minus_1(sys_):
+    # secular terms, exactly: the exponents that are 0.0 as floats.  They are
+    # the diagonal, and their F sums to 0, so the long-time average of dQ_ab is
+    # omega_a (X_a - X_b), which keeps the Clausius sign
+    growth, z, f = k_minus_1_terms(sys_)
+    assume(not (growth > 0.0).any())
+    assert (growth == 0.0).all()
+    assert np.array_equal(z == 0.0, np.eye(len(z), dtype=bool))
+    assert f[z == 0.0].sum() == 0.0
+
+
+@PROPERTY
+@given(tabled_systems())
+def test_an_unstable_tables_leading_terms_in_k_minus_1_oscillate(sys_):
+    # the fastest-growing terms on which F is nonzero have Im != 0, so the
+    # window average of dQ_ab changes sign without end
+    growth, z, f = k_minus_1_terms(sys_)
+    assume((growth > 0.0).any())
+    live = f != 0.0
+    fastest = z.real[live].max()
+    assert fastest > 0.0
+    assert (z.imag[live & (z.real == fastest)] != 0.0).all()
