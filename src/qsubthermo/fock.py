@@ -38,8 +38,10 @@ the heat kernel, which weights them for the series to contract all alike,
 and rho(t), the blocks of V^dag diag(w) V with phases e^{-i(E_j - E_k)t}.
 rho(t) vanishes between sectors, so partial traces, traces against H and
 transition probabilities gather its sector blocks: no call returns a dim x dim
-array.  The reduced states and rho(t) on H share one cached gather per time,
-the thermal sums one cached transition pass.  Each cache drops its one key
+array.  One cached gather per time holds the reduced states, rho(t) on H and H
+itself, assembled once and handed to the two routes that trace against it.
+The thermal sums share one cached transition pass, which forms one stack's
+|U|^2 at a time and hands it to per-stack sums.  Each cache drops its one key
 before building another, so one system is held at a time and alternating
 between two rebuilds.  An even series grid takes libm's phases for its first
 block of times alone and turns each later block from the one before, one
@@ -608,11 +610,11 @@ def _evolved(stacks, t: float, w, rows, cols):
     number-diagonal state w and a _checked time, one stack of sectors at a
     time: rho(t) vanishes between sectors."""
     stack, member, local = _stack_layout([index for index, *_ in stacks], len(w))
-    out = np.zeros(len(rows), dtype=np.complex128)
-    # entries between two sectors make one more group, left at zero
+    # entries between two sectors make one more group, left at zero; the owners die before out is made
     same = (stack[rows] == stack[cols]) & (member[rows] == member[cols])
-    owner = np.where(same, stack[rows], len(stacks))
-    for entry, picked in zip(stacks, _grouped(owner, len(stacks) + 1)):
+    groups = _grouped(np.where(same, stack[rows], len(stacks)), len(stacks) + 1)
+    out = np.zeros(len(rows), dtype=np.complex128)
+    for entry, picked in zip(stacks, groups):
         if picked.size:
             r, c = rows[picked], cols[picked]
             out[picked] = _sector_state(entry, t, w[entry[0]], member[r], local[r], local[c])
@@ -633,13 +635,14 @@ def _partial_traces(blocks, t: float, w, n_a: int, n_b: int, rows=(), cols=()):
 
 @_latest
 def _state_at(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
-    """(rho_a(t), rho_b(t), rho(t) on ``HamiltonianParts.entries``) at a _checked time, shared read-only."""
+    """(rho_a(t), rho_b(t), rho(t) on ``HamiltonianParts.entries``, H) at a
+    _checked time, shared read-only, so that H is assembled once per time."""
     w = thermal_product_state(sys, prep, cfg)
-    rows, cols, _ = build_hamiltonian(sys, cfg).entries(0.0)
-    state = _partial_traces(eigensystem(sys, cfg), t, w, cfg.n_a, cfg.n_b, rows, cols)
-    for arr in state:
+    parts = build_hamiltonian(sys, cfg)
+    state = _partial_traces(eigensystem(sys, cfg), t, w, cfg.n_a, cfg.n_b, *parts.entries(0.0)[:2])
+    for arr in (*state, *vars(parts).values()):
         arr.setflags(write=False)
-    return state
+    return (*state, parts)
 
 
 @_latest
@@ -750,57 +753,60 @@ def heat_series_numeric(
     return [HeatReport(*row) for row in zip(*(getattr(series, field.name).tolist() for field in fields(HeatReport)))]
 
 
-def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig):
-    """(w, [(index, P), ...]): the initial thermal weights, taken first because
-    they hold the truncation check, and for each stack P[n, i, j] = |<i| U(t) |j>|^2
-    between the states of its sector n.  U(t) vanishes between sectors, and
-    the gauge drops out of |U|."""
+def _probabilities(t: float, stack):
+    """P[n, i, j] = |<i| U(t) |j>|^2 between the states of sector n of a
+    stack, for a _checked time; the gauge drops out of |U|."""
+    index, energies, *halves, _, sign = stack
+    (_, k), h = index.shape, halves[0].shape[-1]
+    at, weight = _exchange_rows(k, h, sign)
+    probs = None
+    for phase in _phases(t, energies):  # |U|^2 = c^2 + s^2 for U = Q blockdiag(U+, U-) Q^T = c - i s
+        part = None
+        for a, _, rows, *_ in _half_blocks(h, k, sign.shape[-1])[:2]:  # (+, +), then (-, -) on a split stack
+            y_t = halves[a].swapaxes(-1, -2)
+            x = _sandwich(y_t, phase[:, rows], y_t)  # Y_a diag(phase) Y_a^T
+            if h < k:  # Q_a x Q_a^T over every pair of states; Q = 1 on an unsplit sector
+                x = x.take(at[a], axis=1).take(at[a], axis=2)
+                x *= weight[a, :, :, None]
+                x *= weight[a, :, None, :]
+            part = x if part is None else np.add(part, x, out=part)
+        del x
+        part *= part
+        probs = part if probs is None else np.add(probs, part, out=probs)
+    return probs
+
+
+def _transitions(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig, *sums) -> list[float]:
+    """Each of sums added over the stacks of sectors, called as sum(index, P,
+    w, d_a, d_b) with a stack's states, its ``_probabilities`` and the thermal
+    weights (first, as they hold the truncation check) and bare levels on its
+    states.  U(t) vanishes between sectors; one stack's P is held at a time."""
     w = thermal_product_state(sys, prep, cfg)
     t = _checked(t, "time", scalar=True)
-    transitions = []
-    for index, energies, *halves, _, sign in eigensystem(sys, cfg):
-        (_, k), h = index.shape, halves[0].shape[-1]
-        at, weight = _exchange_rows(k, h, sign)
-        probs = None
-        for phase in _phases(t, energies):  # |U|^2 = c^2 + s^2 for U = Q blockdiag(U+, U-) Q^T = c - i s
-            part = None
-            for a, _, rows, *_ in _half_blocks(h, k, sign.shape[-1])[:2]:  # (+, +), then (-, -) on a split stack
-                y_t = halves[a].swapaxes(-1, -2)
-                x = _sandwich(y_t, phase[:, rows], y_t)  # Y_a diag(phase) Y_a^T
-                if h < k:  # Q_a x Q_a^T over every pair of states; Q = 1 on an unsplit sector
-                    x = x.take(at[a], axis=1).take(at[a], axis=2)
-                    x *= weight[a, :, :, None]
-                    x *= weight[a, :, None, :]
-                part = x if part is None else np.add(part, x, out=part)
-            del x
-            part *= part
-            probs = part if probs is None else np.add(probs, part, out=probs)
-        transitions.append((index, probs))
-    return w, transitions
+    d_a, d_b = _bare_levels(sys, cfg)
+    totals = [0.0] * len(sums)
+    for stack in eigensystem(sys, cfg):
+        index, probs = stack[0], _probabilities(t, stack)
+        totals = [total + add(index, probs, w[index], d_a[index], d_b[index]) for total, add in zip(totals, sums)]
+        del probs  # before the next stack's P is formed
+    return [float(total) for total in totals]
 
 
-def _average(f, w, transitions, d_a, d_b) -> float:
-    """sum_ij w_j P_ij f_ij over the final states i and initial states j of
-    every sector, with f called per stack on the bare levels d_a and d_b of
-    its sectors, the initial ones as columns and the final ones as rows."""
-    total = 0.0
-    for index, probs in transitions:
-        a, b = d_a[index], d_b[index]
-        total += ((probs * f(a[..., None, :], b[..., None, :], a[..., None], b[..., None])) @ w[index][..., None]).sum()
-    return float(total)
+def _average(f):
+    """The per-stack sum of w_j P_ij f_ij over final states i and initial states j,
+    f called on their bare levels a and b, the initial ones as columns."""
+    return lambda index, probs, w, a, b: ((probs * f(a[..., None, :], b[..., None, :], a[..., None], b[..., None])) @ w[..., None]).sum()
 
 
 @_latest
 def _thermal_sums(t: float, sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfig) -> tuple[float, float]:
     """(E[f], E[exp f]) for the entropy exponent f at a _checked time, from one transition pass."""
-    w, transitions = _transitions(t, sys, prep, cfg)
 
     def exponent(ea0, eb0, ea1, eb1):
         return prep.beta_a * (ea0 - ea1) + prep.beta_b * (eb0 - eb1)
 
     # weight * exp(f) = exp(-beta_a w'_a - beta_b w'_b) / (Z_a Z_b), the final level's thermal weight
-    jarzynski = float(sum((w[index][..., None, :] @ probs).sum() for index, probs in transitions))
-    return _average(exponent, w, transitions, *_bare_levels(sys, cfg)), jarzynski
+    return tuple(_transitions(t, sys, prep, cfg, _average(exponent), lambda index, probs, w, a, b: (w[..., None, :] @ probs).sum()))
 
 
 def classical_average(
@@ -816,7 +822,7 @@ def classical_average(
     final b-energy) of the bare levels n*omega, broadcastable per stack of
     sectors, and must return an array of their broadcast shape.
     """
-    return _average(f, *_transitions(t, sys, prep, cfg), *_bare_levels(sys, cfg))
+    return _transitions(t, sys, prep, cfg, _average(f))[0]
 
 
 def jarzynski_identity(
@@ -881,7 +887,7 @@ def entropy_production(
     """
     t = float(_checked(t, "time", scalar=True))  # before the eigensystem, so a bad time costs nothing
     w = thermal_product_state(sys, prep, cfg)
-    rho_a_t, rho_b_t, _ = _state_at(t, sys, prep, cfg)
+    rho_a_t, rho_b_t, *_ = _state_at(t, sys, prep, cfg)
     s_a_t = von_neumann_entropy(rho_a_t)
     # rho_a(0) is diagonal in the number basis: its entropy is that of its weights.
     ds_a = s_a_t - _shannon(thermal_weights(prep.beta_a, sys.omega_a, cfg.n_a, cfg.tail_tol))
@@ -922,10 +928,7 @@ def true_heat_transfer_identity(
     """
     t_checked = float(_checked(t, "time", scalar=True))  # before the eigensystem, so a bad time costs nothing
     w = thermal_product_state(sys, prep, cfg)
-    rho_t = _state_at(t_checked, sys, prep, cfg)[2]
-    # H - H_b and H - H_a differ only on the diagonal: the entries of rho(t) on H serve both
-    parts = build_hamiltonian(sys, cfg)
-    h_true_a, h_true_b = parts.entries(-parts.d_b)[2], parts.entries(-parts.d_a)[2]
+    *_, rho_t, parts = _state_at(t_checked, sys, prep, cfg)
     # after the gather, so that the kernel this caches and the sector
     # temporaries of rho(t) are never alive together
     report = heat_changes_numeric(sys, prep, cfg, t)
@@ -935,7 +938,8 @@ def true_heat_transfer_identity(
         # = diag(w), whose entries close the list.
         return float(np.vdot(h_true, rho_t).real - h_true[-cfg.dim :].real @ w)
 
-    dq_true_a, dq_true_b = delta(h_true_a), delta(h_true_b)
+    # H - H_b and H - H_a differ only on the diagonal: the entries of rho(t) on H serve both
+    dq_true_a, dq_true_b = delta(parts.entries(-parts.d_b)[2]), delta(parts.entries(-parts.d_a)[2])
     return TrueHeatReport(
         t=t,
         dq_ab_true=dq_true_b - dq_true_a,
@@ -960,8 +964,7 @@ def effective_hamiltonian(
     t = float(_checked(t, "time", scalar=True))
     w = thermal_product_state(sys, prep, cfg)
     if interaction is None:
-        rho_b_t = _state_at(t, sys, prep, cfg)[1]
-        parts = build_hamiltonian(sys, cfg)
+        _, rho_b_t, _, parts = _state_at(t, sys, prep, cfg)
         rows, cols, v = parts.entries(-(parts.d_a + parts.d_b))
     else:
         try:
@@ -996,12 +999,7 @@ def spectrum_match(
     minimal-coupling Hamiltonians (unitarily equivalent in infinite dimension)."""
     if sys_a.kind is not InteractionKind.MINIMAL_A or sys_b.kind is not InteractionKind.MINIMAL_B:
         raise ModelError("spectrum_match compares kind=minimal-a against kind=minimal-b")
-    if (sys_a.m, sys_a.q, sys_a.omega_a, sys_a.omega_b) != (
-        sys_b.m,
-        sys_b.q,
-        sys_b.omega_a,
-        sys_b.omega_b,
-    ):
+    if (sys_a.m, sys_a.q, sys_a.omega_a, sys_a.omega_b) != (sys_b.m, sys_b.q, sys_b.omega_a, sys_b.omega_b):
         raise ModelError("spectrum_match needs identical m, q and frequencies")
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ModelError(f"spectrum_match needs an integer k >= 1, got {k!r}")

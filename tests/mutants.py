@@ -3,12 +3,13 @@
     python3 tests/mutants.py          # every row
     python3 tests/mutants.py 0 5      # the rows at these indices
 
-Each row is applied to a fresh temporary copy of ``src/`` and ``tests/``, and
-only its named test runs there, one pytest process at a time.  The named tests
-first run once on an unmutated copy, which they must pass.  Exits 1 if any
-mutant survives, a row's old text is not found exactly once, or a named test
-cannot run; exits 0 when every mutant is killed.  pytest does not collect this
-file, so it is no part of the test suite: each row costs one pytest start.
+Each row is applied to a fresh temporary copy of ``COPIED`` (``src/``,
+``tests/``, ``pyproject.toml`` and ``README.md``), and only its named test
+runs there, one pytest process at a time.  The named tests first run once on
+an unmutated copy, which they must pass.  Exits 1 if any mutant survives, a
+row's old text is not found exactly once, or a named test cannot run; exits 0
+when every mutant is killed.  pytest does not collect this file, so it is no
+part of the test suite: each row costs one pytest start.
 A new threshold, printed column or exit code lands with its row here.
 """
 
@@ -23,6 +24,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600
+# what each temporary tree holds: every row's file and everything its test reads
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
 
 
 class Mutant(NamedTuple):
@@ -72,13 +75,26 @@ MUTANTS = [
     # a config file's whole-line comments and blank lines no longer skipped
     Mutant("src/qsubthermo/cli.py", "        if not line:\n            continue\n", "",
            "tests/test_cli.py::TestConfigFile::test_comment_and_blank_lines_are_skipped"),
+    # the README's option table loses one option's name
+    Mutant("README.md", "| `--omega` | every command | 1 |", "| `omega` | every command | 1 |",
+           "tests/test_cli.py::TestParameterSurface::test_readme_names_every_option_and_no_other"),
+    # the transition pass keeps the last stack's P while it forms the next
+    Mutant("src/qsubthermo/fock.py", "        del probs  # before the next stack's P is formed\n", "",
+           "tests/test_fock_sectors.py::test_oracle_calls_stay_below_one_dense_hamiltonian[linear-jarzynski_identity]"),
+    # the true heats assemble H again instead of taking the gather's
+    Mutant("src/qsubthermo/fock.py", "    *_, rho_t, parts = _state_at(t_checked, sys, prep, cfg)\n",
+           "    rho_t, parts = _state_at(t_checked, sys, prep, cfg)[2], build_hamiltonian(sys, cfg)\n",
+           "tests/test_fock_oracle.py::TestOneEvaluationPerTime::test_rho_routes_assemble_h_once"),
 ]
 
 
 def copy_tree(dest: Path) -> None:
-    for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    dest.mkdir(parents=True)
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def pytest_status(tree: Path, tests: list[str]) -> int:

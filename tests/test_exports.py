@@ -62,7 +62,7 @@ def test_diagnostics_reads_the_oracle_only_through_h():
 ORACLE_ALGEBRA = [
     "_kron_entries", "sectors", "_grouped", "_stack_layout", "sector_blocks", "_eigh_sectors", "_real_gauge", "eigensystem",
     "_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_sector_state",
-    "_evolved", "_partial_traces", "_state_at", "_transitions", "_thermal_sums",
+    "_evolved", "_partial_traces", "_state_at", "_probabilities", "_transitions", "_thermal_sums",
 ]
 
 
@@ -96,7 +96,8 @@ def test_heat_contraction_never_reads_the_exchange_split(function):
 
 @pytest.mark.parametrize(
     "function",
-    ["_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_form", "_transitions"],
+    ["_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_form", "_probabilities",
+     "_transitions"],
 )
 def test_kernels_and_transitions_never_decide_real_or_complex(function):
     # sector_blocks alone decides whether a stack is real, and every system

@@ -385,10 +385,17 @@ class TestClassicalAverage:
     def test_amplitude_unitarity(self):
         # each sector's P_ij = |<i|U(t)|j>|^2 is doubly stochastic: U(t) is
         # unitary on the truncated space, so rows and columns both sum to 1
-        _, transitions = _transitions(3.0, linear_system(), PREP, CFG24)
-        for _, probs in transitions:
-            assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
-            assert np.abs(probs.sum(axis=-2) - 1.0).max() < 1e-12
+        rows, cols = [], []  # each stack's P, read through a sum that keeps nothing of it
+
+        def stochastic(index, probs, *_):
+            rows.append(np.abs(probs.sum(axis=-1) - 1.0).max())
+            cols.append(np.abs(probs.sum(axis=-2) - 1.0).max())
+            return 0.0
+
+        _transitions(3.0, linear_system(), PREP, CFG24, stochastic)
+        assert len(rows) == len(eigensystem(linear_system(), CFG24))
+        assert max(rows) < 1e-12
+        assert max(cols) < 1e-12
 
 
 class TestJarzynski:
@@ -626,6 +633,16 @@ class TestOneEvaluationPerTime:
         evolved = counted(monkeypatch, "_evolved")
         assert [bits(route(self.T, self.SYS, PREP, self.CFG)) for route in self.RHO_ROUTES] == cold
         assert len(evolved) == 1
+
+    def test_rho_routes_assemble_h_once(self, monkeypatch):
+        # the gather keeps the H it assembles, and the true heats and the
+        # effective Hamiltonian read it there: one assembly per (system, time)
+        eigensystem(self.SYS, self.CFG)
+        clear_oracle_caches(eigensystem)
+        assemblies = counted(monkeypatch, "build_hamiltonian")
+        for route in self.RHO_ROUTES:
+            route(self.T, self.SYS, PREP, self.CFG)
+        assert len(assemblies) == 1
 
     def test_thermal_sums_share_one_transition_pass(self, monkeypatch):
         clear_oracle_caches()

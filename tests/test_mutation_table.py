@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import COPIED, MUTANTS, ROOT
 
 ROWS = pytest.mark.parametrize("row", MUTANTS, ids=[str(index) for index in range(len(MUTANTS))])
 
@@ -34,3 +34,9 @@ def test_old_text_occurs_once(row):
 def test_named_test_exists(row):
     module, _, name = row.test.partition("::")
     assert name.split("[", 1)[0] in defined_tests(ROOT / module)
+
+
+@ROWS
+def test_file_is_in_the_copied_tree(row):
+    # a row's file outside what copy_tree copies would be mutated nowhere
+    assert any(Path(row.file).is_relative_to(name) for name in COPIED)
