@@ -34,7 +34,7 @@ enter as the real pair cos(Et), sin(Et), and every route takes batched
 half-size products one stack at a time, mapped back onto a sector's states
 through the one coordinate per half each state has.  One list of a stack's
 blocks (+, +), (-, -) and (+, -), each a sandwich Y_a^T diag(d) Y_b, serves
-the heat kernel, which weights them for the series to contract all alike,
+the heat kernel, filled by panels of columns and weighted for the series,
 and rho(t), the blocks of V^dag diag(w) V with phases e^{-i(E_j - E_k)t}.
 rho(t) vanishes between sectors, so partial traces, traces against H and
 transition probabilities gather its sector blocks: no call returns a dim x dim
@@ -98,8 +98,8 @@ Matrix = NDArray[np.complex128]
 
 _DIM_CAP = 64
 
-# Times evaluated per GEMM in a heat series: bounds the (block x sector size)
-# phase matrix while keeping each product large enough for BLAS.
+# Times per GEMM in a heat series, and kernel columns per GEMM in its build: bounds
+# each (block x sector size) phase or kernel panel while keeping products large enough for BLAS.
 _SERIES_BLOCK = 128
 # A series grid is even when each t_j is within this times max |t| of t_0 + j step, as np.linspace leaves it.
 _EVEN_TOL = 8 * np.finfo(float).eps
@@ -215,7 +215,8 @@ def _kron_entries(terms, cfg: FockConfig):
     for a, b in terms:
         (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
         keys.append(((ra * n_b)[:, None] + rb).ravel() * dim + ((ca * n_b)[:, None] + cb).ravel())
-    rows, cols = np.divmod(np.unique(np.concatenate(keys)), dim)
+    keys = np.sort(np.concatenate(keys))  # deduplicated by hand: np.unique would import numpy.ma
+    rows, cols = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], dim)
     (ra, rb), (ca, cb) = np.divmod(rows, n_b), np.divmod(cols, n_b)
     return rows, cols, [a[ra, ca] * b[rb, cb] for a, b in terms]
 
@@ -353,7 +354,7 @@ def _mode_exchange(parts: HamiltonianParts, gauged, tree, sector):
     """
     dim, d_a, d_b = parts.dim, parts.d_a, parts.d_b
     identity, sign = np.arange(dim), np.ones(dim)
-    n = len(np.unique(d_a))  # n_a, so n_a == n_b exactly when n^2 == n_a n_b
+    n = np.count_nonzero(d_a == d_a[0])  # n_b, so n_a == n_b exactly when n^2 == n_a n_b
     if n * n != dim:
         return identity, sign
     i_a, i_b = np.divmod(identity, n)
@@ -490,9 +491,9 @@ def _half_blocks(h: int, k: int, n: int):
     return blocks if h < k else blocks[:1]
 
 
-def _sandwich(left, d, right):
-    """left^T diag(d) right for each sector of a stack."""
-    return left.swapaxes(-1, -2) @ (d[..., None] * right)
+def _sandwich(left, d, right, out=None):
+    """left^T diag(d) right for each sector of a stack, written into out when given."""
+    return np.matmul(left.swapaxes(-1, -2), d[..., None] * right, out=out)
 
 
 def _thermal_tail(beta: float, omega: float, n: int) -> float:
@@ -662,7 +663,8 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     diag V is the half-size ``_sandwich`` Y_a^T (Q_a^T diag Q_b) Y_b of a
     block of ``_half_blocks``, whose middle factor is diagonal
     (``_half_diagonals``); rho(t) reads the same blocks of rho.  This is the
-    one place that weights a kernel's blocks on a stack's split h.
+    one place that weights a kernel's blocks on a stack's split h.  Blocks
+    fill in place ``_SERIES_BLOCK`` columns at a time, symmetric ones mirrored.
 
     A stack split by the mode exchange (h < k) keeps K_a alone: the exchange
     P gives P D_a P^T = D_b and P V = diag(sigma) V S for S = +1 on the first
@@ -674,19 +676,25 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     """
     w = thermal_product_state(sys, prep, cfg)
     d_a, d_b = _bare_levels(sys, cfg)
-
     kernels = []
     for index, energies, *halves, _, sign in eigensystem(sys, cfg):
         (_, k), h, n = index.shape, halves[0].shape[-1], sign.shape[-1]
         terms = []
         for block, (a, b, rows, cols, left, right) in enumerate(_half_blocks(h, k, n)):
             y_a, y_b = halves[a][:, left], halves[b][:, right]
-            rho = _sandwich(y_a, _half_diagonals(w[index], h, n)[block], y_b)
             levels = [(d_a, (1.0, 1.0) if a == b else (2.0, -2.0))] if h < k else [(d_a, (1.0, 0.0)), (d_b, (0.0, 1.0))]
-            for d, weights in levels:
-                kernel = _sandwich(y_a, _half_diagonals(d[index], h, n)[block], y_b) * rho
-                kernel.setflags(write=False)
-                terms.append((rows, cols, kernel, weights))
+            middle = [_half_diagonals(x[index], h, n)[block] for x in (w, *(d for d, _ in levels))]
+            out = np.empty((len(levels), len(index), y_a.shape[-1], y_b.shape[-1]), dtype=y_a.dtype)
+            for start in range(0, y_b.shape[-1], _SERIES_BLOCK):
+                panel, end = slice(start, start + _SERIES_BLOCK), start + _SERIES_BLOCK if a == b else None
+                rho = _sandwich(y_a[..., :end], middle[0], y_b[..., panel])
+                for kernel, diagonal in zip(out, middle[1:]):
+                    _sandwich(y_a[..., :end], diagonal, y_b[..., panel], out=kernel[..., :end, panel])
+                    kernel[..., :end, panel] *= rho
+                    if a == b:  # a symmetric block: the panel's rows left of its diagonal mirror its columns above
+                        kernel[..., panel, :start] = kernel[..., :start, panel].swapaxes(-1, -2)
+            out.setflags(write=False)
+            terms.extend((rows, cols, kernel, weights) for kernel, (_, weights) in zip(out, levels))
         kernels.append((energies, tuple(terms)))
     return tuple(kernels), float(d_a @ w), float(d_b @ w)
 

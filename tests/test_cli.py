@@ -568,6 +568,21 @@ class TestOutput:
         proc = run_fresh([str(tmp_path / "x.csv")], code=script)
         assert proc.returncode == 0, proc.stderr
 
+    def test_oracle_commands_never_load_numpy_ma(self, tmp_path):
+        # np.unique without indices imports numpy.ma (numpy 2.4), 8-16 ms of
+        # every oracle process on a 2-core machine, so the edge list of H is
+        # deduplicated by sorting its positions instead
+        script = """if True:
+            import sys
+            from qsubthermo.cli import main
+            assert main(["--kind", "linear", "--fock-n", "12", "audit"]) == 0
+            assert main(["--out", sys.argv[1], "--kind", "linear", "--beta-a", "2", "--beta-b", "3", "--samples", "9",
+                         "compare"]) == 0
+            assert "qsubthermo.fock" in sys.modules and "numpy.ma" not in sys.modules
+        """
+        proc = run_fresh([str(tmp_path / "x.csv")], code=script)
+        assert proc.returncode == 0, proc.stderr
+
     def test_long_curve_is_never_held_whole(self, tmp_path):
         tracemalloc.start()
         try:

@@ -31,7 +31,10 @@ from qsubthermo import (
     true_heat_transfer_identity,
 )
 from qsubthermo.fock import (
+    _SERIES_BLOCK,
     _eigh_sectors,
+    _half_blocks,
+    _half_diagonals,
     _heat_kernel,
     _nonzero_entries,
     _partial_traces,
@@ -713,7 +716,10 @@ PEAK_CALLS = {
 # (numpy 2.4, 48 levels); spectrum_match keeps no eigenvectors at all.  The
 # transition routes hold one stack's |U|^2 at a time, besides the products
 # that form it and the sums that read it: a list of every stack's held one
-# more LINEAR parity sector (10.1 MiB).
+# more LINEAR parity sector (10.1 MiB).  The heat kernel allocates each of its
+# blocks once and fills it 128 columns at a time, so besides its blocks it
+# holds a few panels of at most 128 columns, where whole-block products held
+# rho and X beside the finished block: 20.3 MiB on LINEAR and 60.8 on minimal-a.
 TIGHTER_PEAKS = {
     ("linear", "eigensystem"): 20 * 2**20,  # 16.4 MiB + 22 %, whole sectors 39.1
     ("rwa", "eigensystem"): int(1.25 * 2**20),  # 1.15 MiB + 9 %, whole sectors 1.29
@@ -730,6 +736,10 @@ TIGHTER_PEAKS = {
     ("minimal-a", "jarzynski_identity"): 32 * 2**20,  # 30.6 MiB + 5 %, listed 40.7
     ("minimal-a", "jensen_bound"): 32 * 2**20,  # 30.6 MiB + 5 %, listed 40.7
     ("minimal-a", "classical_average"): 32 * 2**20,  # 30.5 MiB + 5 %, listed 40.6
+    ("linear", "_heat_kernel"): 19 * 2**20,  # 17.0 MiB + 12 %, whole blocks 20.3
+    ("linear", "heat_series_numeric"): int(19.5 * 2**20),  # 18.8 MiB + 4 %, whole blocks 20.3
+    ("minimal-a", "_heat_kernel"): 52 * 2**20,  # 43.8 MiB + 19 %, whole blocks 60.8
+    ("minimal-a", "heat_series_numeric"): 52 * 2**20,  # 44.1 MiB + 18 %, whole blocks 60.8
 }
 
 
@@ -765,3 +775,33 @@ def test_split_heat_kernel_forms_blocks_from_half_the_eigenvectors():
     # each a product of half eigenvectors around a diagonal: whole-sector
     # products of V^T diag(w) V and V^T diag(d_a) V would hold four squares
     assert traced_peak("linear", "_heat_kernel") < 32 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["linear", "minimal-a"])
+def test_kernel_panels_match_the_whole_block_product(kind):
+    # at 40 levels the LINEAR halves are 380-420 wide, so the kernel fills
+    # each block in three or four panels of 128 columns, the last one ragged;
+    # minimal-a keeps whole sectors of 800 states and two kernels, K_a and
+    # K_b, per block.  A symmetric block takes each panel's columns down to
+    # the diagonal and mirrors the rest, and BLAS need not give a column
+    # panel of a product bit for bit, so each block matches the whole-block
+    # product, formed here from the cached halves, within 1e-14 of its
+    # largest entry
+    sys_, cfg = SYSTEMS[kind], FockConfig(40, 40, tail_tol=1e-8)
+    parts, w = build_hamiltonian(sys_, cfg), thermal_product_state(sys_, PREP, cfg)
+    kernels, *_ = _heat_kernel(sys_, PREP, cfg)
+    widths = []
+    for (index, _, *halves, _, sign), (_, terms) in zip(eigensystem(sys_, cfg), kernels, strict=True):
+        (_, k), h, n = index.shape, halves[0].shape[-1], sign.shape[-1]
+        wanted = []
+        for block, (a, b, rows, cols, left, right) in enumerate(_half_blocks(h, k, n)):
+            y_a, y_b = halves[a][:, left], halves[b][:, right]
+            rho = y_a.swapaxes(1, 2) @ (_half_diagonals(w[index], h, n)[block][..., None] * y_b)
+            for d in [parts.d_a] if h < k else [parts.d_a, parts.d_b]:
+                wanted.append((rows, cols, (y_a.swapaxes(1, 2) @ (_half_diagonals(d[index], h, n)[block][..., None] * y_b)) * rho))
+            widths.append(y_b.shape[-1])
+        assert len(terms) == len(wanted)
+        for (rows, cols, kernel, _), (rows_wanted, cols_wanted, want) in zip(terms, wanted):
+            assert (rows, cols, kernel.shape) == (rows_wanted, cols_wanted, want.shape)
+            assert np.abs(kernel - want).max() <= 1e-14 * np.abs(want).max()
+    assert min(widths) > 2 * _SERIES_BLOCK and any(width % _SERIES_BLOCK for width in widths)
