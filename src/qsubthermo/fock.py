@@ -34,8 +34,8 @@ enter as the real pair cos(Et), sin(Et), and every route takes batched
 half-size products one stack at a time, mapped back onto a sector's states
 through the one coordinate per half each state has.  One list of a stack's
 blocks (+, +), (-, -) and (+, -), each a sandwich Y_a^T diag(d) Y_b, serves
-the heat kernel, filled by panels of columns and weighted for the series,
-and rho(t), the blocks of V^dag diag(w) V with phases e^{-i(E_j - E_k)t}.
+the heat kernel, weighted panels of columns that stop at a symmetric block's
+diagonal, and rho(t), the blocks of V^dag diag(w) V with e^{-i(E_j - E_k)t}.
 rho(t) vanishes between sectors, so partial traces, traces against H and
 transition probabilities gather its sector blocks: no call returns a dim x dim
 array.  One cached gather per time holds the reduced states, rho(t) on H and H
@@ -98,8 +98,8 @@ Matrix = NDArray[np.complex128]
 
 _DIM_CAP = 64
 
-# Times per GEMM in a heat series, and kernel columns per GEMM in its build: bounds
-# each (block x sector size) phase or kernel panel while keeping products large enough for BLAS.
+# Times per GEMM in a heat series, and columns per panel of its kernel: bounds each
+# (block x sector size) phase or kernel panel while keeping products large enough for BLAS.
 _SERIES_BLOCK = 128
 # A series grid is even when each t_j is within this times max |t| of t_0 + j step, as np.linspace leaves it.
 _EVEN_TOL = 8 * np.finfo(float).eps
@@ -491,9 +491,9 @@ def _half_blocks(h: int, k: int, n: int):
     return blocks if h < k else blocks[:1]
 
 
-def _sandwich(left, d, right, out=None):
-    """left^T diag(d) right for each sector of a stack, written into out when given."""
-    return np.matmul(left.swapaxes(-1, -2), d[..., None] * right, out=out)
+def _sandwich(left, d, right):
+    """left^T diag(d) right for each sector of a stack."""
+    return left.swapaxes(-1, -2) @ (d[..., None] * right)
 
 
 def _thermal_tail(beta: float, omega: float, n: int) -> float:
@@ -573,7 +573,7 @@ def _phases(times, energies):
     phases."""
     with np.errstate(over="ignore", invalid="ignore"):  # _finite raises ModelError instead
         et = np.multiply(times, energies)
-        return _finite(np.cos(et), "time"), np.sin(et)
+        return _finite(np.cos(et), "time"), np.sin(et, out=et)
 
 
 def _sector_state(stack, t: float, w, n, p, q):
@@ -657,14 +657,17 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     system has real eigenvectors V = Q blockdiag(Y+, Y-) (``sector_blocks``),
     so X = V^T diag V is symmetric and K = X * rho real.  Returns (kernels,
     tr(H_a rho(0)), tr(H_b rho(0))) with kernels a tuple of (energies,
-    terms), one per stack of sectors, and terms a tuple of (rows, cols, K,
-    weights): the block K[rows, cols] of a kernel, whose real contraction
-    times weights adds to (tr(H_a rho), tr(H_b rho)).  Each block of V^T
-    diag V is the half-size ``_sandwich`` Y_a^T (Q_a^T diag Q_b) Y_b of a
-    block of ``_half_blocks``, whose middle factor is diagonal
+    terms), one per stack of sectors, and terms a tuple of (rows, cols,
+    panels, weights): the block K[rows, cols] of a kernel as panels (columns,
+    end, K[:end, columns]) of ``_SERIES_BLOCK`` columns, whose real
+    contraction times weights adds to (tr(H_a rho), tr(H_b rho)).  A
+    symmetric block's panel ends at its diagonal, its rows above the panel
+    doubled for the mirror not stored; (+, -) takes every row (end None).
+    Each block of V^T diag V is the half-size ``_sandwich`` Y_a^T (Q_a^T diag
+    Q_b) Y_b of a block of ``_half_blocks``, whose middle factor is diagonal
     (``_half_diagonals``); rho(t) reads the same blocks of rho.  This is the
-    one place that weights a kernel's blocks on a stack's split h.  Blocks
-    fill in place ``_SERIES_BLOCK`` columns at a time, symmetric ones mirrored.
+    one place that weights a kernel's blocks on a stack's split h or knows
+    which of them are symmetric.
 
     A stack split by the mode exchange (h < k) keeps K_a alone: the exchange
     P gives P D_a P^T = D_b and P V = diag(sigma) V S for S = +1 on the first
@@ -684,34 +687,26 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
             y_a, y_b = halves[a][:, left], halves[b][:, right]
             levels = [(d_a, (1.0, 1.0) if a == b else (2.0, -2.0))] if h < k else [(d_a, (1.0, 0.0)), (d_b, (0.0, 1.0))]
             middle = [_half_diagonals(x[index], h, n)[block] for x in (w, *(d for d, _ in levels))]
-            out = np.empty((len(levels), len(index), y_a.shape[-1], y_b.shape[-1]), dtype=y_a.dtype)
+            panels = [[] for _ in levels]
             for start in range(0, y_b.shape[-1], _SERIES_BLOCK):
-                panel, end = slice(start, start + _SERIES_BLOCK), start + _SERIES_BLOCK if a == b else None
-                rho = _sandwich(y_a[..., :end], middle[0], y_b[..., panel])
-                for kernel, diagonal in zip(out, middle[1:]):
-                    _sandwich(y_a[..., :end], diagonal, y_b[..., panel], out=kernel[..., :end, panel])
-                    kernel[..., :end, panel] *= rho
-                    if a == b:  # a symmetric block: the panel's rows left of its diagonal mirror its columns above
-                        kernel[..., panel, :start] = kernel[..., :start, panel].swapaxes(-1, -2)
-            out.setflags(write=False)
-            terms.extend((rows, cols, kernel, weights) for kernel, (_, weights) in zip(out, levels))
+                columns, end = slice(start, start + _SERIES_BLOCK), start + _SERIES_BLOCK if a == b else None
+                rho = _sandwich(y_a[..., :end], middle[0], y_b[..., columns])
+                rho[..., : start if a == b else 0, :] *= 2.0  # a symmetric block's rows above the panel stand for their mirror too
+                for kept, diagonal in zip(panels, middle[1:]):
+                    kernel = _sandwich(y_a[..., :end], diagonal, y_b[..., columns])
+                    kernel *= rho
+                    kernel.setflags(write=False)
+                    kept.append((columns, end, kernel))
+            terms.extend((rows, cols, tuple(kept), weights) for kept, (_, weights) in zip(panels, levels))
         kernels.append((energies, tuple(terms)))
     return tuple(kernels), float(d_a @ w), float(d_b @ w)
 
 
-def _form(left, kernel, right):
-    """Re sum_jk e_j K_jk conj(e_k) per time for one real block K of a stack
-    of kernels, with the phases e = c - i s of its rows (left) and columns
-    (right): cKc + sKs, from the products c K and s K."""
-    (c, s), (c_right, s_right) = left, right
-    return np.einsum("mtj,mtj->t", c @ kernel, c_right) + np.einsum("mtj,mtj->t", s @ kernel, s_right)
-
-
 def _expectations(kernels, times) -> NDArray[np.float64]:
     """tr(H_a rho(t)) and tr(H_b rho(t)) over every time: per stack of
-    sectors and block of times, stacked GEMMs per term of its kernel, each
-    term contracted on the phases of its rows and columns and added with its
-    weights, summed over sectors.  On an even grid each later block turns the
+    sectors and block of times, stacked GEMMs per panel of each term of its
+    kernel, contracted on the phases of its rows and columns and added with
+    its weights, summed over sectors.  On an even grid each later block turns the
     phases of the one before in place by the block's span, by angle addition."""
     out, count = np.zeros((2, len(times))), len(times)
     step = (times[-1] - times[0]) / max(count - 1, 1)
@@ -731,8 +726,12 @@ def _expectations(kernels, times) -> NDArray[np.float64]:
                 c *= cos_b
                 c -= behind
                 c, s = c[:, : count - start], s[:, : count - start]  # the last block may be short
-            for rows, cols, kernel, weights in terms:
-                out[:, block] += np.outer(weights, _form((c[..., rows], s[..., rows]), kernel, (c[..., cols], s[..., cols])))
+            for rows, cols, panels, weights in terms:
+                # Re sum_jk e_j K_jk conj(e_k) = cKc + sKs for the phases e = c - i s, panel by panel
+                form = sum(np.einsum("mtj,mtj->t", x[..., rows][..., :end] @ kernel, x[..., cols][..., columns])
+                           for columns, end, kernel in panels for x in (c, s))
+                out[:, block] += np.outer(weights, form)
+        del c, s  # before the next stack's phases are formed
     return out
 
 

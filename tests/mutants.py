@@ -85,13 +85,19 @@ MUTANTS = [
     Mutant("src/qsubthermo/fock.py", "    *_, rho_t, parts = _state_at(t_checked, sys, prep, cfg)\n",
            "    rho_t, parts = _state_at(t_checked, sys, prep, cfg)[2], build_hamiltonian(sys, cfg)\n",
            "tests/test_fock_oracle.py::TestOneEvaluationPerTime::test_rho_routes_assemble_h_once"),
-    # the heat kernel forms rho and X for a whole block again instead of a panel of its columns
-    Mutant("src/qsubthermo/fock.py", "panel, end = slice(start, start + _SERIES_BLOCK),", "panel, end = slice(None),",
+    # each panel of the heat kernel takes every column of its block, not 128 of them
+    Mutant("src/qsubthermo/fock.py", "columns, end = slice(start, start + _SERIES_BLOCK),", "columns, end = slice(None),",
            "tests/test_fock_sectors.py::test_oracle_calls_stay_below_one_dense_hamiltonian[linear-_heat_kernel]"),
     # the edge list deduplicated by np.unique, which imports numpy.ma
     Mutant("src/qsubthermo/fock.py", "    rows, cols = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], dim)\n",
            "    rows, cols = np.divmod(np.unique(keys), dim)\n",
            "tests/test_cli.py::TestOutput::test_oracle_commands_never_load_numpy_ma"),
+    # a symmetric panel's rows above its diagonal no longer stand for their mirror
+    Mutant("src/qsubthermo/fock.py", "rho[..., : start if a == b else 0, :] *= 2.0", "rho[..., : start if a == b else 0, :] *= 1.0",
+           "tests/test_fock_oracle.py::TestHeatNumeric::test_series_blocks_match_pointwise_loop[split]"),
+    # a series keeps the last stack's phases while it forms the next
+    Mutant("src/qsubthermo/fock.py", "        del c, s  # before the next stack's phases are formed\n", "",
+           "tests/test_fock_sectors.py::test_oracle_calls_stay_below_one_dense_hamiltonian[linear-long_heat_series]"),
 ]
 
 

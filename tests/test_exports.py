@@ -87,7 +87,7 @@ def test_oracle_algebra_never_reads_the_coupling_type(function):
     assert names_read(function) & {"kind", "InteractionKind", "MINIMAL_KINDS"} == set()
 
 
-@pytest.mark.parametrize("function", ["_expectations", "_form"])
+@pytest.mark.parametrize("function", ["_expectations"])
 def test_heat_contraction_never_reads_the_exchange_split(function):
     # _heat_kernel alone lays a kernel out on a stack's split h, as blocks
     # with weights, so the contraction takes every term one way
@@ -96,7 +96,7 @@ def test_heat_contraction_never_reads_the_exchange_split(function):
 
 @pytest.mark.parametrize(
     "function",
-    ["_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_form", "_probabilities",
+    ["_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_probabilities",
      "_transitions"],
 )
 def test_kernels_and_transitions_never_decide_real_or_complex(function):

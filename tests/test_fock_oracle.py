@@ -125,12 +125,20 @@ class TestHeatNumeric:
 
         def whole(energies, terms, which):
             # the stack's kernel for tr(H_a rho) (which = 0) or tr(H_b rho)
-            # (which = 1): its terms put in place with their weights, then
-            # made Hermitian, which spreads a doubled (+, -) block over (+, -)
-            # and (-, +) and leaves every real contraction as it was
-            folded = np.zeros(energies.shape + energies.shape[-1:], dtype=terms[0][2].dtype)
-            for rows, cols, kernel, weights in terms:
-                folded[:, rows, cols] += weights[which] * kernel
+            # (which = 1): each term's panels folded back into its block, a
+            # symmetric panel's doubled rows above its diagonal halved and
+            # mirrored, put in place with their weights, then made Hermitian,
+            # which spreads a doubled (+, -) block over (+, -) and (-, +) and
+            # leaves every real contraction as it was
+            folded = np.zeros(energies.shape + energies.shape[-1:], dtype=terms[0][2][0][2].dtype)
+            for rows, cols, panels, weights in terms:
+                block = np.zeros_like(folded[:, rows, cols])
+                for columns, end, kernel in panels:
+                    block[:, :end, columns] = kernel
+                    if end is not None:
+                        block[:, : columns.start, columns] /= 2.0
+                        block[:, columns, : columns.start] = block[:, : columns.start, columns].swapaxes(1, 2)
+                folded[:, rows, cols] += weights[which] * block
             return (folded + folded.conj().swapaxes(1, 2)) / 2.0
 
         def pointwise(kernels, which):
@@ -160,7 +168,7 @@ class TestHeatNumeric:
                 expected = (v_t @ (d[index][..., None] * vectors)).swapaxes(1, 2) * rho
                 assert np.abs(whole(energies, terms, which) - expected).max() < 1e-14 * np.abs(expected).max()
 
-        assert all(np.isrealobj(kernel) for _, terms in kernels for _, _, kernel, _ in terms)
+        assert all(np.isrealobj(kernel) for _, terms in kernels for _, _, panels, _ in terms for *_, kernel in panels)
         series = heat_series_numeric(sys_, PREP, CFG24, times)
         for report, t, e_a, e_b in zip(series, times, pointwise(kernels, 0), pointwise(kernels, 1), strict=True):
             assert report.t == t
@@ -685,7 +693,7 @@ class TestOneSystemHeld:
         clear_oracle_caches()
         heat_series_numeric(self.A, PREP, self.CFG, [0.5, 1.0])
         y_plus = weakref.ref(eigensystem(self.A, self.CFG)[0][2])
-        kernel = weakref.ref(_heat_kernel(self.A, PREP, self.CFG)[0][0][1][0][2])
+        kernel = weakref.ref(_heat_kernel(self.A, PREP, self.CFG)[0][0][1][0][2][0][2])  # one panel of one block
         alive, eigh_sectors = [], fock._eigh_sectors
         monkeypatch.setattr(fock, "_eigh_sectors", lambda parts: alive.append((y_plus() is None, kernel() is None)) or eigh_sectors(parts))
         heat_series_numeric(self.B, PREP, self.CFG, [0.5, 1.0])

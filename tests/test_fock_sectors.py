@@ -691,6 +691,7 @@ PEAK_CALLS = {
     "decomposition_audit": lambda s: decomposition_audit(s, CFG48),
     "_heat_kernel": lambda s: _heat_kernel(s, PREP48, CFG48),
     "heat_series_numeric": lambda s: heat_series_numeric(s, PREP48, CFG48, np.linspace(0.0, 10.0, 81)),
+    "long_heat_series": lambda s: heat_series_numeric(s, PREP48, CFG48, np.linspace(0.0, 30.0, 2000)),
     "entropy_production": lambda s: entropy_production(1.7, s, PREP48, CFG48),
     "true_heat_transfer_identity": lambda s: true_heat_transfer_identity(1.7, s, PREP48, CFG48),
     "effective_hamiltonian": lambda s: effective_hamiltonian(1.7, s, PREP48, CFG48),
@@ -716,10 +717,12 @@ PEAK_CALLS = {
 # (numpy 2.4, 48 levels); spectrum_match keeps no eigenvectors at all.  The
 # transition routes hold one stack's |U|^2 at a time, besides the products
 # that form it and the sums that read it: a list of every stack's held one
-# more LINEAR parity sector (10.1 MiB).  The heat kernel allocates each of its
-# blocks once and fills it 128 columns at a time, so besides its blocks it
-# holds a few panels of at most 128 columns, where whole-block products held
-# rho and X beside the finished block: 20.3 MiB on LINEAR and 60.8 on minimal-a.
+# more LINEAR parity sector (10.1 MiB).  The heat kernel keeps each block as
+# panels of 128 columns, a symmetric block's only down to its diagonal, so it
+# holds about half of every symmetric block besides one panel's rho and X:
+# whole blocks, filled and mirrored by panel, held 17.0 MiB on LINEAR and 43.8
+# on minimal-a.  A series holds one stack's phases at a time, sin(Et) formed
+# in the buffer of E t; the long one turns 2000 times block by block.
 TIGHTER_PEAKS = {
     ("linear", "eigensystem"): 20 * 2**20,  # 16.4 MiB + 22 %, whole sectors 39.1
     ("rwa", "eigensystem"): int(1.25 * 2**20),  # 1.15 MiB + 9 %, whole sectors 1.29
@@ -736,10 +739,12 @@ TIGHTER_PEAKS = {
     ("minimal-a", "jarzynski_identity"): 32 * 2**20,  # 30.6 MiB + 5 %, listed 40.7
     ("minimal-a", "jensen_bound"): 32 * 2**20,  # 30.6 MiB + 5 %, listed 40.7
     ("minimal-a", "classical_average"): 32 * 2**20,  # 30.5 MiB + 5 %, listed 40.6
-    ("linear", "_heat_kernel"): 19 * 2**20,  # 17.0 MiB + 12 %, whole blocks 20.3
-    ("linear", "heat_series_numeric"): int(19.5 * 2**20),  # 18.8 MiB + 4 %, whole blocks 20.3
-    ("minimal-a", "_heat_kernel"): 52 * 2**20,  # 43.8 MiB + 19 %, whole blocks 60.8
-    ("minimal-a", "heat_series_numeric"): 52 * 2**20,  # 44.1 MiB + 18 %, whole blocks 60.8
+    ("linear", "_heat_kernel"): 14 * 2**20,  # 12.1 MiB + 16 %, whole blocks 17.0
+    ("linear", "heat_series_numeric"): int(13.5 * 2**20),  # 12.7 MiB + 6 %, last stack's phases kept 14.1, whole blocks 18.8
+    ("linear", "long_heat_series"): int(16.5 * 2**20),  # 15.8 MiB + 4 %, last stack's phases kept 17.0, whole blocks 22.0
+    ("minimal-a", "_heat_kernel"): 29 * 2**20,  # 24.8 MiB + 17 %, whole blocks 43.8
+    ("minimal-a", "heat_series_numeric"): 29 * 2**20,  # 24.8 MiB + 17 %, whole blocks 44.1
+    ("minimal-a", "long_heat_series"): 31 * 2**20,  # 27.1 MiB + 14 %, whole blocks 47.3
 }
 
 
@@ -779,14 +784,14 @@ def test_split_heat_kernel_forms_blocks_from_half_the_eigenvectors():
 
 @pytest.mark.parametrize("kind", ["linear", "minimal-a"])
 def test_kernel_panels_match_the_whole_block_product(kind):
-    # at 40 levels the LINEAR halves are 380-420 wide, so the kernel fills
-    # each block in three or four panels of 128 columns, the last one ragged;
+    # at 40 levels the LINEAR halves are 380-420 wide, so the kernel keeps
+    # each block as three or four panels of 128 columns, the last one ragged;
     # minimal-a keeps whole sectors of 800 states and two kernels, K_a and
-    # K_b, per block.  A symmetric block takes each panel's columns down to
-    # the diagonal and mirrors the rest, and BLAS need not give a column
-    # panel of a product bit for bit, so each block matches the whole-block
-    # product, formed here from the cached halves, within 1e-14 of its
-    # largest entry
+    # K_b, per block.  A symmetric block keeps each panel's columns down to
+    # the diagonal alone, its rows above the panel doubled for their mirror,
+    # and BLAS need not give a column panel of a product bit for bit, so each
+    # panel matches its slice of the whole-block product, formed here from
+    # the cached halves and doubled likewise, within 1e-14 of its largest entry
     sys_, cfg = SYSTEMS[kind], FockConfig(40, 40, tail_tol=1e-8)
     parts, w = build_hamiltonian(sys_, cfg), thermal_product_state(sys_, PREP, cfg)
     kernels, *_ = _heat_kernel(sys_, PREP, cfg)
@@ -798,10 +803,19 @@ def test_kernel_panels_match_the_whole_block_product(kind):
             y_a, y_b = halves[a][:, left], halves[b][:, right]
             rho = y_a.swapaxes(1, 2) @ (_half_diagonals(w[index], h, n)[block][..., None] * y_b)
             for d in [parts.d_a] if h < k else [parts.d_a, parts.d_b]:
-                wanted.append((rows, cols, (y_a.swapaxes(1, 2) @ (_half_diagonals(d[index], h, n)[block][..., None] * y_b)) * rho))
+                want = (y_a.swapaxes(1, 2) @ (_half_diagonals(d[index], h, n)[block][..., None] * y_b)) * rho
+                wanted.append((rows, cols, a == b, want))
             widths.append(y_b.shape[-1])
         assert len(terms) == len(wanted)
-        for (rows, cols, kernel, _), (rows_wanted, cols_wanted, want) in zip(terms, wanted):
-            assert (rows, cols, kernel.shape) == (rows_wanted, cols_wanted, want.shape)
-            assert np.abs(kernel - want).max() <= 1e-14 * np.abs(want).max()
+        for (rows, cols, panels, _), (rows_wanted, cols_wanted, symmetric, want) in zip(terms, wanted):
+            assert (rows, cols) == (rows_wanted, cols_wanted)
+            assert [columns for columns, *_ in panels] == [slice(start, start + _SERIES_BLOCK) for start in range(0, want.shape[-1], _SERIES_BLOCK)]
+            for columns, end, kernel in panels:
+                # a symmetric block stores no row below its panel's diagonal
+                assert end == (columns.stop if symmetric else None)
+                piece = want[:, :end, columns].copy()
+                if symmetric:
+                    piece[:, : columns.start] *= 2.0
+                assert kernel.shape == piece.shape
+                assert np.abs(kernel - piece).max() <= 1e-14 * np.abs(piece).max()
     assert min(widths) > 2 * _SERIES_BLOCK and any(width % _SERIES_BLOCK for width in widths)
