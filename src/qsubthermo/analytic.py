@@ -214,13 +214,19 @@ def _report(t, products, prep: ThermalPreparation, sys: OscillatorSystem) -> Hea
     return HeatReport.from_heats(t, dq_a, dq_b, prep, sys, dq_ab=dq_ab)
 
 
-def heat_transfer(t: float, sys: OscillatorSystem, prep: ThermalPreparation) -> HeatReport:
-    """Closed-form heat report at t, or one of arrays over a 1-D array of times."""
+def _evaluate_table(t, sys: OscillatorSystem):
+    """(times, products): t checked, and the nine ``_table`` forms at each time,
+    ready for ``_report`` under any preparation."""
     mu, _, forms = _table(sys)
     times = _checked(t, "time")
     with np.errstate(over="ignore"):  # _report's _finite raises ModelError instead
         e = np.exp(np.multiply.outer(times, mu))
-    products = np.einsum("...j,pjk,...k->p...", e, forms, e.conj()).real
+    return times, np.einsum("...j,pjk,...k->p...", e, forms, e.conj()).real
+
+
+def heat_transfer(t: float, sys: OscillatorSystem, prep: ThermalPreparation) -> HeatReport:
+    """Closed-form heat report at t, or one of arrays over a 1-D array of times."""
+    times, products = _evaluate_table(t, sys)
     return _report(t if times.ndim == 0 else times, products, prep, sys)
 
 

@@ -3,14 +3,16 @@
 Output files are plain CSV (UTF-8, ``\\n`` newlines, 17-significant-digit
 floats, so every value round-trips exactly).  ``main`` opens ``--out`` for
 every command, ``audit`` included, before the command evaluates anything, as a
-temporary sibling that replaces it only on success.  A figure is evaluated and
-written ``_BLOCK_ROWS`` rows at a time; on stdout, blocks written before a
-failing one stay printed.  Exit codes: 0 success, 2 bad parameters (a coupling
-the kind does not take, an empty sweep grid, a NaN or negative ``--tol``
-included), a flag or config key the command does not read, infeasible
-truncation, an unreadable ``--config`` or an unwritable ``--out``, 3 singular
-coupling (g = omega/2), 4 tolerance breach in ``compare`` (a NaN deviation
-breaches it too).  Only ``compare`` and ``audit`` load the Fock oracle.
+temporary sibling that replaces it only on success.  A figure is evaluated (each
+system's closed forms once for all its preparations), formatted (with one format
+string, so each column of a block holds one format) and written ``_BLOCK_ROWS``
+rows at a time; on stdout, blocks written before a failing one stay printed.
+Exit codes: 0 success, 2 bad parameters (a coupling the kind does not take, an
+empty sweep grid, a NaN or negative ``--tol`` included), a flag or config key
+the command does not read, infeasible truncation, an unreadable ``--config`` or
+an unwritable ``--out``, 3 singular coupling (g = omega/2), 4 tolerance breach
+in ``compare`` (a NaN deviation breaches it too).  Only ``compare`` and
+``audit`` load the Fock oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from . import __version__
-from .analytic import heat_transfer, time_averaged_heat
+from .analytic import _evaluate_table, _report, heat_transfer, time_averaged_heat
 from .diagnostics import decomposition_audit, scan_violations
 from .model import (
     MINIMAL_KINDS,
@@ -63,22 +65,23 @@ AUDIT_LEVELS = 24
 _BLOCK_ROWS = 1024
 
 
-@functools.cache
-def _row_format(types: tuple[type, ...]) -> str:
-    """The %-format of one CSV line of values of these types: 17 significant
-    digits for a float (numpy's included), 1/0 for a bool, str() for the rest."""
-    return ",".join("%d" if issubclass(t, bool) else "%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
-
-
 def write_csv(out: TextIO, header: list[str], blocks: Iterable[Iterable[tuple]], footer: str | None = None) -> None:
     """Write each block of row tuples as it is computed, so a long curve is never
     held whole; the header waits for the first block, so input that fails there
-    writes nothing."""
+    writes nothing.  A block is formatted with one %: its first row's line format,
+    repeated per row, takes the block's values in row order, so each column of a
+    block holds one format: 17 significant digits for a float (numpy's included),
+    1/0 for a bool, str() for the rest (sweep's counts and gap rows' "" alike)."""
     blocks = iter(blocks)
     first = next(blocks, ())
     out.write(",".join(header) + "\n")
     for rows in itertools.chain([first], blocks):
-        out.write("".join([_row_format(tuple(map(type, row))) % row for row in rows]))
+        rows = iter(rows)
+        head = next(rows, None)
+        if head is not None:
+            line = ",".join("%d" if isinstance(v, bool) else "%.17g" if isinstance(v, float) else "%s" for v in head)
+            values = (*head, *itertools.chain.from_iterable(rows))
+            out.write((line + "\n") * (len(values) // len(head)) % values)
     if footer is not None:
         out.write(footer + "\n")
 
@@ -265,14 +268,17 @@ def run_figure(args: argparse.Namespace, out: TextIO) -> int:
         header = ["t", "dQ_ab_hot_a", "dQ_ab_hot_b"]
 
         def columns(times):
-            return [times] + [heat_transfer(times, sys_, prep).dq_ab for prep in (hot_a, hot_b)]
+            _, products = _evaluate_table(times, sys_)  # once for both preparations
+            return [times] + [_report(times, products, prep, sys_).dq_ab for prep in (hot_a, hot_b)]
     elif number == 2:
         linear = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.1 * omega)
         rwa = OscillatorSystem(omega, omega, InteractionKind.RWA, g=0.1 * omega)
         header = ["t", "dQ_a_linear_hot_a", "dQ_a_linear_hot_b", "dQ_a_rwa_hot_a", "dQ_a_rwa_hot_b"]
 
         def columns(times):
-            return [times] + [heat_transfer(times, sys_, prep).dq_a for sys_ in (linear, rwa) for prep in (hot_a, hot_b)]
+            tables = [(sys_, _evaluate_table(times, sys_)[1]) for sys_ in (linear, rwa)]
+            return [times] + [_report(times, products, prep, sys_).dq_a
+                              for sys_, products in tables for prep in (hot_a, hot_b)]
     elif number == 3:
         sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.49 * omega)
         header = ["t", "dQ_a", "dQ_b", "dQ_ab", "dS0", "csl_ok"]

@@ -98,6 +98,16 @@ MUTANTS = [
     # a series keeps the last stack's phases while it forms the next
     Mutant("src/qsubthermo/fock.py", "        del c, s  # before the next stack's phases are formed\n", "",
            "tests/test_fock_sectors.py::test_oracle_calls_stay_below_one_dense_hamiltonian[linear-long_heat_series]"),
+    # figure 1 reports its one evaluation under hot_a in both columns
+    Mutant("src/qsubthermo/cli.py", ".dq_ab for prep in (hot_a, hot_b)]", ".dq_ab for prep in (hot_a, hot_a)]",
+           "tests/test_cli.py::TestFigureCommand::test_figure_columns_are_each_systems_heat_reports[1]"),
+    # figure 2 reports the linear system's evaluation for the RWA columns
+    Mutant("src/qsubthermo/cli.py", "_evaluate_table(times, sys_)[1]) for sys_ in (linear, rwa)",
+           "_evaluate_table(times, linear)[1]) for sys_ in (linear, rwa)",
+           "tests/test_cli.py::TestFigureCommand::test_figure_columns_are_each_systems_heat_reports[2]"),
+    # the audit norm drops the imaginary part of the commutator's edges
+    Mutant("src/qsubthermo/diagnostics.py", "np.sum(v.real**2 + v.imag**2)", "np.sum(v.real**2)",
+           "tests/test_diagnostics.py::TestDecompositionAudit::test_norm_is_the_root_of_the_exact_sum_of_squares[linear]"),
 ]
 
 

@@ -18,6 +18,7 @@ from qsubthermo import (
     InteractionKind,
     OscillatorSystem,
     ThermalPreparation,
+    analytic,
     cli,
     heat_transfer,
     time_averaged_heat,
@@ -92,6 +93,30 @@ class TestFigureCommand:
         assert header == ["tau", "avg_dQ_ab"]
         values = [float(r[1]) for r in rows if float(r[0]) >= 3.0]
         assert min(values) < -1e-6
+
+    @pytest.mark.parametrize("number", [1, 2])
+    def test_figure_columns_are_each_systems_heat_reports(self, tmp_path, number):
+        # one evaluation per system serves both preparations, each under its own
+        out = tmp_path / "fig.csv"
+        assert main(["--out", str(out), "--samples", "300", "figure", str(number)]) == 0
+        header, rows = read_csv(out)
+        times = np.array([float(row[0]) for row in rows])
+        hot_a = ThermalPreparation.from_temperatures(cli.TEMP_HOT, cli.TEMP_COLD)
+        kinds, field = ([InteractionKind.RWA], "dq_ab") if number == 1 else ([InteractionKind.LINEAR, InteractionKind.RWA], "dq_a")
+        expected = [getattr(heat_transfer(times, OscillatorSystem(1.0, 1.0, kind, g=0.1), prep), field)
+                    for kind in kinds for prep in (hot_a, hot_a.swapped())]
+        for index, column in enumerate(expected, start=1):
+            assert [float(row[index]) for row in rows] == column.tolist(), header[index]
+
+    @pytest.mark.parametrize("number, systems", [(1, 1), (2, 2)])
+    def test_each_system_is_evaluated_once_per_block(self, tmp_path, monkeypatch, number, systems):
+        # every evaluation of a system's forms reads its table once, so the
+        # table is read once per system per block, not once per preparation
+        reads, table = [], analytic._table
+        monkeypatch.setattr(analytic, "_table", lambda sys_: reads.append(sys_) or table(sys_))
+        argv = ["--out", str(tmp_path / "fig.csv"), "--samples", str(2 * cli._BLOCK_ROWS + 1), "figure", str(number)]
+        assert main(argv) == 0
+        assert len(reads) == 3 * systems and len(set(reads)) == systems
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         out = tmp_path / "fig3.csv"
@@ -492,6 +517,14 @@ def whole_grid_rows(number, samples):
     return [[text(v) for v in row] for row in zip(*(column.tolist() for column in columns))]
 
 
+def per_row_csv(header, blocks, footer=None):
+    """The writer's reference: every row formatted by itself, each value by its
+    own type (17 significant digits for a float, 1/0 for a bool, str() else)."""
+    text = lambda v: ("%d" if isinstance(v, bool) else "%.17g" if isinstance(v, float) else "%s") % v  # noqa: E731
+    lines = [",".join(header), *(",".join(map(text, row)) for rows in blocks for row in rows)]
+    return "\n".join(lines + ([] if footer is None else [footer])) + "\n"
+
+
 class TestOutput:
     @pytest.mark.parametrize("case", ["out-in-missing-directory", "out-is-a-directory", "missing-config",
                                       "config-not-utf8"])
@@ -544,14 +577,42 @@ class TestOutput:
             (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, np.float64(0.1)),
             (True, False, 7, -3, 2**70, "", "gap", np.float64(-0.0)),
         ]
+        # a block of several rows takes its first row's formats: an int and "" share %s
+        block = [(0.5, True, 3, np.float64(1 / 3)), (-1e300, False, "", np.float64(2.0)), (math.nan, True, 12, -0.0)]
         buffer = io.StringIO()
-        cli.write_csv(buffer, ["a", "b"], [rows[:1], rows[1:]], footer="# end")
+        cli.write_csv(buffer, ["a", "b"], [rows[:1], rows[1:], [], block], footer="# end")
         assert buffer.getvalue() == (
             "a,b\n"
             "nan,inf,-inf,-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,0.10000000000000001\n"
             "1,0,7,-3,1180591620717411303424,,gap,-0\n"
+            "0.5,1,3,0.33333333333333331\n"
+            "-1.0000000000000001e+300,0,,2\n"
+            "nan,1,12,-0\n"
             "# end\n"
-        )
+        ) == per_row_csv(["a", "b"], [rows[:1], rows[1:], [], block], footer="# end")
+
+    @pytest.mark.parametrize("argv, block_rows", [
+        *((["--samples", str(2 * cli._BLOCK_ROWS + 1), "figure", str(number)], [cli._BLOCK_ROWS] * 2 + [1])
+          for number in (1, 2, 3)),
+        (["compare"], [81]),
+        (["sweep", "--g-grid", "0.3,0.5,0.51"], [6]),
+    ], ids=["figure-1", "figure-2", "figure-3", "compare", "sweep-gaps"])
+    def test_blocks_match_the_per_row_reference(self, tmp_path, monkeypatch, argv, block_rows):
+        written, write = [], cli.write_csv
+
+        def recorded(out, header, blocks, footer=None):
+            blocks = [list(rows) for rows in blocks]
+            written.append((header, blocks, footer))
+            write(out, header, blocks, footer)
+
+        monkeypatch.setattr(cli, "write_csv", recorded)
+        out = tmp_path / "x.csv"
+        assert main(["--out", str(out), *argv]) == 0
+        ((header, blocks, footer),) = written
+        assert [len(rows) for rows in blocks] == block_rows  # a ragged last block of a figure
+        if argv[0] == "sweep":  # gap rows between counted ones: "" where the others hold an int
+            assert [row[2] for row in blocks[0]] == [0, 0, "", "", 232, 232]
+        assert out.read_bytes() == per_row_csv(header, blocks, footer).encode()
 
     def test_closed_form_commands_never_load_the_oracle(self, tmp_path):
         script = """if True:
@@ -581,6 +642,25 @@ class TestOutput:
             assert "qsubthermo.fock" in sys.modules and "numpy.ma" not in sys.modules
         """
         proc = run_fresh([str(tmp_path / "x.csv")], code=script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_audit_takes_no_blas_norm(self):
+        # np.linalg.norm takes a threaded BLAS dot, which as a fresh process's
+        # first BLAS call stalls about 8 ms at 10 001-19 999 entries (the edges
+        # of a minimal kind at 40 levels, linear at 48), so the audit sums its
+        # squares elementwise
+        script = """if True:
+            import numpy as np
+            from qsubthermo.cli import main
+
+            def refused(*args, **kwargs):
+                raise AssertionError("np.linalg.norm was called")
+
+            np.linalg.norm = refused
+            for kind in ("linear", "minimal-b"):
+                assert main(["--kind", kind, "--fock-n", "40", "audit"]) == 0
+        """
+        proc = run_fresh([], code=script)
         assert proc.returncode == 0, proc.stderr
 
     def test_long_curve_is_never_held_whole(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,24 @@ class TestDecompositionAudit:
             ((h0, v), (h, v), (h0, h)),
         ):
             assert got == pytest.approx(commutator_norm(x, y), rel=1e-12, abs=1e-10)
+
+    @pytest.mark.parametrize("sys_", [
+        rwa_system(g=0.3),
+        linear_system(g=0.3),
+        OscillatorSystem(1.0, 1.0, InteractionKind.NONE),
+        OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_A, m=1.3, q=0.37),
+        OscillatorSystem(1.0, 1.0, InteractionKind.MINIMAL_B, m=0.6, q=0.2),
+    ], ids=lambda sys_: sys_.kind.value)
+    def test_norm_is_the_root_of_the_exact_sum_of_squares(self, sys_):
+        # the audit sums |v|^2 elementwise, not through np.linalg.norm's BLAS
+        # dot; math.fsum rounds the sum once.  The rwa and linear edges are
+        # imaginary, so a sum of the real parts alone reads 0 on linear
+        cfg = FockConfig(40, 40)
+        parts = build_hamiltonian(sys_, cfg)
+        d = parts.d_a + parts.d_b
+        v = ((d[parts.rows] - d[parts.cols]) * parts.vals).tolist()
+        exact = math.sqrt(math.fsum(part * part for x in v for part in (x.real, x.imag)))
+        assert decomposition_audit(sys_, cfg).norm_h0v == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_rwa_bare_commutators_vanish_exactly(self, cfg_small):
         audit = decomposition_audit(rwa_system(g=0.3), cfg_small)
