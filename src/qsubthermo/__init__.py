@@ -3,31 +3,37 @@
 Closed-form Heisenberg dynamics and heat/entropy bookkeeping for resonant
 oscillators prepared in product thermal states, an independent truncated
 Fock-space oracle for cross-validation, and diagnostics for the Clausius and
-free-entropy forms of the second law.  The oracle module ``fock`` is imported
-on first use of it or of one of its names, so the closed forms never load it.
+free-entropy forms of the second law.  The modules ``quadrature``,
+``diagnostics`` and the oracle ``fock`` are imported on first use of them or of
+one of their names, so the closed forms load none of them.
 """
 
 import importlib
 
-from . import analytic, diagnostics, model
+from . import analytic, model
 from .analytic import *
-from .diagnostics import *
 from .model import *
-from .quadrature import adaptive_simpson
 
 __version__ = "0.1.0"
 
+# Served by __getattr__, cheapest first: a name imports the modules up to the one that has it.
+_ON_FIRST_USE = ("quadrature", "diagnostics", "fock")
+
 
 def __getattr__(name: str):
-    """Serve ``fock``, its public names and ``__all__`` by importing the oracle.
+    """Serve the modules of ``_ON_FIRST_USE``, their public names and ``__all__``
+    by importing them in turn until one has the name (``__all__`` takes all).
 
     ``from . import fock`` would look the name up here again and recurse.
     """
-    fock = importlib.import_module(f"{__name__}.fock")
     namespace = globals()
-    namespace.update({key: getattr(fock, key) for key in fock.__all__})
-    namespace["__all__"] = ["__version__", *model.__all__, *analytic.__all__, "adaptive_simpson", *fock.__all__,
-                            *diagnostics.__all__]
+    for module_name in _ON_FIRST_USE:
+        module = importlib.import_module(f"{__name__}.{module_name}")
+        namespace.update({key: getattr(module, key) for key in module.__all__})
+        if name in namespace:
+            return namespace[name]
+    namespace["__all__"] = ["__version__", *model.__all__, *analytic.__all__,
+                            *(key for module_name in _ON_FIRST_USE for key in namespace[module_name].__all__)]
     if name not in namespace:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return namespace[name]

@@ -3,16 +3,18 @@
 Output files are plain CSV (UTF-8, ``\\n`` newlines, 17-significant-digit
 floats, so every value round-trips exactly).  ``main`` opens ``--out`` for
 every command, ``audit`` included, before the command evaluates anything, as a
-temporary sibling that replaces it only on success.  A figure is evaluated (each
-system's closed forms once for all its preparations), formatted (with one format
-string, so each column of a block holds one format) and written ``_BLOCK_ROWS``
-rows at a time; on stdout, blocks written before a failing one stay printed.
+temporary sibling that replaces it only on success.  A figure's time grid is
+built, evaluated (each system's closed forms once for all its preparations),
+formatted (with one format string, so each column of a block holds one format)
+and written ``_BLOCK_ROWS`` rows at a time, so its memory does not grow with
+``--samples``; on stdout, blocks written before a failing one stay printed.
 Exit codes: 0 success, 2 bad parameters (a coupling the kind does not take, an
 empty sweep grid, a NaN or negative ``--tol`` included), a flag or config key
 the command does not read, infeasible truncation, an unreadable ``--config`` or
 an unwritable ``--out``, 3 singular coupling (g = omega/2), 4 tolerance breach
-in ``compare`` (a NaN deviation breaches it too).  Only ``compare`` and
-``audit`` load the Fock oracle.
+in ``compare`` (a NaN deviation breaches it too).  A command imports only the
+modules it runs: ``figure`` neither ``diagnostics`` nor the Fock oracle,
+``sweep`` ``diagnostics``, ``compare`` the oracle, ``audit`` both.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .analytic import _evaluate_table, _report, heat_transfer, time_averaged_heat
-from .diagnostics import decomposition_audit, scan_violations
 from .model import (
     MINIMAL_KINDS,
     TAIL_TOL_DEFAULT,
@@ -60,9 +61,11 @@ COMPARE_BETAS = (1.0, 2.0)
 AUDIT_LEVELS = 24
 
 
-# Grid points evaluated, formatted and written at a time by a figure: bounds
-# the curve held in memory while keeping each evaluation vectorised.
-_BLOCK_ROWS = 1024
+# Grid points built, evaluated, formatted and written at a time by a figure.
+# A block's Python floats, row tuples and text take about 110 B a value, so 256
+# rows of figure 3's six columns hold about 0.17 MB, while each evaluation
+# still runs vectorised.
+_BLOCK_ROWS = 256
 
 
 def write_csv(out: TextIO, header: list[str], blocks: Iterable[Iterable[tuple]], footer: str | None = None) -> None:
@@ -296,13 +299,28 @@ def run_figure(args: argparse.Namespace, out: TextIO) -> int:
 
         def columns(taus):
             return [taus] + [time_averaged_heat(sys_, hot_a, taus) for sys_ in systems]
-    grid = np.linspace(0.0, t_max, samples) if number <= 3 else np.arange(1, samples + 1) * (t_max / samples)
-    blocks = (
-        zip(*(column.tolist() for column in columns(grid[start:start + _BLOCK_ROWS])))
+    write_csv(out, header, (
+        zip(*(column.tolist() for column in columns(_grid(number, t_max, samples, start))))
         for start in range(0, samples, _BLOCK_ROWS)
-    )
-    write_csv(out, header, blocks)
+    ))
     return EXIT_OK
+
+
+def _grid(number: int, t_max: float, samples: int, start: int) -> np.ndarray:
+    """Points start to start + _BLOCK_ROWS of a figure's grid, so no figure holds
+    it whole: i * (t_max / samples) from i = 1 for figures 4-5, and for figures
+    1-3 np.linspace(0.0, t_max, samples) bit for bit.  Like linspace, that takes
+    i * step, or i / div * t_max where the step underflows to zero, adds its start
+    0.0 (a -0.0 becomes 0.0) and sets the last of two or more points to t_max."""
+    index = np.arange(start, min(start + _BLOCK_ROWS, samples))
+    if number > 3:
+        return (index + 1) * (t_max / samples)
+    div = max(samples - 1, 1)
+    step = t_max / div
+    times = (index * step if step != 0.0 else index / div * t_max) + 0.0
+    if index[-1] == samples - 1 > 0:
+        times[-1] = t_max
+    return times
 
 
 def run_compare(args: argparse.Namespace, out: TextIO) -> int:
@@ -335,6 +353,7 @@ def run_compare(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def run_audit(args: argparse.Namespace, out: TextIO) -> int:
+    from .diagnostics import decomposition_audit
     from .fock import FockConfig
 
     levels = args.fock_n if args.fock_n is not None else AUDIT_LEVELS
@@ -347,6 +366,8 @@ def run_audit(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def run_sweep(args: argparse.Namespace, out: TextIO) -> int:
+    from .diagnostics import scan_violations
+
     omega = OscillatorSystem(args.omega, args.omega).omega_a  # checked before 50/omega
     base_beta = args.beta_a if args.beta_a is not None else 1.0 / TEMP_HOT
     t_max = args.t_max if args.t_max is not None else 50.0 / omega

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+__all__ = ["adaptive_simpson"]
+
 
 def adaptive_simpson(
     f: Callable[[float], float],

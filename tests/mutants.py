@@ -105,6 +105,12 @@ MUTANTS = [
     Mutant("src/qsubthermo/cli.py", "_evaluate_table(times, sys_)[1]) for sys_ in (linear, rwa)",
            "_evaluate_table(times, linear)[1]) for sys_ in (linear, rwa)",
            "tests/test_cli.py::TestFigureCommand::test_figure_columns_are_each_systems_heat_reports[2]"),
+    # a figure holds 1024 rows a block again
+    Mutant("src/qsubthermo/cli.py", "_BLOCK_ROWS = 256", "_BLOCK_ROWS = 1024",
+           "tests/test_cli.py::TestOutput::test_figure_holds_one_small_block"),
+    # the package imports diagnostics eagerly again, so every figure compiles it
+    Mutant("src/qsubthermo/__init__.py", "from . import analytic, model\n", "from . import analytic, diagnostics, model\n",
+           "tests/test_cli.py::TestOutput::test_each_command_loads_only_the_modules_it_runs[figure-3]"),
     # the audit norm drops the imaginary part of the commutator's edges
     Mutant("src/qsubthermo/diagnostics.py", "np.sum(v.real**2 + v.imag**2)", "np.sum(v.real**2)",
            "tests/test_diagnostics.py::TestDecompositionAudit::test_norm_is_the_root_of_the_exact_sum_of_squares[linear]"),

@@ -341,7 +341,7 @@ class TestAuditCommand:
         def no_audit(*args):
             raise AssertionError("the audit ran before --out was opened")
 
-        monkeypatch.setattr(cli, "decomposition_audit", no_audit)
+        monkeypatch.setattr("qsubthermo.diagnostics.decomposition_audit", no_audit)
         assert main(["--out", str(tmp_path / "missing" / "x.txt"), "audit"]) == EXIT_VALIDATION
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invalid configuration: cannot write --out"), lines
@@ -525,6 +525,22 @@ def per_row_csv(header, blocks, footer=None):
     return "\n".join(lines + ([] if footer is None else [footer])) + "\n"
 
 
+# tracemalloc peak bound of figure 3 at --t-max 45 --samples 24000: 0.36 MiB
+# warm and 0.52 cold with 256-row blocks (numpy 2.4); 0.96 warm with blocks of
+# 1024 rows, 1.11 warm with the whole grid held besides.
+FIGURE_PEAK = int(0.75 * 2**20)
+
+
+def figure_peak(tmp_path, samples):
+    """tracemalloc peak of one figure 3 run at --t-max 45."""
+    tracemalloc.start()
+    try:
+        assert main(["--t-max", "45", "--samples", str(samples), "--out", str(tmp_path / "x.csv"), "figure", "3"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestOutput:
     @pytest.mark.parametrize("case", ["out-in-missing-directory", "out-is-a-directory", "missing-config",
                                       "config-not-utf8"])
@@ -614,20 +630,30 @@ class TestOutput:
             assert [row[2] for row in blocks[0]] == [0, 0, "", "", 232, 232]
         assert out.read_bytes() == per_row_csv(header, blocks, footer).encode()
 
-    def test_closed_form_commands_never_load_the_oracle(self, tmp_path):
+    @pytest.mark.parametrize("argv, loaded", [
+        (["figure", "3"], []),
+        (["figure", "4"], []),
+        (["sweep"], ["diagnostics"]),
+        (["--kind", "linear", "--beta-a", "2", "--beta-b", "3", "--samples", "9", "compare"], ["fock"]),
+        (["--kind", "rwa", "--fock-n", "12", "audit"], ["diagnostics", "fock"]),
+    ], ids=["figure-3", "figure-4", "sweep", "compare", "audit"])
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded):
+        # each command imports only the modules it runs, none of them quadrature,
+        # and the package still serves the others' names from their modules
         script = """if True:
             import sys
             import qsubthermo
             from qsubthermo.cli import main
-            for argv in (["figure", "3"], ["figure", "4"], ["sweep"]):
-                assert main(["--out", sys.argv[1], *argv]) == 0
-            assert "qsubthermo.fock" not in sys.modules
-            assert main(["--kind", "rwa", "--fock-n", "12", "audit"]) == 0
-            fock = sys.modules["qsubthermo.fock"]
-            assert qsubthermo.fock is fock and qsubthermo.heat_series_numeric is fock.heat_series_numeric
+            assert main(["--out", sys.argv[1], *sys.argv[2:]]) == 0
+            print(*(name for name in qsubthermo._ON_FIRST_USE if f"qsubthermo.{name}" in sys.modules))
+            served = (qsubthermo.scan_violations, qsubthermo.decomposition_audit, qsubthermo.adaptive_simpson,
+                      qsubthermo.heat_series_numeric, qsubthermo.fock)
+            d, q, fock = (sys.modules[f"qsubthermo.{name}"] for name in ("diagnostics", "quadrature", "fock"))
+            assert served == (d.scan_violations, d.decomposition_audit, q.adaptive_simpson, fock.heat_series_numeric, fock)
         """
-        proc = run_fresh([str(tmp_path / "x.csv")], code=script)
+        proc = run_fresh([str(tmp_path / "x.csv"), *argv], code=script)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == loaded
 
     def test_oracle_commands_never_load_numpy_ma(self, tmp_path):
         # np.unique without indices imports numpy.ma (numpy 2.4), 8-16 ms of
@@ -664,13 +690,26 @@ class TestOutput:
         assert proc.returncode == 0, proc.stderr
 
     def test_long_curve_is_never_held_whole(self, tmp_path):
-        tracemalloc.start()
-        try:
-            assert main(["--t-max", "45", "--samples", "200000", "--out", str(tmp_path / "x.csv"), "figure", "3"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert figure_peak(tmp_path, 200000) < 8 * 2**20
+
+    def test_figure_memory_does_not_grow_with_samples(self, tmp_path):
+        # the grid is built a block at a time too: held whole, 65 537 points add
+        # 0.5 MiB; the first run only warms the caches
+        small, large = [figure_peak(tmp_path, samples) for samples in (4097, 4097, 65537)][1:]
+        assert large < small + 0.1 * 2**20
+
+    def test_figure_holds_one_small_block(self, tmp_path):
+        assert figure_peak(tmp_path, 24000) < FIGURE_PEAK
+
+    @pytest.mark.parametrize("t_max", [45.0, -0.0, 1e-323])
+    @pytest.mark.parametrize("samples", [1, 2, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1])
+    def test_grid_blocks_are_the_whole_grid(self, samples, t_max):
+        # linspace bit for bit for figures 1-3, also where its step is -0.0 or underflows to zero
+        starts = range(0, samples, cli._BLOCK_ROWS)
+        for number, whole in [(3, np.linspace(0.0, t_max, samples)), (4, np.arange(1, samples + 1) * (t_max / samples))]:
+            blocks = [cli._grid(number, t_max, samples, start) for start in starts]
+            assert [len(block) for block in blocks] == [min(cli._BLOCK_ROWS, samples - start) for start in starts]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 def long_options(parser):

@@ -10,7 +10,8 @@ import pytest
 
 import qsubthermo
 
-MODULES = [importlib.import_module(f"qsubthermo.{name}") for name in ("model", "analytic", "fock", "diagnostics")]
+MODULES = [importlib.import_module(f"qsubthermo.{name}")
+           for name in ("model", "analytic", "fock", "diagnostics", "quadrature")]
 
 
 @pytest.mark.parametrize("module", [qsubthermo, *MODULES], ids=lambda m: m.__name__)
@@ -22,7 +23,7 @@ def test_every_exported_name_resolves(module):
 
 def test_package_exports_are_the_module_exports():
     union = set().union(*(module.__all__ for module in MODULES))
-    assert set(qsubthermo.__all__) == union | {"__version__", "adaptive_simpson"}
+    assert set(qsubthermo.__all__) == union | {"__version__"}
 
 
 def test_star_import_binds_every_exported_name():
