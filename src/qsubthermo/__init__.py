@@ -1,14 +1,14 @@
 """Heat transfer between two coupled quantum harmonic oscillators.
 
-Closed-form Heisenberg dynamics and heat/entropy bookkeeping for resonant
-oscillators prepared in product thermal states, an independent truncated
-Fock-space oracle for cross-validation, and diagnostics for the Clausius and
-free-entropy forms of the second law.  The modules ``quadrature``,
-``diagnostics`` and the oracle ``fock`` are imported on first use of them or of
-one of their names, so the closed forms load none of them.
+Closed-form Heisenberg dynamics, heat/entropy bookkeeping and the violation
+scan for resonant oscillators prepared in product thermal states, and an
+independent truncated Fock-space oracle for cross-validation with its audit of
+the decomposition.  The modules ``quadrature`` and the oracle ``fock`` are
+imported on first use of them or of one of their names, so the closed forms
+load neither.
 """
 
-import importlib
+import importlib.machinery
 
 from . import analytic, model
 from .analytic import *
@@ -17,15 +17,19 @@ from .model import *
 __version__ = "0.1.0"
 
 # Served by __getattr__, cheapest first: a name imports the modules up to the one that has it.
-_ON_FIRST_USE = ("quadrature", "diagnostics", "fock")
+_ON_FIRST_USE = ("quadrature", "fock")
 
 
 def __getattr__(name: str):
     """Serve the modules of ``_ON_FIRST_USE``, their public names and ``__all__``
     by importing them in turn until one has the name (``__all__`` takes all).
 
-    ``from . import fock`` would look the name up here again and recurse.
+    Any other submodule's name is refused at once: ``from qsubthermo import cli``
+    asks for it here before it imports ``qsubthermo.cli``.  ``from . import fock``
+    would look the name up here again and recurse.
     """
+    if name not in _ON_FIRST_USE and importlib.machinery.PathFinder.find_spec(name, __path__):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     namespace = globals()
     for module_name in _ON_FIRST_USE:
         module = importlib.import_module(f"{__name__}.{module_name}")

@@ -28,10 +28,16 @@ same bookkeeping applied to <c_i conj(c_j)>_tau = sum_kl A_ik phi((mu_k +
 conj(mu_l)) tau) conj(A_jl), phi(z) = expm1(z)/z and phi(0) = 1: exact, with
 no quadrature.  Times and windows may be scalars, which give Python numbers,
 or 1-D arrays, which give arrays.
+
+``scan_violations`` applies the Clausius verdict ``model.csl_compliant`` on a
+time grid and classifies a breakage as transient (pointwise only: the
+long-time average of dQ_ab keeps the Clausius sign) or persistent (the
+long-time average violates), read exactly from the exponents of the table.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -51,10 +57,13 @@ from .model import (
 
 __all__ = [
     "PropagatorCoefficients",
+    "Classification",
+    "ViolationProfile",
     "thermal_occupation",
     "propagator_coefficients",
     "heat_transfer",
     "time_averaged_heat",
+    "scan_violations",
 ]
 
 
@@ -245,3 +254,45 @@ def time_averaged_heat(sys: OscillatorSystem, prep: ThermalPreparation, tau: flo
         np.divide(np.expm1(z), z, out=phi, where=z != 0)
     products = np.einsum("pjk,...jk->p...", forms, phi).real
     return _report(tau if taus.ndim == 0 else taus, products, prep, sys).dq_ab
+
+
+class Classification(enum.Enum):
+    NONE = "none"
+    TRANSIENT = "transient"
+    PERSISTENT = "persistent"
+
+
+@dataclass(frozen=True)
+class ViolationProfile:
+    """Where the sign rule fails on a time grid, and how that failure reads."""
+
+    violations: tuple[float, ...]
+    classification: Classification
+
+
+def scan_violations(
+    sys: OscillatorSystem,
+    prep: ThermalPreparation,
+    t_max: float,
+    n_samples: int,
+) -> ViolationProfile:
+    """Evaluate dQ_ab on a uniform grid and classify any sign violations.
+
+    Violations are persistent when some exponent mu of the closed-form table
+    has Re mu > 0, and transient otherwise.  That is the long-time average's
+    verdict on every table.  On a stable one the secular terms of K - 1 (those
+    with mu_j + conj(mu_k) = 0) sum to zero, so the average tends to the
+    compliant omega_a (X_a - X_b); on an unstable one the fastest-growing terms
+    of K - 1 oscillate, so the average changes sign without end.
+    """
+    _checked(t_max, "t_max", positive=True)
+    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
+        raise ModelError(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < 16:
+        raise ModelError("need at least 16 samples")
+    grid = np.linspace(0.0, t_max, n_samples)
+    violations = tuple(grid[~heat_transfer(grid, sys, prep).csl_ok].tolist())
+    if not violations:
+        return ViolationProfile(violations, Classification.NONE)
+    grows = (_table(sys)[0].real > 0.0).any()
+    return ViolationProfile(violations, Classification.PERSISTENT if grows else Classification.TRANSIENT)

@@ -13,8 +13,8 @@ empty sweep grid, a NaN or negative ``--tol`` included), a flag or config key
 the command does not read, infeasible truncation, an unreadable ``--config`` or
 an unwritable ``--out``, 3 singular coupling (g = omega/2), 4 tolerance breach
 in ``compare`` (a NaN deviation breaches it too).  A command imports only the
-modules it runs: ``figure`` neither ``diagnostics`` nor the Fock oracle,
-``sweep`` ``diagnostics``, ``compare`` the oracle, ``audit`` both.
+modules it runs: ``figure`` and ``sweep`` run the closed forms alone, and
+``compare`` and ``audit`` the Fock oracle too.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from . import __version__
-from .analytic import _evaluate_table, _report, heat_transfer, time_averaged_heat
+from .analytic import _evaluate_table, _report, heat_transfer, scan_violations, time_averaged_heat
 from .model import (
     MINIMAL_KINDS,
     TAIL_TOL_DEFAULT,
@@ -40,6 +40,7 @@ from .model import (
     OscillatorSystem,
     SingularCouplingError,
     ThermalPreparation,
+    _checked,
 )
 
 EXIT_OK = 0
@@ -263,6 +264,7 @@ def _system(args: argparse.Namespace) -> OscillatorSystem:
 def run_figure(args: argparse.Namespace, out: TextIO) -> int:
     omega, number = OscillatorSystem(args.omega, args.omega).omega_a, args.number  # checked before 50/omega
     t_max = args.t_max if args.t_max is not None else 50.0 / omega
+    _checked(t_max, "t_max", positive=number > 3)  # before the grid, which would turn inf into NaN
     samples = args.samples if args.samples is not None else (1000 if number <= 3 else 200)
     hot_a = ThermalPreparation.from_temperatures(TEMP_HOT, TEMP_COLD)
     hot_b = hot_a.swapped()
@@ -353,8 +355,7 @@ def run_compare(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def run_audit(args: argparse.Namespace, out: TextIO) -> int:
-    from .diagnostics import decomposition_audit
-    from .fock import FockConfig
+    from .fock import FockConfig, decomposition_audit
 
     levels = args.fock_n if args.fock_n is not None else AUDIT_LEVELS
     audit = decomposition_audit(_system(args), FockConfig(levels, levels, tail_tol=args.tail_tol))
@@ -366,8 +367,6 @@ def run_audit(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def run_sweep(args: argparse.Namespace, out: TextIO) -> int:
-    from .diagnostics import scan_violations
-
     omega = OscillatorSystem(args.omega, args.omega).omega_a  # checked before 50/omega
     base_beta = args.beta_a if args.beta_a is not None else 1.0 / TEMP_HOT
     t_max = args.t_max if args.t_max is not None else 50.0 / omega

@@ -36,7 +36,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("src/qsubthermo/diagnostics.py", "COMMUTATOR_TOL = 1e-10", "COMMUTATOR_TOL = 1e-4",
+    Mutant("src/qsubthermo/fock.py", "COMMUTATOR_TOL = 1e-10", "COMMUTATOR_TOL = 1e-4",
            "tests/test_diagnostics.py::TestDecompositionAudit::test_a_weak_linear_coupling_is_not_safe"),
     Mutant("src/qsubthermo/fock.py", "_EIGENVALUE_FLOOR = -1e-10", "_EIGENVALUE_FLOOR = -1e-2",
            "tests/test_fock_oracle.py::TestEntropyHelpers::test_entropy_rejects_unphysical_matrix[near]"),
@@ -54,9 +54,9 @@ MUTANTS = [
            "            value = fn(*args)\n            held.clear()\n            held[args] = value\n",
            "tests/test_fock_oracle.py::TestOneSystemHeld::test_the_last_system_is_freed_before_the_next_is_built"),
     # persistent exactly when the flow grows: not on a stable table, and not only past some growth rate
-    Mutant("src/qsubthermo/diagnostics.py", "_table(sys)[0].real > 0.0", "_table(sys)[0].real >= 0.0",
+    Mutant("src/qsubthermo/analytic.py", "_table(sys)[0].real > 0.0", "_table(sys)[0].real >= 0.0",
            "tests/test_diagnostics.py::TestScanViolations::test_linear_just_below_critical_is_transient"),
-    Mutant("src/qsubthermo/diagnostics.py", "_table(sys)[0].real > 0.0", "_table(sys)[0].real > 0.02",
+    Mutant("src/qsubthermo/analytic.py", "_table(sys)[0].real > 0.0", "_table(sys)[0].real > 0.02",
            "tests/test_diagnostics.py::TestScanViolations::test_linear_just_above_critical_is_persistent[0.5001]"),
     Mutant("src/qsubthermo/model.py", "VIOLATION_TOL_SCALE = 1e-12", "VIOLATION_TOL_SCALE = 1e-7",
            "tests/test_detuned.py::test_oracle_follows_the_rabi_formula"),
@@ -108,12 +108,15 @@ MUTANTS = [
     # a figure holds 1024 rows a block again
     Mutant("src/qsubthermo/cli.py", "_BLOCK_ROWS = 256", "_BLOCK_ROWS = 1024",
            "tests/test_cli.py::TestOutput::test_figure_holds_one_small_block"),
-    # the package imports diagnostics eagerly again, so every figure compiles it
-    Mutant("src/qsubthermo/__init__.py", "from . import analytic, model\n", "from . import analytic, diagnostics, model\n",
+    # the package imports the oracle eagerly, so every figure compiles it
+    Mutant("src/qsubthermo/__init__.py", "from . import analytic, model\n", "from . import analytic, fock, model\n",
            "tests/test_cli.py::TestOutput::test_each_command_loads_only_the_modules_it_runs[figure-3]"),
     # the audit norm drops the imaginary part of the commutator's edges
-    Mutant("src/qsubthermo/diagnostics.py", "np.sum(v.real**2 + v.imag**2)", "np.sum(v.real**2)",
+    Mutant("src/qsubthermo/fock.py", "np.sum(v.real**2 + v.imag**2)", "np.sum(v.real**2)",
            "tests/test_diagnostics.py::TestDecompositionAudit::test_norm_is_the_root_of_the_exact_sum_of_squares[linear]"),
+    # a figure builds its grid from an unchecked t_max, where 0 * inf is a NaN
+    Mutant("src/qsubthermo/cli.py", '_checked(t_max, "t_max", positive=number > 3)', "None",
+           "tests/test_cli.py::TestFigureCommand::test_bad_t_max_is_named_as_given[inf-1-non-negative]"),
 ]
 
 

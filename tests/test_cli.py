@@ -118,6 +118,16 @@ class TestFigureCommand:
         assert main(argv) == 0
         assert len(reads) == 3 * systems and len(set(reads)) == systems
 
+    @pytest.mark.parametrize("t_max, number, rule", [
+        ("inf", 1, "non-negative"), ("-5", 1, "non-negative"), ("-5", 4, "positive"), ("0", 5, "positive"),
+    ])
+    def test_bad_t_max_is_named_as_given(self, t_max, number, rule):
+        # figures 1-3 built their grid first, where 0 * inf is a NaN with a numpy
+        # RuntimeWarning, and every figure reported a grid point, not t_max
+        proc = run_fresh(["--t-max", t_max, "--samples", "3", "figure", str(number)])
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+        assert proc.stderr == f"invalid configuration: t_max must be finite and {rule}, got {float(t_max)}\n"
+
     def test_csv_round_trip_is_exact(self, tmp_path):
         out = tmp_path / "fig3.csv"
         assert main(["--out", str(out), "--samples", "50", "figure", "3"]) == 0
@@ -341,7 +351,7 @@ class TestAuditCommand:
         def no_audit(*args):
             raise AssertionError("the audit ran before --out was opened")
 
-        monkeypatch.setattr("qsubthermo.diagnostics.decomposition_audit", no_audit)
+        monkeypatch.setattr("qsubthermo.fock.decomposition_audit", no_audit)
         assert main(["--out", str(tmp_path / "missing" / "x.txt"), "audit"]) == EXIT_VALIDATION
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invalid configuration: cannot write --out"), lines
@@ -633,9 +643,9 @@ class TestOutput:
     @pytest.mark.parametrize("argv, loaded", [
         (["figure", "3"], []),
         (["figure", "4"], []),
-        (["sweep"], ["diagnostics"]),
+        (["sweep"], []),
         (["--kind", "linear", "--beta-a", "2", "--beta-b", "3", "--samples", "9", "compare"], ["fock"]),
-        (["--kind", "rwa", "--fock-n", "12", "audit"], ["diagnostics", "fock"]),
+        (["--kind", "rwa", "--fock-n", "12", "audit"], ["fock"]),
     ], ids=["figure-3", "figure-4", "sweep", "compare", "audit"])
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded):
         # each command imports only the modules it runs, none of them quadrature,
@@ -648,12 +658,28 @@ class TestOutput:
             print(*(name for name in qsubthermo._ON_FIRST_USE if f"qsubthermo.{name}" in sys.modules))
             served = (qsubthermo.scan_violations, qsubthermo.decomposition_audit, qsubthermo.adaptive_simpson,
                       qsubthermo.heat_series_numeric, qsubthermo.fock)
-            d, q, fock = (sys.modules[f"qsubthermo.{name}"] for name in ("diagnostics", "quadrature", "fock"))
-            assert served == (d.scan_violations, d.decomposition_audit, q.adaptive_simpson, fock.heat_series_numeric, fock)
+            a, q, fock = (sys.modules[f"qsubthermo.{name}"] for name in ("analytic", "quadrature", "fock"))
+            assert served == (a.scan_violations, fock.decomposition_audit, q.adaptive_simpson, fock.heat_series_numeric, fock)
         """
         proc = run_fresh([str(tmp_path / "x.csv"), *argv], code=script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == loaded
+
+    def test_asking_for_a_submodule_loads_nothing_else(self):
+        # `from qsubthermo import cli` asks the package for the attribute cli
+        # before it imports qsubthermo.cli; the package refuses the name without
+        # importing its lazy modules, and still serves them and their names
+        script = """if True:
+            import sys
+            import qsubthermo
+            from qsubthermo import cli
+            assert [name for name in qsubthermo._ON_FIRST_USE if f"qsubthermo.{name}" in sys.modules] == []
+            served = (qsubthermo.fock, qsubthermo.adaptive_simpson, qsubthermo.heat_series_numeric)
+            q, fock = (sys.modules[f"qsubthermo.{name}"] for name in ("quadrature", "fock"))
+            assert served == (fock, q.adaptive_simpson, fock.heat_series_numeric)
+        """
+        proc = run_fresh([], code=script)
+        assert proc.returncode == 0, proc.stderr
 
     def test_oracle_commands_never_load_numpy_ma(self, tmp_path):
         # np.unique without indices imports numpy.ma (numpy 2.4), 8-16 ms of
