@@ -26,9 +26,12 @@ def __getattr__(name: str):
 
     Any other submodule's name is refused at once: ``from qsubthermo import cli``
     asks for it here before it imports ``qsubthermo.cli``.  ``from . import fock``
-    would look the name up here again and recurse.
+    would look the name up here again and recurse.  Every private name but
+    ``__all__`` is refused too, so a probe such as ``inspect.unwrap``'s
+    ``__wrapped__`` loads nothing; an unknown public name imports both modules.
     """
-    if name not in _ON_FIRST_USE and importlib.machinery.PathFinder.find_spec(name, __path__):
+    private = name.startswith("_") and name != "__all__"
+    if private or name not in _ON_FIRST_USE and importlib.machinery.PathFinder.find_spec(name, __path__):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     namespace = globals()
     for module_name in _ON_FIRST_USE:

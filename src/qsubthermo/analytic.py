@@ -243,6 +243,8 @@ def time_averaged_heat(sys: OscillatorSystem, prep: ThermalPreparation, tau: flo
     """(1/tau) * integral of dQ_ab(t) over [0, tau], exactly, for one window or
     a 1-D array of windows.
 
+    phi(z) is taken as 1 where |z| <= machine epsilon (it is within eps/2 of 1
+    there), so its complex division never overflows on a z near the float minimum.
     Ill-defined at g = omega/2 (the static-mode singularity propagates from
     the coefficients).
     """
@@ -251,7 +253,7 @@ def time_averaged_heat(sys: OscillatorSystem, prep: ThermalPreparation, tau: flo
     z = np.multiply.outer(taus, mu[:, None] + mu.conj())
     phi = np.ones_like(z)
     with np.errstate(over="ignore", invalid="ignore"):  # _report's _finite raises ModelError instead
-        np.divide(np.expm1(z), z, out=phi, where=z != 0)
+        np.divide(np.expm1(z), z, out=phi, where=abs(z) > np.finfo(float).eps)
     products = np.einsum("pjk,...jk->p...", forms, phi).real
     return _report(tau if taus.ndim == 0 else taus, products, prep, sys).dq_ab
 

@@ -3,8 +3,9 @@
 Output files are plain CSV (UTF-8, ``\\n`` newlines, 17-significant-digit
 floats, so every value round-trips exactly).  ``main`` opens ``--out`` for
 every command, ``audit`` included, before the command evaluates anything, as a
-temporary sibling that replaces it only on success.  A figure's time grid is
-built, evaluated (each system's closed forms once for all its preparations),
+temporary sibling that replaces it only on success.  Each figure's header and
+columns are read from one table, ``_FIGURES``; its time grid is built, evaluated
+(each system once per block, for all the preparations its columns take),
 formatted (with one format string, so each column of a block holds one format)
 and written ``_BLOCK_ROWS`` rows at a time, so its memory does not grow with
 ``--samples``; on stdout, blocks written before a failing one stay printed.
@@ -67,6 +68,20 @@ AUDIT_LEVELS = 24
 # rows of figure 3's six columns hold about 0.17 MB, while each evaluation
 # still runs vectorised.
 _BLOCK_ROWS = 256
+
+# The CSV name of each HeatReport field, read by figure 3's and compare's headers.
+_CSV_NAMES = {"dq_a": "dQ_a", "dq_b": "dQ_b", "dq_ab": "dQ_ab", "ds0": "dS0", "csl_ok": "csl_ok"}
+
+# Each figure's columns after its grid's: (header, kind, g/omega, preparation, HeatReport field).
+# Figures 4-5 print the field dq_ab averaged over each window tau.
+_FIGURES = {
+    1: (("dQ_ab_hot_a", "rwa", 0.1, "hot_a", "dq_ab"), ("dQ_ab_hot_b", "rwa", 0.1, "hot_b", "dq_ab")),
+    2: (("dQ_a_linear_hot_a", "linear", 0.1, "hot_a", "dq_a"), ("dQ_a_linear_hot_b", "linear", 0.1, "hot_b", "dq_a"),
+        ("dQ_a_rwa_hot_a", "rwa", 0.1, "hot_a", "dq_a"), ("dQ_a_rwa_hot_b", "rwa", 0.1, "hot_b", "dq_a")),
+    3: tuple((name, "linear", 0.49, "hot_a", field) for field, name in _CSV_NAMES.items()),
+    4: (("avg_dQ_ab_linear", "linear", 0.49, "hot_a", "dq_ab"), ("avg_dQ_ab_rwa", "rwa", 0.49, "hot_a", "dq_ab")),
+    5: (("avg_dQ_ab", "linear", 0.51, "hot_a", "dq_ab"),),
+}
 
 
 def write_csv(out: TextIO, header: list[str], blocks: Iterable[Iterable[tuple]], footer: str | None = None) -> None:
@@ -267,43 +282,20 @@ def run_figure(args: argparse.Namespace, out: TextIO) -> int:
     _checked(t_max, "t_max", positive=number > 3)  # before the grid, which would turn inf into NaN
     samples = args.samples if args.samples is not None else (1000 if number <= 3 else 200)
     hot_a = ThermalPreparation.from_temperatures(TEMP_HOT, TEMP_COLD)
-    hot_b = hot_a.swapped()
-    if number == 1:
-        sys_ = OscillatorSystem(omega, omega, InteractionKind.RWA, g=0.1 * omega)
-        header = ["t", "dQ_ab_hot_a", "dQ_ab_hot_b"]
+    preps, columns = {"hot_a": hot_a, "hot_b": hot_a.swapped()}, _FIGURES[number]
+    systems = {(kind, g): OscillatorSystem(omega, omega, InteractionKind(kind), g=g * omega) for _, kind, g, _, _ in columns}
 
-        def columns(times):
-            _, products = _evaluate_table(times, sys_)  # once for both preparations
-            return [times] + [_report(times, products, prep, sys_).dq_ab for prep in (hot_a, hot_b)]
-    elif number == 2:
-        linear = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.1 * omega)
-        rwa = OscillatorSystem(omega, omega, InteractionKind.RWA, g=0.1 * omega)
-        header = ["t", "dQ_a_linear_hot_a", "dQ_a_linear_hot_b", "dQ_a_rwa_hot_a", "dQ_a_rwa_hot_b"]
-
-        def columns(times):
-            tables = [(sys_, _evaluate_table(times, sys_)[1]) for sys_ in (linear, rwa)]
-            return [times] + [_report(times, products, prep, sys_).dq_a
-                              for sys_, products in tables for prep in (hot_a, hot_b)]
-    elif number == 3:
-        sys_ = OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=0.49 * omega)
-        header = ["t", "dQ_a", "dQ_b", "dQ_ab", "dS0", "csl_ok"]
-
-        def columns(times):
-            rep = heat_transfer(times, sys_, hot_a)
-            return [rep.t, rep.dq_a, rep.dq_b, rep.dq_ab, rep.ds0, rep.csl_ok]
-    else:
-        g = 0.49 * omega if number == 4 else 0.51 * omega
-        systems = [OscillatorSystem(omega, omega, InteractionKind.LINEAR, g=g)]
-        header = ["tau", "avg_dQ_ab"]
-        if number == 4:
-            systems.append(OscillatorSystem(omega, omega, InteractionKind.RWA, g=g))
-            header = ["tau", "avg_dQ_ab_linear", "avg_dQ_ab_rwa"]
-
-        def columns(taus):
-            return [taus] + [time_averaged_heat(sys_, hot_a, taus) for sys_ in systems]
-    write_csv(out, header, (
-        zip(*(column.tolist() for column in columns(_grid(number, t_max, samples, start))))
-        for start in range(0, samples, _BLOCK_ROWS)
+    def block(grid):
+        if number > 3:  # dQ_ab averaged over the windows grid, one system per column
+            values = [time_averaged_heat(systems[kind, g], preps[prep], grid) for _, kind, g, prep, _ in columns]
+        else:  # each system's forms evaluated once, then reported once per preparation
+            products = {key: _evaluate_table(grid, sys_)[1] for key, sys_ in systems.items()}
+            reports = {(kind, g, prep): _report(grid, products[kind, g], preps[prep], systems[kind, g])
+                       for _, kind, g, prep, _ in columns}
+            values = [getattr(reports[kind, g, prep], field) for _, kind, g, prep, field in columns]
+        return zip(grid.tolist(), *(value.tolist() for value in values))
+    write_csv(out, ["tau" if number > 3 else "t", *(column[0] for column in columns)], (
+        block(_grid(number, t_max, samples, start)) for start in range(0, samples, _BLOCK_ROWS)
     ))
     return EXIT_OK
 
@@ -339,12 +331,13 @@ def run_compare(args: argparse.Namespace, out: TextIO) -> int:
     times = np.linspace(0.0, t_max, samples)
     analytic = heat_transfer(times, sys_, prep)
     oracle = heat_series_numeric(sys_, prep, cfg, times)
-    pairs = [(getattr(analytic, k), np.array([getattr(r, k) for r in oracle])) for k in ("dq_a", "dq_b", "ds0")]
+    fields = ("dq_a", "dq_b", "ds0")
+    pairs = [(getattr(analytic, k), np.array([getattr(r, k) for r in oracle])) for k in fields]
     # np.max, unlike max(), keeps a NaN deviation, and the gate below fails on it
     worst = float(np.max([(abs(x - y) / np.maximum(1.0, abs(x))).max(initial=0.0) for x, y in pairs]))
     write_csv(
         out,
-        ["t", "dQ_a_analytic", "dQ_a_oracle", "dQ_b_analytic", "dQ_b_oracle", "dS0_analytic", "dS0_oracle"],
+        ["t", *(f"{_CSV_NAMES[k]}_{route}" for k in fields for route in ("analytic", "oracle"))],
         [zip(times.tolist(), *(column.tolist() for pair in pairs for column in pair))],
         footer=f"# max_relative_deviation,{worst:.17g}",
     )

@@ -6,10 +6,15 @@ drops it, and ``clear_oracle_caches`` makes the next call start cold.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsubthermo
 from qsubthermo import FockConfig, InteractionKind, OscillatorSystem, ThermalPreparation, fock
 from qsubthermo.fock import eigensystem, thermal_product_state
 
@@ -20,6 +25,15 @@ def clear_oracle_caches(*keep) -> None:
     for cached in vars(fock).values():
         if callable(getattr(cached, "cache_clear", None)) and cached not in keep:
             cached.cache_clear()
+
+
+def run_fresh(argv, code=None):
+    """The CLI (or a script given as code) in a fresh interpreter, so stderr and
+    the loaded modules are exactly what a user gets, numpy warnings included."""
+    src = str(Path(qsubthermo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = ["-m", "qsubthermo.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *command, *argv], capture_output=True, text=True, env=env)
 
 
 def rwa_system(g: float = 0.1, omega: float = 1.0) -> OscillatorSystem:

@@ -42,8 +42,8 @@ MUTANTS = [
            "tests/test_fock_oracle.py::TestEntropyHelpers::test_entropy_rejects_unphysical_matrix[near]"),
     Mutant("src/qsubthermo/fock.py", "_HERMITIAN_TOL = 1e-12", "_HERMITIAN_TOL = 1e-3",
            "tests/test_fock_operators.py::TestEvolve::test_rejects_non_hermitian_hamiltonian[1e-06]"),
-    # compare writes dQ_b under the dS0_analytic,dS0_oracle header
-    Mutant("src/qsubthermo/cli.py", 'for k in ("dq_a", "dq_b", "ds0")]', 'for k in ("dq_a", "dq_b", "dq_b")]',
+    # compare prints its dQ_b columns twice and no dS0 column
+    Mutant("src/qsubthermo/cli.py", 'fields = ("dq_a", "dq_b", "ds0")', 'fields = ("dq_a", "dq_b", "dq_b")',
            "tests/test_cli.py::TestCompareCommand::test_each_ds0_column_is_its_own_routes_free_entropy"),
     Mutant("src/qsubthermo/cli.py", "np.maximum(1.0, abs(x))", "np.maximum(1e3, abs(x))",
            "tests/test_cli.py::TestCompareCommand::test_footer_is_the_largest_deviation_of_the_printed_columns"),
@@ -99,11 +99,11 @@ MUTANTS = [
     Mutant("src/qsubthermo/fock.py", "        del c, s  # before the next stack's phases are formed\n", "",
            "tests/test_fock_sectors.py::test_oracle_calls_stay_below_one_dense_hamiltonian[linear-long_heat_series]"),
     # figure 1 reports its one evaluation under hot_a in both columns
-    Mutant("src/qsubthermo/cli.py", ".dq_ab for prep in (hot_a, hot_b)]", ".dq_ab for prep in (hot_a, hot_a)]",
+    Mutant("src/qsubthermo/cli.py", '("dQ_ab_hot_b", "rwa", 0.1, "hot_b", "dq_ab")',
+           '("dQ_ab_hot_b", "rwa", 0.1, "hot_a", "dq_ab")',
            "tests/test_cli.py::TestFigureCommand::test_figure_columns_are_each_systems_heat_reports[1]"),
-    # figure 2 reports the linear system's evaluation for the RWA columns
-    Mutant("src/qsubthermo/cli.py", "_evaluate_table(times, sys_)[1]) for sys_ in (linear, rwa)",
-           "_evaluate_table(times, linear)[1]) for sys_ in (linear, rwa)",
+    # every column reads the first system's evaluation, so figure 2 reports the linear one for the RWA columns
+    Mutant("src/qsubthermo/cli.py", "_report(grid, products[kind, g], ", "_report(grid, next(iter(products.values())), ",
            "tests/test_cli.py::TestFigureCommand::test_figure_columns_are_each_systems_heat_reports[2]"),
     # a figure holds 1024 rows a block again
     Mutant("src/qsubthermo/cli.py", "_BLOCK_ROWS = 256", "_BLOCK_ROWS = 1024",
@@ -117,6 +117,12 @@ MUTANTS = [
     # a figure builds its grid from an unchecked t_max, where 0 * inf is a NaN
     Mutant("src/qsubthermo/cli.py", '_checked(t_max, "t_max", positive=number > 3)', "None",
            "tests/test_cli.py::TestFigureCommand::test_bad_t_max_is_named_as_given[inf-1-non-negative]"),
+    # a private name such as inspect.unwrap's __wrapped__ imports the oracle again
+    Mutant("src/qsubthermo/__init__.py", 'private = name.startswith("_") and name != "__all__"', "private = False",
+           "tests/test_exports.py::test_a_private_probe_loads_no_module"),
+    # a window average takes phi(z) = 1 where |z| is still a thousandth, far above eps
+    Mutant("src/qsubthermo/analytic.py", "where=abs(z) > np.finfo(float).eps", "where=abs(z) > 1e-2",
+           "tests/test_analytic.py::test_window_average_matches_multiprecision_quadrature[InteractionKind.LINEAR-0.49-taus6]"),
 ]
 
 

@@ -347,6 +347,8 @@ def test_transfer_survives_hyperbolic_growth():
         (InteractionKind.LINEAR, 0.49, [0.5, 7.3, 50.0]),
         (InteractionKind.LINEAR, 0.51, [0.5, 7.3, 50.0]),
         (InteractionKind.NONE, 0.0, [0.5, 50.0]),
+        # windows whose every |z| is a few thousandths, where phi(z) must not be taken as 1
+        (InteractionKind.LINEAR, 0.49, [1e-3, 4e-3]),
     ],
 )
 def test_window_average_matches_multiprecision_quadrature(kind, g, taus):
@@ -391,7 +393,10 @@ def test_array_calls_equal_scalar_calls(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_tiny_window_has_no_zero_over_zero(kind):
+    # from tau = 1e-308 down, phi(z) = expm1(z)/z, a complex division,
+    # overflowed into a ModelError
     sys_ = OscillatorSystem(1.0, 1.0, kind, g=0.0 if kind is InteractionKind.NONE else 0.49)
-    avg = time_averaged_heat(sys_, PREP_FIG, 1e-12)
-    assert math.isfinite(avg)
-    assert abs(avg) <= 1e-12 * thermal_occupation(PREP_FIG.beta_a, 1.0)
+    for tau in (1e-12, 1e-300, 1e-308, 1e-310, 1e-320):
+        avg = time_averaged_heat(sys_, PREP_FIG, tau)
+        assert math.isfinite(avg)
+        assert abs(avg) <= 1e-12 * thermal_occupation(PREP_FIG.beta_a, 1.0)

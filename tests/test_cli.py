@@ -2,9 +2,7 @@ import argparse
 import csv
 import io
 import math
-import os
 import re
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 import qsubthermo
 from qsubthermo import (
     HeatReport,
@@ -37,13 +36,16 @@ def read_footer(path):
     return [line for line in lines if line.startswith("#")]
 
 
-def run_fresh(argv, code=None):
-    """The CLI (or a script given as code) in a fresh interpreter, so stderr and
-    the loaded modules are exactly what a user gets, numpy warnings included."""
-    src = str(Path(qsubthermo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    command = ["-m", "qsubthermo.cli"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *command, *argv], capture_output=True, text=True, env=env)
+# Each figure's columns after its grid's: (kind, g, preparation, field), where
+# "avg" is time_averaged_heat's dQ_ab over the windows tau.
+LIN, RWA = InteractionKind.LINEAR, InteractionKind.RWA
+FIGURE_COLUMNS = {
+    1: [(RWA, 0.1, "hot_a", "dq_ab"), (RWA, 0.1, "hot_b", "dq_ab")],
+    2: [(LIN, 0.1, "hot_a", "dq_a"), (LIN, 0.1, "hot_b", "dq_a"), (RWA, 0.1, "hot_a", "dq_a"), (RWA, 0.1, "hot_b", "dq_a")],
+    3: [(LIN, 0.49, "hot_a", field) for field in ("dq_a", "dq_b", "dq_ab", "ds0", "csl_ok")],
+    4: [(LIN, 0.49, "hot_a", "avg"), (RWA, 0.49, "hot_a", "avg")],
+    5: [(LIN, 0.51, "hot_a", "avg")],
+}
 
 
 class TestFigureCommand:
@@ -94,29 +96,44 @@ class TestFigureCommand:
         values = [float(r[1]) for r in rows if float(r[0]) >= 3.0]
         assert min(values) < -1e-6
 
-    @pytest.mark.parametrize("number", [1, 2])
+    @pytest.mark.parametrize("number", [1, 2, 3, 4, 5])
     def test_figure_columns_are_each_systems_heat_reports(self, tmp_path, number):
-        # one evaluation per system serves both preparations, each under its own
+        # one evaluation per system serves each preparation, each under its own
         out = tmp_path / "fig.csv"
         assert main(["--out", str(out), "--samples", "300", "figure", str(number)]) == 0
         header, rows = read_csv(out)
-        times = np.array([float(row[0]) for row in rows])
+        grid = np.array([float(row[0]) for row in rows])
         hot_a = ThermalPreparation.from_temperatures(cli.TEMP_HOT, cli.TEMP_COLD)
-        kinds, field = ([InteractionKind.RWA], "dq_ab") if number == 1 else ([InteractionKind.LINEAR, InteractionKind.RWA], "dq_a")
-        expected = [getattr(heat_transfer(times, OscillatorSystem(1.0, 1.0, kind, g=0.1), prep), field)
-                    for kind in kinds for prep in (hot_a, hot_a.swapped())]
-        for index, column in enumerate(expected, start=1):
-            assert [float(row[index]) for row in rows] == column.tolist(), header[index]
+        preps = {"hot_a": hot_a, "hot_b": hot_a.swapped()}
+        columns = FIGURE_COLUMNS[number]
+        assert len(header) == 1 + len(columns)
+        for index, (kind, g, prep, field) in enumerate(columns, start=1):
+            sys_ = OscillatorSystem(1.0, 1.0, kind, g=g)
+            if field == "avg":
+                expected = time_averaged_heat(sys_, preps[prep], grid)
+            else:
+                expected = getattr(heat_transfer(grid, sys_, preps[prep]), field)
+            printed = [bool(int(row[index])) if field == "csl_ok" else float(row[index]) for row in rows]
+            assert printed == expected.tolist(), header[index]
 
-    @pytest.mark.parametrize("number, systems", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("number, systems", [(1, 1), (2, 2), (3, 1), (4, 2), (5, 1)])
     def test_each_system_is_evaluated_once_per_block(self, tmp_path, monkeypatch, number, systems):
-        # every evaluation of a system's forms reads its table once, so the
-        # table is read once per system per block, not once per preparation
+        # every evaluation of a system's forms, or of its window averages,
+        # reads its table once, so the table is read once per system per
+        # block, not once per preparation or per column
         reads, table = [], analytic._table
         monkeypatch.setattr(analytic, "_table", lambda sys_: reads.append(sys_) or table(sys_))
         argv = ["--out", str(tmp_path / "fig.csv"), "--samples", str(2 * cli._BLOCK_ROWS + 1), "figure", str(number)]
         assert main(argv) == 0
         assert len(reads) == 3 * systems and len(set(reads)) == systems
+
+    @pytest.mark.parametrize("number", [4, 5])
+    def test_subnormal_windows_are_averaged(self, tmp_path, number):
+        # phi(z) = expm1(z)/z, a complex division, overflowed for windows this short, and the figure exited 2
+        out = tmp_path / "fig.csv"
+        assert main(["--out", str(out), "--t-max", "1e-320", "--samples", "3", "figure", str(number)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3 and all(abs(float(value)) <= 1e-12 for row in rows for value in row[1:])
 
     @pytest.mark.parametrize("t_max, number, rule", [
         ("inf", 1, "non-negative"), ("-5", 1, "non-negative"), ("-5", 4, "positive"), ("0", 5, "positive"),

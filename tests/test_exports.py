@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh
 import qsubthermo
 
 MODULES = [importlib.import_module(f"qsubthermo.{name}")
@@ -31,6 +32,23 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from qsubthermo import *", namespace)
     assert set(qsubthermo.__all__) <= namespace.keys()
+
+
+PROBES = """
+import inspect, sys
+import qsubthermo
+inspect.unwrap(qsubthermo)
+assert not hasattr(qsubthermo, "_ipython_canary_method_should_not_exist_")
+print(*(name for name in qsubthermo._ON_FIRST_USE if f"qsubthermo.{name}" in sys.modules))
+qsubthermo.heat_series_numeric, qsubthermo.fock, qsubthermo.__all__
+"""
+
+
+def test_a_private_probe_loads_no_module():
+    # inspect.unwrap asks for __wrapped__, and each such probe imported the
+    # oracle; the lazy names still resolve after it
+    proc = run_fresh([], code=PROBES)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 @pytest.mark.parametrize("name", ["analytic", "fock"])
