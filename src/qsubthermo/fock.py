@@ -32,10 +32,12 @@ stacks take the generic rho(t) routes.  Time evolution reuses those
 eigendecompositions, never a generic matrix exponential: the phases e^{-iEt}
 enter as the real pair cos(Et), sin(Et), and every route takes batched
 half-size products one stack at a time, mapped back onto a sector's states
-through the one coordinate per half each state has.  One list of a stack's
-blocks (+, +), (-, -) and (+, -), each a sandwich Y_a^T diag(d) Y_b, serves
-the heat kernel, weighted panels of columns that stop at a symmetric block's
-diagonal, and rho(t), the blocks of V^dag diag(w) V with e^{-i(E_j - E_k)t}.
+through the one coordinate per half each state has.  One helper, ``_split``,
+encodes a stack's exchange split: the rows of Q+ and Q-, and its blocks (+,
++), (-, -) and (+, -), each a sandwich Y_a^T (Q_a^T diag(d) Q_b) Y_b around
+a diagonal middle factor.  It serves the heat kernel, weighted panels of
+columns that stop at a symmetric block's diagonal, rho(t), the blocks of
+V^dag diag(w) V with e^{-i(E_j - E_k)t}, and the transition probabilities.
 rho(t) vanishes between sectors, so partial traces, traces against H and
 transition probabilities gather its sector blocks: no call returns a dim x dim
 array.  One cached gather per time holds the reduced states, rho(t) on H and H
@@ -492,38 +494,35 @@ def _eigh_sectors(parts: HamiltonianParts):
     return tuple(stacks)
 
 
-def _exchange_rows(k: int, h: int, sign):
-    """(at, weight): the rows of Q+ (at[0], weight[0]) and Q- (at[1],
-    weight[1]) for a stack of sectors, as each local position's coordinate
-    in the half and its weight there, 0 where it has none: 1 on the fixed
-    points, 1/sqrt(2) on the heads and +-sigma/sqrt(2) on their mirrors."""
-    n = sign.shape[-1]
+def _split(stack, *diagonals):
+    """(at, weight, blocks): the exchange split of a stack of ``eigensystem``,
+    its states laid out [F+ | H | F- | M] (``sector_blocks``), read once.
+
+    at and weight are the rows of Q+ (at[0], weight[0]) and Q- (at[1],
+    weight[1]), as each local position's coordinate in the half and its
+    weight there, 0 where it has none: 1 on the fixed points, 1/sqrt(2) on
+    the heads and +-sigma/sqrt(2) on their mirrors.  blocks lists (+, +), (-,
+    -) and (+, -) as (a, b, rows, cols, left, right, middles): halves a and b
+    (0 for +, 1 for -), their energies, the coordinates of Y_a and Y_b that
+    Q_a^T D Q_b touches, and for each of diagonals, given on every state, the
+    diagonal of Q_a^T diag(d) Q_b there: d_F+ then (d_H + d_M) / 2, (d_H +
+    d_M) / 2 then d_F-, and (d_H - d_M) / 2.  h == k keeps (+, +) alone."""
+    index, _, y_plus, _, _, sign = stack
+    (m, k), h, n = index.shape, y_plus.shape[-1], sign.shape[-1]
     fixed = h - n
-    at, weight = np.zeros((2, k), dtype=np.intp), np.zeros((2, len(sign), k))
+    at, weight = np.zeros((2, k), dtype=np.intp), np.zeros((2, m, k))
     at[0, :h], at[0, k - n :], at[1, fixed : k - n], at[1, k - n :] = np.arange(h), np.arange(fixed, h), np.arange(k - h), np.arange(n)
     weight[0, :, :h] = weight[1, :, fixed : k - n] = 1.0
     weight[:, :, fixed:h] = math.sqrt(0.5)
     weight[:, :, k - n :] = np.stack([sign, -sign]) * math.sqrt(0.5)
-    return at, weight
-
-
-def _half_diagonals(d, h: int, n: int):
-    """(Q+^T D Q+, Q-^T D Q-, Q+^T D Q- on the heads) for D = diag(d) on the
-    sectors of a stack: diag(d_F+, (d_H + d_M) / 2), diag((d_H + d_M) / 2,
-    d_F-) and diag((d_H - d_M) / 2), zero off the heads' coordinates."""
-    fixed_plus, heads, fixed_minus, mirrors = np.split(d, [h - n, h, d.shape[-1] - n], axis=-1)
-    mean = (heads + mirrors) / 2.0
-    return np.concatenate([fixed_plus, mean], axis=-1), np.concatenate([mean, fixed_minus], axis=-1), (heads - mirrors) / 2.0
-
-
-def _half_blocks(h: int, k: int, n: int):
-    """(a, b, rows, cols, left, right) for the (+, +), (-, -) and (+, -) blocks
-    of a stack split at h with n heads, in the order of ``_half_diagonals``:
-    halves a and b (0 for +, 1 for -), their energies, and the coordinates of
-    Y_a and Y_b that Q_a^T D Q_b touches.  h == k keeps (+, +) alone."""
+    middles = []
+    for d in diagonals:
+        fixed_plus, heads, fixed_minus, mirrors = np.split(d[index], [fixed, h, k - n], axis=-1)
+        mean = (heads + mirrors) / 2.0
+        middles.append((np.concatenate([fixed_plus, mean], axis=-1), np.concatenate([mean, fixed_minus], axis=-1), (heads - mirrors) / 2.0))
     plus, minus, every = slice(None, h), slice(h, None), slice(None)
-    blocks = [(0, 0, plus, plus, every, every), (1, 1, minus, minus, every, every), (0, 1, plus, minus, slice(h - n, h), slice(None, n))]
-    return blocks if h < k else blocks[:1]
+    blocks = [(0, 0, plus, plus, every, every), (1, 1, minus, minus, every, every), (0, 1, plus, minus, slice(fixed, h), slice(None, n))]
+    return at, weight, [(*block, middle) for block, *middle in zip(blocks[: 3 if h < k else 1], *middles)]
 
 
 def _sandwich(left, d, right):
@@ -615,16 +614,16 @@ def _sector_state(stack, t: float, w, n, p, q):
     """rho(t) = U(t) diag(w) U(t)^dag at local entries (p, q) of the sectors
     n of a stack, from the halves alone: diag(z) V (G o e^{-i(E_j - E_k)t})
     V^dag diag(z)^dag for V = Q blockdiag(Y+, Y-) and G = V^dag diag(w) V.
-    Each block of ``_half_blocks`` is R_ab = Y_a (G_ab o e^{-i(E_a - E_b)t})
+    Each block of ``_split`` is R_ab = Y_a (G_ab o e^{-i(E_a - E_b)t})
     Y_b^dag, G_ab being the kernel's rho with Y_a conjugated, and R_-+ =
     R_+-^dag; the phases' real and imaginary parts take two products each,
-    real where Y is.  Each state has at most one coordinate per half, so each
-    entry gathers one entry of each block: no k x k array is formed."""
-    index, energies, *halves, z, sign = stack
-    (_, k), h, heads = index.shape, halves[0].shape[-1], sign.shape[-1]
-    (at, weight), (cos, sin) = _exchange_rows(k, h, sign), _phases(t, energies)
+    real where Y is.  Each state has at most one coordinate per half, its row
+    of Q in ``_split``, so each entry gathers one entry of each block: no k x
+    k array is formed."""
+    _, energies, *halves, z, _ = stack
+    (at, weight, blocks), (cos, sin) = _split(stack, w), _phases(t, energies)
     out = np.zeros(len(p), dtype=np.complex128)
-    for (a, b, rows, cols, left, right), diagonal in zip(_half_blocks(h, k, heads), _half_diagonals(w, h, heads)):
+    for a, b, rows, cols, left, right, (diagonal,) in blocks:
         g = _sandwich(halves[a][:, left].conj(), diagonal, halves[b][:, right])
         c_a, s_a, c_b, s_b = cos[:, rows, None], sin[:, rows, None], cos[:, None, cols], sin[:, None, cols]
         # e^{-i(E_a - E_b)t} = (c_a c_b + s_a s_b) + i (c_a s_b - s_a c_b), one part at a time
@@ -641,30 +640,25 @@ def _sector_state(stack, t: float, w, n, p, q):
     return out * (z[n, p] * z[n, q].conj())
 
 
-def _evolved(stacks, t: float, w, rows, cols):
-    """rho(t) = U(t) diag(w) U(t)^dag at the entries (rows, cols), for a
-    number-diagonal state w and a _checked time, one stack of sectors at a
-    time: rho(t) vanishes between sectors."""
-    stack, member, local = _stack_layout([index for index, *_ in stacks], len(w))
-    # entries between two sectors make one more group, left at zero; the owners die before out is made
-    same = (stack[rows] == stack[cols]) & (member[rows] == member[cols])
-    groups = _grouped(np.where(same, stack[rows], len(stacks)), len(stacks) + 1)
-    out = np.zeros(len(rows), dtype=np.complex128)
-    for entry, picked in zip(stacks, groups):
-        if picked.size:
-            r, c = rows[picked], cols[picked]
-            out[picked] = _sector_state(entry, t, w[entry[0]], member[r], local[r], local[c])
-    return out
-
-
-def _partial_traces(blocks, t: float, w, n_a: int, n_b: int, rows=(), cols=()):
-    """(tr_b rho(t), tr_a rho(t), rho(t) at (rows, cols)) from one gather of the entries of rho(t)."""
+def _partial_traces(stacks, t: float, w, n_a: int, n_b: int, rows=(), cols=()):
+    """(tr_b rho(t), tr_a rho(t), rho(t) at (rows, cols)) from one gather of
+    the entries of rho(t) = U(t) diag(w) U(t)^dag, for a number-diagonal state
+    w and a _checked time, one stack of sectors at a time: rho(t) vanishes
+    between sectors."""
     i, j, k = np.ogrid[:n_a, :n_a, :n_b]  # rho_a[i, j] sums rho[(i, k), (j, k)]
     traced_b = np.broadcast_arrays(i * n_b + k, j * n_b + k)
     i, j, k = np.ogrid[:n_b, :n_b, :n_a]  # rho_b[i, j] sums rho[(k, i), (k, j)]
     traced_a = np.broadcast_arrays(k * n_b + i, k * n_b + j)
     rows, cols = (np.concatenate([x.ravel(), y.ravel(), np.asarray(z, dtype=np.intp)]) for x, y, z in zip(traced_b, traced_a, (rows, cols)))
-    values = _evolved(blocks, t, w, rows, cols)
+    stack, member, local = _stack_layout([index for index, *_ in stacks], len(w))
+    # entries between two sectors make one more group, left at zero; the owners die before values is made
+    same = (stack[rows] == stack[cols]) & (member[rows] == member[cols])
+    groups = _grouped(np.where(same, stack[rows], len(stacks)), len(stacks) + 1)
+    values = np.zeros(len(rows), dtype=np.complex128)
+    for entry, picked in zip(stacks, groups):
+        if picked.size:
+            r, c = rows[picked], cols[picked]
+            values[picked] = _sector_state(entry, t, w, member[r], local[r], local[c])
     split, end = n_a * n_a * n_b, n_a * n_b * (n_a + n_b)
     return values[:split].reshape(n_a, n_a, n_b).sum(axis=2), values[split:end].reshape(n_b, n_b, n_a).sum(axis=2), values[end:].copy()
 
@@ -699,10 +693,10 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     symmetric block's panel ends at its diagonal, its rows above the panel
     doubled for the mirror not stored; (+, -) takes every row (end None).
     Each block of V^T diag V is the half-size ``_sandwich`` Y_a^T (Q_a^T diag
-    Q_b) Y_b of a block of ``_half_blocks``, whose middle factor is diagonal
-    (``_half_diagonals``); rho(t) reads the same blocks of rho.  This is the
-    one place that weights a kernel's blocks on a stack's split h or knows
-    which of them are symmetric.
+    Q_b) Y_b of a block of ``_split``, read once per stack with the middle
+    factors of w, d_a and d_b, each diagonal; rho(t) reads the same blocks of
+    rho.  This is the one place that weights a kernel's blocks on a stack's
+    split or knows which of them are symmetric.
 
     A stack split by the mode exchange (h < k) keeps K_a alone: the exchange
     P gives P D_a P^T = D_b and P V = diag(sigma) V S for S = +1 on the first
@@ -715,19 +709,19 @@ def _heat_kernel(sys: OscillatorSystem, prep: ThermalPreparation, cfg: FockConfi
     w = thermal_product_state(sys, prep, cfg)
     d_a, d_b = _bare_levels(sys, cfg)
     kernels = []
-    for index, energies, *halves, _, sign in eigensystem(sys, cfg):
-        (_, k), h, n = index.shape, halves[0].shape[-1], sign.shape[-1]
+    for stack in eigensystem(sys, cfg):
+        energies, *halves = stack[1:4]
+        *_, blocks = _split(stack, w, d_a, d_b)
         terms = []
-        for block, (a, b, rows, cols, left, right) in enumerate(_half_blocks(h, k, n)):
+        for a, b, rows, cols, left, right, (middle, middle_a, middle_b) in blocks:
             y_a, y_b = halves[a][:, left], halves[b][:, right]
-            levels = [(d_a, (1.0, 1.0) if a == b else (2.0, -2.0))] if h < k else [(d_a, (1.0, 0.0)), (d_b, (0.0, 1.0))]
-            middle = [_half_diagonals(x[index], h, n)[block] for x in (w, *(d for d, _ in levels))]
+            levels = [(middle_a, (1.0, 1.0) if a == b else (2.0, -2.0))] if len(blocks) > 1 else [(middle_a, (1.0, 0.0)), (middle_b, (0.0, 1.0))]
             panels = [[] for _ in levels]
             for start in range(0, y_b.shape[-1], _SERIES_BLOCK):
                 columns, end = slice(start, start + _SERIES_BLOCK), start + _SERIES_BLOCK if a == b else None
-                rho = _sandwich(y_a[..., :end], middle[0], y_b[..., columns])
+                rho = _sandwich(y_a[..., :end], middle, y_b[..., columns])
                 rho[..., : start if a == b else 0, :] *= 2.0  # a symmetric block's rows above the panel stand for their mirror too
-                for kept, diagonal in zip(panels, middle[1:]):
+                for kept, (diagonal, _) in zip(panels, levels):
                     kernel = _sandwich(y_a[..., :end], diagonal, y_b[..., columns])
                     kernel *= rho
                     kernel.setflags(write=False)
@@ -798,16 +792,15 @@ def heat_series_numeric(
 def _probabilities(t: float, stack):
     """P[n, i, j] = |<i| U(t) |j>|^2 between the states of sector n of a
     stack, for a _checked time; the gauge drops out of |U|."""
-    index, energies, *halves, _, sign = stack
-    (_, k), h = index.shape, halves[0].shape[-1]
-    at, weight = _exchange_rows(k, h, sign)
+    _, energies, *halves, _, _ = stack
+    at, weight, blocks = _split(stack)
     probs = None
     for phase in _phases(t, energies):  # |U|^2 = c^2 + s^2 for U = Q blockdiag(U+, U-) Q^T = c - i s
         part = None
-        for a, _, rows, *_ in _half_blocks(h, k, sign.shape[-1])[:2]:  # (+, +), then (-, -) on a split stack
+        for a, _, rows, *_ in blocks[:2]:  # (+, +), then (-, -) on a split stack
             y_t = halves[a].swapaxes(-1, -2)
             x = _sandwich(y_t, phase[:, rows], y_t)  # Y_a diag(phase) Y_a^T
-            if h < k:  # Q_a x Q_a^T over every pair of states; Q = 1 on an unsplit sector
+            if len(blocks) > 1:  # Q_a x Q_a^T over every pair of states; Q = 1 on an unsplit sector
                 x = x.take(at[a], axis=1).take(at[a], axis=2)
                 x *= weight[a, :, :, None]
                 x *= weight[a, :, None, :]

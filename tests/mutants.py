@@ -5,20 +5,24 @@
 
 Each row is applied to a fresh temporary copy of ``COPIED`` (``src/``,
 ``tests/``, ``pyproject.toml`` and ``README.md``), and only its named test
-runs there, one pytest process at a time.  The named tests first run once on
-an unmutated copy, which they must pass.  Exits 1 if any mutant survives, a
-row's old text is not found exactly once, or a named test cannot run; exits 0
-when every mutant is killed.  pytest does not collect this file, so it is no
-part of the test suite: each row costs one pytest start.
+runs there.  The named tests first run once on an unmutated copy, which they
+must pass.  Then the rows run side by side, one pytest process per row and as
+many at once as this process may use CPUs, each in its own copy, and their
+verdicts print in row order.  Exits 1 if any mutant survives, a row's old
+text is not found exactly once, or a named test cannot run; exits 0 when
+every mutant is killed.  pytest does not collect this file, so it is no part
+of the test suite: each row costs one pytest start.
 A new threshold, printed column or exit code lands with its row here.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -123,6 +127,12 @@ MUTANTS = [
     # a window average takes phi(z) = 1 where |z| is still a thousandth, far above eps
     Mutant("src/qsubthermo/analytic.py", "where=abs(z) > np.finfo(float).eps", "where=abs(z) > 1e-2",
            "tests/test_analytic.py::test_window_average_matches_multiprecision_quadrature[InteractionKind.LINEAR-0.49-taus6]"),
+    # the (+, -) block's middle factor takes the opposite sign
+    Mutant("src/qsubthermo/fock.py", "(heads - mirrors) / 2.0", "(mirrors - heads) / 2.0",
+           "tests/test_fock_sectors.py::test_split_is_q_itself[linear]"),
+    # the mirrors weigh into Q- as into Q+, so Q- is no longer orthogonal to Q+
+    Mutant("src/qsubthermo/fock.py", "np.stack([sign, -sign])", "np.stack([sign, sign])",
+           "tests/test_fock_sectors.py::test_split_is_q_itself[rwa]"),
 ]
 
 
@@ -142,6 +152,20 @@ def pytest_status(tree: Path, tests: list[str]) -> int:
     return proc.returncode
 
 
+def mutant_verdict(row: Mutant) -> str:
+    """"killed", "SURVIVED" or why the row could not run, from its own temporary copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "mutant"
+        copy_tree(tree)
+        path = tree / row.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(row.old) != 1:
+            return f"old text found {text.count(row.old)} times, not once"
+        path.write_text(text.replace(row.old, row.new), encoding="utf-8")
+        status = pytest_status(tree, [row.test])
+        return {0: "SURVIVED", 1: "killed"}.get(status, f"could not run (pytest status {status})")
+
+
 def main(argv: list[str]) -> int:
     rows = [MUTANTS[int(i)] for i in argv] if argv else MUTANTS
     problems = []
@@ -152,22 +176,12 @@ def main(argv: list[str]) -> int:
         if status != 0:
             print(f"FAIL the named tests do not pass unmutated (pytest status {status})")
             return 1
-    for index, row in enumerate(rows):
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = Path(tmp) / "mutant"
-            copy_tree(tree)
-            path = tree / row.file
-            text = path.read_text(encoding="utf-8")
-            if text.count(row.old) != 1:
-                verdict = f"old text found {text.count(row.old)} times, not once"
-            else:
-                path.write_text(text.replace(row.old, row.new), encoding="utf-8")
-                status = pytest_status(tree, [row.test])
-                verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"could not run (pytest status {status})")
-        print(f"{'ok  ' if verdict == 'killed' else 'FAIL'} {index}: {row.file}: {row.old.strip()!r} -> "
-              f"{row.new.strip()!r}: {verdict} by {row.test}", flush=True)
-        if verdict != "killed":
-            problems.append(index)
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        for index, (row, verdict) in enumerate(zip(rows, pool.map(mutant_verdict, rows))):
+            print(f"{'ok  ' if verdict == 'killed' else 'FAIL'} {index}: {row.file}: {row.old.strip()!r} -> "
+                  f"{row.new.strip()!r}: {verdict} by {row.test}", flush=True)
+            if verdict != "killed":
+                problems.append(index)
     return 1 if problems else 0
 
 

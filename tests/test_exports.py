@@ -71,8 +71,8 @@ def test_routes_import_only_model(name):
 # matrix alone, so nothing that decides its algebra may see the coupling type.
 ORACLE_ALGEBRA = [
     "_kron_entries", "sectors", "_grouped", "_stack_layout", "sector_blocks", "_eigh_sectors", "_real_gauge", "eigensystem",
-    "_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_sector_state",
-    "_evolved", "_partial_traces", "_state_at", "_probabilities", "_transitions", "_thermal_sums",
+    "_split", "_sandwich", "_heat_kernel", "_expectations", "_sector_state", "_partial_traces", "_state_at",
+    "_probabilities", "_transitions", "_thermal_sums",
 ]
 
 
@@ -114,15 +114,14 @@ def test_heat_contraction_never_reads_the_exchange_split(function):
 
 @pytest.mark.parametrize(
     "function",
-    ["_exchange_rows", "_half_diagonals", "_half_blocks", "_sandwich", "_heat_kernel", "_expectations", "_probabilities",
-     "_transitions"],
+    ["_split", "_sandwich", "_heat_kernel", "_expectations", "_probabilities", "_transitions"],
 )
 def test_kernels_and_transitions_never_decide_real_or_complex(function):
     # sector_blocks alone decides whether a stack is real, and every system
-    # gauges real, so the heat and transition routes, and the rows, diagonals,
-    # blocks and sandwiches of the exchange halves they read, take real
-    # arithmetic only; _sector_state conjugates the sandwich's left factor
-    # itself, since an override's complex stacks take rho(t) too
+    # gauges real, so the heat and transition routes, and the exchange split
+    # and the sandwiches of its halves they read, take real arithmetic only;
+    # _sector_state conjugates the sandwich's left factor itself, since an
+    # override's complex stacks take rho(t) too
     assert names_read(function) & {"iscomplexobj", "imag", "conj"} == set()
 
 

@@ -638,7 +638,7 @@ class TestOneEvaluationPerTime:
             clear_oracle_caches()
             cold.append(bits(route(self.T, self.SYS, PREP, self.CFG)))
         clear_oracle_caches()
-        evolved = counted(monkeypatch, "_evolved")
+        evolved = counted(monkeypatch, "_partial_traces")
         assert [bits(route(self.T, self.SYS, PREP, self.CFG)) for route in self.RHO_ROUTES] == cold
         assert len(evolved) == 1
 
@@ -664,7 +664,7 @@ class TestOneEvaluationPerTime:
     def test_another_time_preparation_or_cutoff_misses(self, monkeypatch):
         entropy_production(self.T, self.SYS, PREP, self.CFG)
         jarzynski_identity(self.T, self.SYS, PREP, self.CFG)
-        evolved, transitions = counted(monkeypatch, "_evolved"), counted(monkeypatch, "_transitions")
+        evolved, transitions = counted(monkeypatch, "_partial_traces"), counted(monkeypatch, "_transitions")
         others = [(self.T + 0.5, PREP, self.CFG), (self.T, ThermalPreparation(0.6, 1.0), self.CFG),
                   (self.T, PREP, FockConfig(10, 9, tail_tol=1e-2))]
         for t, prep, cfg in others:
@@ -675,7 +675,7 @@ class TestOneEvaluationPerTime:
     def test_override_and_classical_average_stay_uncached(self, monkeypatch):
         parts = build_hamiltonian(self.SYS, self.CFG)
         override = dense(parts, -(parts.d_a + parts.d_b))
-        evolved, transitions = counted(monkeypatch, "_evolved"), counted(monkeypatch, "_transitions")
+        evolved, transitions = counted(monkeypatch, "_partial_traces"), counted(monkeypatch, "_transitions")
         for _ in range(2):
             effective_hamiltonian(self.T, self.SYS, PREP, self.CFG, interaction=override)
             classical_average(lambda ea0, eb0, ea1, eb1: ea1 - ea0, self.T, self.SYS, PREP, self.CFG)

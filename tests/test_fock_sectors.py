@@ -33,12 +33,11 @@ from qsubthermo import (
 from qsubthermo.fock import (
     _SERIES_BLOCK,
     _eigh_sectors,
-    _half_blocks,
-    _half_diagonals,
     _heat_kernel,
     _nonzero_entries,
     _partial_traces,
     _quadratures,
+    _split,
     _state_at,
     _transitions,
     destroy,
@@ -367,6 +366,19 @@ def test_stacked_eigh_is_per_block_eigh(kind, monkeypatch):
     assert next(calls, None) is None
 
 
+def swap_symmetric_override(parts, seed):
+    """A random override on n x n levels, made symmetric under the mode swap,
+    with imaginary entries on loops no gauge makes real."""
+    n = math.isqrt(parts.dim)
+    i_a, i_b = np.divmod(np.arange(parts.dim), n)
+    swap = i_b * n + i_a
+    rng = np.random.default_rng(seed)
+    half = np.zeros((parts.dim, parts.dim), dtype=np.complex128)
+    half[tuple(rng.integers(parts.dim, size=(2, 8)))] = rng.choice([0.3, -0.2, 0.25j, -0.1j, 0.2 + 0.1j], size=8)
+    half += half.conj().T
+    return half + half[np.ix_(swap, swap)]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_complex_split_override_matches_dense_evolution(seed):
     # an override made symmetric under the mode swap, with imaginary entries
@@ -376,13 +388,7 @@ def test_complex_split_override_matches_dense_evolution(seed):
     cfg, t = FockConfig(5, 5, tail_tol=0.5), 1.3
     bare = OscillatorSystem(1.0, 1.0, InteractionKind.NONE)
     parts = build_hamiltonian(bare, cfg)
-    i_a, i_b = np.divmod(np.arange(cfg.dim), cfg.n_b)
-    swap = i_b * cfg.n_b + i_a
-    rng = np.random.default_rng(seed)
-    half = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
-    half[tuple(rng.integers(cfg.dim, size=(2, 8)))] = rng.choice([0.3, -0.2, 0.25j, -0.1j, 0.2 + 0.1j], size=8)
-    half += half.conj().T
-    override = half + half[np.ix_(swap, swap)]
+    override = swap_symmetric_override(parts, seed)
     hamiltonian = np.diag(parts.d_a + parts.d_b) + override
     stacks = list(sector_blocks(edge_list(hamiltonian, parts)))
     assert any(minus.size and np.iscomplexobj(minus) for _, _, _, minus, _ in stacks)
@@ -391,6 +397,59 @@ def test_complex_split_override_matches_dense_evolution(seed):
     _, rho_b = partial_traces(rho_t, cfg.n_a, cfg.n_b)
     reference = np.einsum("ikjl,lk->ij", override.reshape(cfg.n_a, cfg.n_b, cfg.n_a, cfg.n_b), rho_b)
     assert np.abs(effective_hamiltonian(t, bare, PREP, cfg, interaction=override) - reference).max() < 1e-12
+
+
+Q_CASES = {
+    **{kind: (sys_, FockConfig(6, 6), kind in ("rwa", "linear")) for kind, sys_ in SYSTEMS.items()},
+    "rwa-unequal": (SYSTEMS["rwa"], FockConfig(6, 5), False),
+    "linear-unequal": (SYSTEMS["linear"], FockConfig(6, 5), False),
+    "rwa-detuned": (OscillatorSystem(1.0, 1.3, InteractionKind.RWA, g=0.2), FockConfig(6, 6), False),
+    "linear-detuned": (OscillatorSystem(1.0, 1.3, InteractionKind.LINEAR, g=0.2), FockConfig(6, 6), False),
+    "complex-override": (None, FockConfig(5, 5), True),
+}
+
+
+@pytest.mark.parametrize("case", Q_CASES)
+def test_split_is_q_itself(case):
+    # the one encoding of the exchange split against Q = [Q+ | Q-] built
+    # densely from each stack's layout [F+ | H | F- | M] and sigma: its rows
+    # are Q's nonzero rows bit for bit, each block's middle factor is
+    # Q_a^T diag(d) Q_b on that block's coordinates and zero off them, to
+    # rounding, and Q+ Q+^T + Q- Q-^T = I
+    sys_, cfg, splits = Q_CASES[case]
+    if sys_ is None:
+        parts = build_hamiltonian(OscillatorSystem(1.0, 1.0, InteractionKind.NONE), cfg)
+        stacks = _eigh_sectors(edge_list(np.diag(parts.d_a + parts.d_b) + swap_symmetric_override(parts, 1), parts))
+        assert any(y_minus.size and np.iscomplexobj(y_minus) for _, _, _, y_minus, _, _ in stacks)
+    else:
+        parts, stacks = build_hamiltonian(sys_, cfg), eigensystem(sys_, cfg)
+    diagonals = (parts.d_a, parts.d_b, np.random.default_rng(7).normal(size=cfg.dim))
+    assert any(y_minus.size for _, _, _, y_minus, _, _ in stacks) == splits
+    for stack in stacks:
+        index, _, y_plus, _, _, sign = stack
+        k, h = index.shape[1], y_plus.shape[-1]
+        q = exchange_basis(index, sign, h)
+        basis = (q[..., :h], q[..., h:])
+        at, weight, blocks = _split(stack, *diagonals)
+        for a, q_a in enumerate(basis):
+            assert np.all(np.count_nonzero(q_a, axis=-1) <= 1)
+            if q_a.shape[-1] == 0:
+                assert not weight[a].any()
+                continue
+            rows_of_q = np.zeros_like(q_a)
+            rows_of_q[:, np.arange(k), at[a]] = weight[a]
+            assert np.array_equal(rows_of_q, q_a)
+        assert np.abs(basis[0] @ basis[0].swapaxes(1, 2) + basis[1] @ basis[1].swapaxes(1, 2) - np.eye(k)).max() <= 4e-16
+        assert [(a, b) for a, b, *_ in blocks] == ([(0, 0), (1, 1), (0, 1)] if h < k else [(0, 0)])
+        halves = (np.arange(h), np.arange(h, k))
+        for a, b, rows, cols, left, right, middles in blocks:
+            assert np.array_equal(np.arange(k)[rows], halves[a]) and np.array_equal(np.arange(k)[cols], halves[b])
+            assert len(middles) == len(diagonals)
+            for d, middle in zip(diagonals, middles, strict=True):
+                product = basis[a].swapaxes(1, 2) @ (d[index][..., None] * basis[b])
+                want = np.zeros_like(product)
+                want[:, np.arange(len(halves[a]))[left], np.arange(len(halves[b]))[right]] = middle
+                assert np.abs(product - want).max(initial=0.0) <= 4e-16 * np.abs(d).max()
 
 
 def stack_cap(parts):
@@ -791,19 +850,21 @@ def test_kernel_panels_match_the_whole_block_product(kind):
     # the diagonal alone, its rows above the panel doubled for their mirror,
     # and BLAS need not give a column panel of a product bit for bit, so each
     # panel matches its slice of the whole-block product, formed here from
-    # the cached halves and doubled likewise, within 1e-14 of its largest entry
+    # the cached halves and the middle factors of _split (checked against Q
+    # in test_split_is_q_itself) and doubled likewise, within 1e-14 of its
+    # largest entry
     sys_, cfg = SYSTEMS[kind], FockConfig(40, 40, tail_tol=1e-8)
     parts, w = build_hamiltonian(sys_, cfg), thermal_product_state(sys_, PREP, cfg)
     kernels, *_ = _heat_kernel(sys_, PREP, cfg)
     widths = []
-    for (index, _, *halves, _, sign), (_, terms) in zip(eigensystem(sys_, cfg), kernels, strict=True):
-        (_, k), h, n = index.shape, halves[0].shape[-1], sign.shape[-1]
+    for stack, (_, terms) in zip(eigensystem(sys_, cfg), kernels, strict=True):
+        halves, (*_, blocks) = stack[2:4], _split(stack, w, parts.d_a, parts.d_b)
         wanted = []
-        for block, (a, b, rows, cols, left, right) in enumerate(_half_blocks(h, k, n)):
+        for a, b, rows, cols, left, right, (middle, *levels) in blocks:
             y_a, y_b = halves[a][:, left], halves[b][:, right]
-            rho = y_a.swapaxes(1, 2) @ (_half_diagonals(w[index], h, n)[block][..., None] * y_b)
-            for d in [parts.d_a] if h < k else [parts.d_a, parts.d_b]:
-                want = (y_a.swapaxes(1, 2) @ (_half_diagonals(d[index], h, n)[block][..., None] * y_b)) * rho
+            rho = y_a.swapaxes(1, 2) @ (middle[..., None] * y_b)
+            for diagonal in levels[:1] if len(blocks) > 1 else levels:
+                want = (y_a.swapaxes(1, 2) @ (diagonal[..., None] * y_b)) * rho
                 wanted.append((rows, cols, a == b, want))
             widths.append(y_b.shape[-1])
         assert len(terms) == len(wanted)
